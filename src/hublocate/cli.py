@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -25,6 +24,7 @@ from .errors import (
 from .exact_oracle import OracleLimits, enumerate_optimal
 from .heuristics import (
     DEFAULT_HUB_BUDGET,
+    SearchStats,
     local_search_improve,
     solve_no_hubs,
     solve_two_stage,
@@ -45,16 +45,6 @@ from .solution import (
     load_solution,
     save_solution,
 )
-
-
-def _default_threads() -> int:
-    env = os.environ.get("HUBLOCATE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _print_json(payload) -> None:
@@ -114,19 +104,21 @@ def cmd_solve(args) -> int:
         print(f"instance invalid: {report[0].code}: {report[0].message}", file=sys.stderr)
         return 1
     deadline = time.monotonic() + args.time_budget if args.time_budget else None
-    threads = args.threads
     limits = OracleLimits(
         max_hub_set_size=args.hub_budget, max_evaluations=args.budget
     )
 
     extra = {}
+    stats = {}
     if args.method == "oracle":
-        result = enumerate_optimal(instance, limits, threads=threads, deadline=deadline)
+        result = enumerate_optimal(instance, limits, deadline=deadline)
         solution = result.solution
         extra = {"evaluated_configurations": result.evaluated}
     elif args.method == "two-stage":
+        stats["two_stage"] = SearchStats()
         result = solve_two_stage(
-            instance, hub_budget=args.hub_budget, threads=threads, deadline=deadline
+            instance, hub_budget=args.hub_budget, deadline=deadline,
+            stats=stats["two_stage"],
         )
         solution = result.merged
         extra = {
@@ -144,10 +136,17 @@ def cmd_solve(args) -> int:
         elif args.start == "no-hub":
             start = solve_no_hubs(instance, limits, deadline=deadline)
         else:
+            stats["two_stage"] = SearchStats()
             start = solve_two_stage(
-                instance, hub_budget=args.hub_budget, threads=threads, deadline=deadline
+                instance, hub_budget=args.hub_budget, deadline=deadline,
+                stats=stats["two_stage"],
             ).merged
-        solution = local_search_improve(instance, start, deadline=deadline)
+        stats["local_search"] = SearchStats()
+        solution = local_search_improve(
+            instance, start, deadline=deadline, stats=stats["local_search"]
+        )
+    if stats:
+        extra["stats"] = {name: counters.to_dict() for name, counters in stats.items()}
 
     save_solution(solution, args.output)
     exact = evaluate_cost(instance, solution, "exact")
@@ -300,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
     p.add_argument("--budget", type=float, default=1e8,
                    help="oracle evaluation budget (refuses above it)")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
                    help="starting point for local-search")
     p.add_argument("--start-file", default=None,

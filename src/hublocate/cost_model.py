@@ -95,10 +95,17 @@ def land_cost_exact(table: LandCostTable, dist_km: float, v: float) -> float:
         raise ValueError(f"negative volume {v}")
     if v == 0.0:
         return 0.0
-    u_cont = table.container_volume
-    n, u = container_split(v, u_cont)
-    full = table.cost[table.distance_band(dist_km)][-1]
-    return n * full + (table.lookup(dist_km, u) if u > 0.0 else 0.0)
+    return land_cost_row(table.cost[table.distance_band(dist_km)], table.volume_breaks, v)
+
+
+def land_cost_row(row: tuple, volume_breaks: tuple, v: float) -> float:
+    """Exact stepwise land cost from the tariff row of one distance band."""
+    if v < 0.0:
+        raise ValueError(f"negative volume {v}")
+    if v == 0.0:
+        return 0.0
+    n, u = container_split(v, volume_breaks[-1])
+    return n * row[-1] + (row[bisect_left(volume_breaks, u)] if u > 0.0 else 0.0)
 
 
 @dataclass(frozen=True)

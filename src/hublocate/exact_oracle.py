@@ -29,14 +29,14 @@ import math
 import time
 from dataclasses import dataclass
 
-from .cost_model import (
-    approx_breakpoint_volumes,
-    land_breakpoints,
-    land_cost_approx,
-    sea_cost,
-)
+from .cost_model import approx_breakpoint_volumes, land_cost_approx
+
+# Not called here since pricing goes through hublocate.pricing; kept as
+# attributes of this module because perfbench's tracer hooks them here.
+from .cost_model import land_breakpoints, sea_cost  # noqa: F401
 from .errors import InvalidInstanceError, OracleLimitError, TimeBudgetError
 from .network_model import Instance, validate_instance
+from .pricing import price_table
 from .solution import CostBreakdown, Solution, evaluate_cost
 from .splits import subset_sums
 
@@ -72,34 +72,24 @@ class _Kernel:
         self.e = instance.setup_cost
         self.f = instance.hub_consol_cost
         self.g = instance.port_consol_cost
-        self.curves = {}
-        bands = {}
-        for b in self.B:
-            for r in self.B + self.S:
-                dist = instance.distance[(b, r)]
-                band = instance.land_costs.distance_band(dist)
-                if band not in bands:
-                    bands[band] = land_breakpoints(instance.land_costs, dist)
-                self.curves[(b, r)] = bands[band]
+        self.prices = price_table(instance)
+        self.curves = {(b, r): self.prices.curve(b, r) for b in self.B for r in self.B + self.S}
         self.pairs = instance.positive_pairs()
         self.options = [instance.usable_ports(t) for (_, t) in self.pairs]
 
     def fixed_cost(self, zvec) -> tuple[float, dict, dict]:
         """Port-assignment-only cost terms: port consolidation plus sea."""
-        inst = self.instance
+        demand = self.instance.demand
         vols: dict = {}
         seas: dict = {}
         total = 0.0
         for (b, t), s in zip(self.pairs, zvec):
-            v = inst.demand[(b, t)]
+            v = demand[(b, t)]
             vols[(b, s)] = vols.get((b, s), 0.0) + v
             seas[(s, t)] = seas.get((s, t), 0.0) + v
             total += self.g[s] * v
         for (s, t), w in seas.items():
-            total += sea_cost(
-                inst.sea_rates[(s, t)], w, inst.sea_container_volume,
-                inst.nvocc_cap, inst.nvocc_penalty,
-            )[0]
+            total += self.prices.sea(s, t, w)
         return total, vols, seas
 
     def routing_cost(self, vols: dict, hubs, assign: dict, fracs: dict) -> float:
@@ -442,14 +432,12 @@ def _hub_assignments(active, hubs):
 def enumerate_optimal(
     instance: Instance,
     limits: OracleLimits | None = None,
-    threads: int = 1,
     deadline: float | None = None,
 ) -> OracleResult:
     """Globally minimize the approximated cost by exhaustive enumeration.
 
     Refuses instances whose enumeration estimate exceeds the configured
-    budget.  Deterministic for any thread count: chunk results are reduced
-    by (cost, enumeration index).
+    budget.  Ties go to the first configuration in enumeration order.
     """
     violations = validate_instance(instance)
     if violations:
@@ -466,62 +454,42 @@ def enumerate_optimal(
     extra = tuple(limits.split_grid)
 
     # All-direct optimum over every port assignment.  Configurations whose
-    # lower bound strictly exceeds it cannot be optimal; pruning against
-    # this fixed threshold keeps results and counts chunking-independent.
+    # lower bound strictly exceeds it cannot be optimal.
     threshold = math.inf
     for zvec in z_choices:
         fixed, vols, _ = kernel.fixed_cost(zvec)
         threshold = min(threshold, fixed + kernel.routing_cost(vols, (), {}, {}))
 
-    def run_chunk(z_slice, offset):
-        best = None  # (cost, index, payload)
-        count = 0
-        for zi, zvec in enumerate(z_slice):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeBudgetError("oracle exceeded its time budget")
-            fixed, vols, _ = kernel.fixed_cost(zvec)
-            if fixed > threshold:
+    best = None  # (cost, payload)
+    evaluated = 0
+    for zvec in z_choices:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetError("oracle exceeded its time budget")
+        fixed, vols, _ = kernel.fixed_cost(zvec)
+        if fixed > threshold:
+            continue
+        active = sorted(vols)
+        dests_via: dict = {}
+        for (b, t), s in zip(kernel.pairs, zvec):
+            dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
+        comp_cache: dict = {}
+        for hubs in hub_sets:
+            if fixed + setup_of[hubs] > threshold:
                 continue
-            active = sorted(vols)
-            dests_via: dict = {}
-            for (b, t), s in zip(kernel.pairs, zvec):
-                dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
-            comp_cache: dict = {}
-            for hubs in hub_sets:
-                if fixed + setup_of[hubs] > threshold:
+            for assign in _hub_assignments(active, hubs):
+                evaluated += 1
+                problem = _SplitProblem(kernel, vols, hubs, assign, dests_via, extra)
+                if fixed + problem.const > threshold:
                     continue
-                for assign in _hub_assignments(active, hubs):
-                    count += 1
-                    problem = _SplitProblem(kernel, vols, hubs, assign, dests_via, extra)
-                    if fixed + problem.const > threshold:
-                        continue
-                    fracs, routing = problem.solve(comp_cache)
-                    total = fixed + routing
-                    if best is None or total < best[0]:
-                        best = (total, (offset + zi, count), (zvec, hubs, assign, fracs))
-        return best, count
-
-    if threads <= 1 or len(z_choices) < 2:
-        best, evaluated = run_chunk(z_choices, 0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        n = min(threads, len(z_choices))
-        step = (len(z_choices) + n - 1) // n
-        chunks = [(z_choices[i:i + step], i) for i in range(0, len(z_choices), step)]
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(lambda c: run_chunk(*c), chunks))
-        evaluated = sum(r[1] for r in results)
-        best = min(
-            (r[0] for r in results if r[0] is not None),
-            key=lambda b: (b[0], b[1]),
-            default=None,
-        )
+                fracs, routing = problem.solve(comp_cache)
+                total = fixed + routing
+                if best is None or total < best[0]:
+                    best = (total, (zvec, hubs, assign, fracs))
 
     if best is None:
         raise OracleLimitError("nothing to enumerate")
 
-    _, _, (zvec, hubs, assign, fracs) = best
+    _, (zvec, hubs, assign, fracs) = best
     port_choice = dict(zip(kernel.pairs, zvec))
     hub_choice = {p: h for p, h in assign.items() if h is not None}
     solution = Solution(

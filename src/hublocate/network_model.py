@@ -16,6 +16,7 @@ records, so save -> load -> save is byte stable.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -306,7 +307,16 @@ def _number(value, where: str, field_name: str, allow_none: bool = False):
             f"field {field_name!r} must be a number, got {value!r}",
             code="BAD_TYPE", section=where,
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InstanceFormatError(
+            f"field {field_name!r} must be finite, got {value!r}",
+            code="NON_FINITE", section=where,
+        )
+    return number
 
 
 def _id_list(raw, set_name: str) -> list[str]:

@@ -23,9 +23,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cost_model import land_breakpoints, land_cost_approx, land_cost_exact, sea_cost
+# Not called here since pricing goes through hublocate.pricing; kept as
+# attributes of this module because perfbench's tracer hooks them here.
+from .cost_model import (  # noqa: F401
+    land_breakpoints,
+    land_cost_approx,
+    land_cost_exact,
+    sea_cost,
+)
 from .errors import InfeasibleSolutionError, InstanceFormatError, UnknownNodeError
 from .network_model import Instance
+from .pricing import cost_terms, solution_flows
 
 SOLUTION_SCHEMA = "hublocate-solution-1"
 
@@ -63,11 +71,6 @@ class Solution:
         return all(
             abs(v - other.direct_fraction[k]) <= tol for k, v in self.direct_fraction.items()
         )
-
-
-def all_direct_solution(instance: Instance, port_choice: dict) -> Solution:
-    """Solution with no hubs and every shipment going direct."""
-    return Solution(port_choice=dict(port_choice))
 
 
 @dataclass(frozen=True)
@@ -213,60 +216,10 @@ def evaluate_cost(instance: Instance, solution: Solution, mode: str = "exact") -
     if report:
         raise InfeasibleSolutionError(report)
 
-    curves: dict = {}
-
-    def land(a: str, r: str, v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        dist = instance.distance[(a, r)]
-        if mode == "exact":
-            return land_cost_exact(instance.land_costs, dist, v)
-        band = instance.land_costs.distance_band(dist)
-        curve = curves.get(band)
-        if curve is None:
-            curve = curves[band] = land_breakpoints(instance.land_costs, dist)
-        return land_cost_approx(curve, v)
-
-    vols = port_volumes(instance, solution.port_choice)
-
-    setup = sum(instance.setup_cost[h] for h in sorted(solution.hubs))
-    port_consol = 0.0
-    port_totals: dict = {}
-    for (b, s), v in sorted(vols.items()):
-        port_totals[s] = port_totals.get(s, 0.0) + v
-    for s in sorted(port_totals):
-        port_consol += instance.port_consol_cost[s] * port_totals[s]
-
-    hub_consol = 0.0
-    port_arc: dict = {}  # (b or hub, s) -> volume on the land leg into s
-    hub_arc: dict = {}  # (b, h) -> volume on the feeder leg into the hub
-    hub_inflow: dict = {}
-    for (b, s), v in sorted(vols.items()):
-        y = solution.fraction(b, s)
-        direct = y * v
-        if direct > 0.0:
-            port_arc[(b, s)] = port_arc.get((b, s), 0.0) + direct
-        routed = (1.0 - y) * v
-        if routed > 0.0:
-            h = solution.hub_choice[(b, s)]
-            hub_arc[(b, h)] = hub_arc.get((b, h), 0.0) + routed
-            port_arc[(h, s)] = port_arc.get((h, s), 0.0) + routed
-            hub_inflow[h] = hub_inflow.get(h, 0.0) + routed
-    for h in sorted(hub_inflow):
-        hub_consol += instance.hub_consol_cost[h] * hub_inflow[h]
-
-    land_port = sum(land(a, s, v) for (a, s), v in sorted(port_arc.items()))
-    land_hub = sum(land(b, h, v) for (b, h), v in sorted(hub_arc.items()))
-
-    sea = 0.0
-    for (s, t), w in sorted(sea_volumes(instance, solution.port_choice).items()):
-        cost, _, _ = sea_cost(
-            instance.sea_rates[(s, t)], w, instance.sea_container_volume,
-            instance.nvocc_cap, instance.nvocc_penalty,
-        )
-        sea += cost
-
-    return _make_breakdown(setup, hub_consol, port_consol, land_port, land_hub, sea)
+    flows = solution_flows(
+        instance, solution.port_choice, solution.fraction, solution.hub_choice
+    )
+    return _make_breakdown(*cost_terms(instance, flows, solution.hubs, mode))
 
 
 def hub_volume_share(instance: Instance, solution: Solution) -> float:
@@ -309,23 +262,62 @@ def save_solution(solution: Solution, path) -> None:
     Path(path).write_text(solution_to_json(solution), encoding="utf-8")
 
 
+def _records(doc: dict, section: str, ids: tuple, number: str | None = None) -> list:
+    """One section's records as tuples: the ``ids`` fields (strings), then
+    the ``number`` field (a direct share in [0, 1]) when given."""
+    recs = doc.get(section, [])
+    if not isinstance(recs, list):
+        raise InstanceFormatError(
+            f"section {section!r} must be a list", code="BAD_TYPE", section=section
+        )
+    out = []
+    for rec in recs:
+        if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in ids):
+            raise InstanceFormatError(
+                f"each {section} record needs string fields {', '.join(ids)}",
+                code="BAD_RECORD", section=section,
+            )
+        row = tuple(rec[k] for k in ids)
+        if number is not None:
+            y = rec.get(number)
+            if isinstance(y, bool) or not isinstance(y, (int, float)) or not 0.0 <= y <= 1.0:
+                raise InstanceFormatError(
+                    f"{section} record {row} needs a {number!r} in [0, 1], got {y!r}",
+                    code="BAD_RECORD", section=section,
+                )
+            row += (float(y),)
+        out.append(row)
+    return out
+
+
 def load_solution(path) -> Solution:
+    """Read a solution file; every defect of the file is an InstanceFormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc.msg}", code="PARSE", line=exc.lineno)
-    if not isinstance(doc, dict) or doc.get("schema") != SOLUTION_SCHEMA:
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("a solution file must hold a JSON object", code="BAD_TYPE")
+    if doc.get("schema") != SOLUTION_SCHEMA:
         raise InstanceFormatError(
             f"unsupported solution schema {doc.get('schema')!r}", code="SCHEMA_VERSION"
         )
+    hubs = doc.get("hubs", [])
+    if not isinstance(hubs, list) or not all(isinstance(h, str) for h in hubs):
+        raise InstanceFormatError(
+            "hubs must be a list of strings", code="BAD_TYPE", section="hubs"
+        )
     return Solution(
         port_choice={
-            (r["branch"], r["destination"]): r["origin"] for r in doc.get("port_choice", [])
+            (b, t): s
+            for b, t, s in _records(doc, "port_choice", ("branch", "destination", "origin"))
         },
-        hubs=frozenset(doc.get("hubs", [])),
+        hubs=frozenset(hubs),
         direct_fraction={
-            (r["branch"], r["origin"]): float(r["fraction"])
-            for r in doc.get("direct_fraction", [])
+            (b, s): y
+            for b, s, y in _records(doc, "direct_fraction", ("branch", "origin"), "fraction")
         },
-        hub_choice={(r["branch"], r["origin"]): r["hub"] for r in doc.get("hub_choice", [])},
+        hub_choice={
+            (b, s): h for b, s, h in _records(doc, "hub_choice", ("branch", "origin", "hub"))
+        },
     )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hublocate import build_linearized_model, encode_solution, load_instance
+from hublocate import build_linearized_model, encode_solution, generate, load_instance
 from hublocate.cli import main
 from hublocate.milp import format_values_text
 from hublocate.network_model import save_instance
@@ -68,7 +68,7 @@ class TestSolve:
     def test_oracle_solve_then_evaluate_matches(self, cons_file, tmp_path, capsys):
         out = tmp_path / "sol.json"
         rc = main([
-            "solve", "--method", "oracle", "--hub-budget", "4", "--threads", "1",
+            "solve", "--method", "oracle", "--hub-budget", "4",
             str(cons_file), "-o", str(out), "--json",
         ])
         assert rc == 0
@@ -85,12 +85,38 @@ class TestSolve:
     def test_two_stage_and_no_hub(self, cons_file, tmp_path):
         for method in ("two-stage", "no-hub", "local-search"):
             out = tmp_path / f"{method}.json"
-            rc = main([
-                "solve", "--method", method, "--threads", "1",
-                str(cons_file), "-o", str(out),
-            ])
+            rc = main(["solve", "--method", method, str(cons_file), "-o", str(out)])
             assert rc == 0
             assert load_solution(out) is not None
+
+    def test_two_stage_time_budget_exits_3(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        save_instance(generate(3, 8, 3, 4, 0.6, "uniform"), inst)
+        rc = main([
+            "solve", "--method", "two-stage", "--time-budget", "1e-6",
+            str(inst), "-o", str(tmp_path / "x.json"),
+        ])
+        assert rc == 3
+        assert "time budget" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_json_stats_repeat_exactly(self, cons_file, tmp_path, capsys):
+        reports = []
+        for _ in range(2):
+            rc = main([
+                "solve", "--method", "local-search", str(cons_file),
+                "-o", str(tmp_path / "ls.json"), "--json",
+            ])
+            assert rc == 0
+            reports.append(json.loads(capsys.readouterr().out)["stats"])
+        assert reports[0] == reports[1]
+        assert set(reports[0]) == {"two_stage", "local_search"}
+        for counters in reports[0].values():
+            assert set(counters) == {
+                "full_evaluations", "delta_evaluations",
+                "near_tie_fallbacks", "accepted_moves",
+            }
+            assert counters["full_evaluations"] > 0
 
     def test_oracle_refusal_exits_3(self, cons_file, tmp_path):
         rc = main([
@@ -115,6 +141,35 @@ class TestSolve:
         assert report["improvement_percent"] > 0.0
         assert report["hub_volume_share_b_percent"] > 0.0
         assert report["hub_volume_share_a_percent"] == 0.0
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"schema": "hublocate-solution-1",
+         "port_choice": [{"branch": "B1", "origin": "S1"}]},
+        {"schema": "hublocate-solution-1", "direct_fraction": "all"},
+        {"schema": "hublocate-solution-1",
+         "direct_fraction": [{"branch": "B1", "origin": "S1", "fraction": 1.5}]},
+    ], ids=["list", "missing-destination", "section-not-list", "fraction-out-of-range"])
+    def test_malformed_solution_file_exits_1(self, toy_file, tmp_path, capsys, doc):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(doc))
+        assert main(["evaluate", str(toy_file), str(sol)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_numbers_exit_1(self, toy_file, tmp_path, capsys):
+        doc = json.loads(toy_file.read_text())
+        doc["setup_costs"]["B1"] = float("nan")
+        doc["demand"][0]["volume"] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # writes the NaN and Infinity tokens
+        assert "NaN" in bad.read_text() and "Infinity" in bad.read_text()
+        for argv in (["validate", str(bad)],
+                     ["solve", "--method", "two-stage", str(bad), "-o", str(tmp_path / "x.json")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "must be finite" in err and "Traceback" not in err
 
 
 class TestMilpRoundTrip:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import time
 
 import pytest
 
@@ -22,7 +23,8 @@ from hublocate import (
     solve_two_stage,
 )
 from hublocate.exact_oracle import OracleLimits
-from hublocate.errors import InfeasibleSolutionError, OracleLimitError
+from hublocate.errors import InfeasibleSolutionError, OracleLimitError, TimeBudgetError
+from hublocate.heuristics import MAX_ROUTE_SWEEPS, SearchStats, _DestinationContext
 from hublocate.network_model import with_demand
 from hublocate.solution import Solution
 
@@ -102,6 +104,76 @@ def brute_force_single_destination(instance: Instance, t: str, hub_budget: int):
     return best
 
 
+def twin_hub_instance() -> Instance:
+    """The cluster instance with a mirror image H2 of hub H1, so routing
+    via H1 or H2 costs exactly the same."""
+    base = consolidation_cluster_instance()
+    distance = {}
+    for (a, r), d in base.distance.items():
+        distance[(a, r)] = d
+        if "H1" in (a, r):
+            twin = tuple("H2" if x == "H1" else x for x in (a, r))
+            distance[twin] = d
+    distance[("H1", "H2")] = distance[("H2", "H1")] = 5.0
+    distance[("H2", "H2")] = 0.0
+    return dataclasses.replace(
+        base,
+        nodes=NodeSets(("B1", "B2", "H1", "H2"), ("S1", "S2"), ("T1",)),
+        demand={**base.demand, ("H2", "T1"): 20.0},
+        setup_cost={**base.setup_cost, "H2": 40.0},
+        hub_consol_cost={**base.hub_consol_cost, "H2": 0.5},
+        distance=distance,
+    )
+
+
+def full_cost_routes(ctx, ports, hub_set) -> dict:
+    """Best-response routing with every option costed in full."""
+    routes = dict.fromkeys(ctx.branches)
+    for _ in range(MAX_ROUTE_SWEEPS):
+        changed = False
+        for b in ctx.branches:
+            if b in hub_set:
+                continue
+            best = None
+            for h in [None] + [h for h in hub_set if h != b]:
+                c = ctx.cost(ports, {**routes, b: h})
+                if best is None or c < best[0]:
+                    best = (c, h)
+            if best[1] != routes[b]:
+                routes[b] = best[1]
+                changed = True
+        if not changed:
+            break
+    return routes
+
+
+class TestRouteDeltas:
+    @pytest.mark.parametrize("inst", [
+        twin_hub_instance(),
+        generate(2, 8, 3, 2, 0.8, "consolidation_favorable"),
+        generate(5, 8, 3, 2, 0.8, "nvocc_only_mix"),
+    ], ids=["twin-hubs", "consolidation", "nvocc-mix"])
+    def test_delta_routing_matches_full_costs(self, inst):
+        stats = SearchStats()
+        for t in inst.nodes.destination_ports:
+            ctx = _DestinationContext(inst, t, stats)
+            if not ctx.branches:
+                continue
+            ports = ctx.initial_ports()
+            for hub_set in itertools.combinations(inst.nodes.branches, 2):
+                assert ctx.route_shipments(ports, hub_set) == full_cost_routes(
+                    ctx, ports, hub_set
+                )
+
+    def test_exact_ties_fall_back_to_full_costs(self):
+        inst = twin_hub_instance()
+        stats = SearchStats()
+        ctx = _DestinationContext(inst, "T1", stats)
+        routes = ctx.route_shipments({b: "S1" for b in ctx.branches}, ("H1", "H2"))
+        assert stats.near_tie_fallbacks > 0
+        assert routes == {"B1": "H1", "B2": "H1", "H1": None, "H2": None}
+
+
 class TestSingleDestination:
     def test_zero_budget_is_cheapest_direct_port(self):
         inst = consolidation_cluster_instance()
@@ -172,6 +244,26 @@ class TestTwoStage:
             result = solve_two_stage(inst, hub_budget=2)
             merged_cost = evaluate_cost(inst, result.merged, "approx").total
             assert merged_cost >= oracle.cost.total - 1e-9 * max(1.0, oracle.cost.total)
+
+
+    def test_past_deadline_raises(self):
+        inst = generate(3, 8, 3, 4, 0.6, "uniform")
+        with pytest.raises(TimeBudgetError):
+            solve_two_stage(inst, deadline=time.monotonic() - 1.0)
+
+    def test_stats_repeat_exactly(self):
+        inst = generate(5, 8, 3, 4, 0.6, "consolidation_favorable")
+        runs = []
+        for _ in range(2):
+            ts, ls = SearchStats(), SearchStats()
+            merged = solve_two_stage(inst, stats=ts).merged
+            local_search_improve(inst, merged, stats=ls)
+            runs.append((ts, ls))
+        assert runs[0] == runs[1]
+        ts, ls = runs[0]
+        assert ts.delta_evaluations > ts.full_evaluations > 0
+        assert ls.delta_evaluations > 0 and ls.full_evaluations > 0
+        assert ls.accepted_moves > 0
 
 
 class TestNoHubs:

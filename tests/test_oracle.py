@@ -77,14 +77,6 @@ class TestDeterminism:
         assert a.cost == b.cost
         assert a.evaluated == b.evaluated
 
-    def test_thread_counts_agree(self):
-        inst = generate(5, 4, 2, 2, 0.5, "uniform")
-        results = [enumerate_optimal(inst, WIDE_OPEN, threads=n) for n in (1, 2, 4)]
-        for other in results[1:]:
-            assert other.solution == results[0].solution
-            assert other.cost == results[0].cost
-            assert other.evaluated == results[0].evaluated
-
 
 class TestLimits:
     def test_dimension_refusal(self):
