@@ -211,9 +211,8 @@ def cmd_decode(args) -> int:
         return 1
     with open(args.values, encoding="utf-8") as fh:
         values = parse_values_text(fh.read())
-    solution = decode_solution(model, values)
+    solution, breakdown = decode_solution(model, values)
     save_solution(solution, args.output)
-    breakdown = evaluate_cost(instance, solution, "approx")
     print(f"decoded objective (approximated): {breakdown.total:.6f}")
     print(f"wrote {args.output}")
     return 0

@@ -299,16 +299,24 @@ def _hub_subsets(branches, budget):
         yield from combinations(branches, k)
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetError("two-stage solve exceeded its time budget")
+
+
 def solve_single_destination(
     instance: Instance,
     t: str,
     hub_budget: int = DEFAULT_HUB_BUDGET,
     stats: SearchStats | None = None,
+    deadline: float | None = None,
 ) -> DestinationPlan:
     """Alternating hub-set / port search for one destination.
 
     Port moves are screened by their deltas like the routing options in
     ``route_shipments``; every accepted configuration is costed in full.
+    ``deadline`` (a ``time.monotonic()`` value) is checked before every
+    hub-set trial and every port-step branch.
     """
     stats = stats if stats is not None else SearchStats()
     ctx = _DestinationContext(instance, t, stats)
@@ -325,6 +333,7 @@ def solve_single_destination(
 
         # Step 1: ports fixed, exhaustive search over hub sets.
         for hub_set in _hub_subsets(instance.nodes.branches, hub_budget):
+            _check_deadline(deadline)
             trial_routes = ctx.route_shipments(ports, hub_set)
             c = ctx.cost(ports, trial_routes)
             if c < cost:
@@ -335,6 +344,7 @@ def solve_single_destination(
         used = tuple(sorted({h for h in routes.values() if h is not None}))
         loads = ctx.loads(ports, routes)
         for b in ctx.branches:
+            _check_deadline(deadline)
             for s in ctx.ports:
                 if s == ports[b]:
                     continue
@@ -378,9 +388,8 @@ def solve_two_stage(
     stats = stats if stats is not None else SearchStats()
     plans = []
     for t in instance.nodes.destination_ports:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetError("two-stage solve exceeded its time budget")
-        plans.append(solve_single_destination(instance, t, hub_budget, stats))
+        _check_deadline(deadline)
+        plans.append(solve_single_destination(instance, t, hub_budget, stats, deadline))
     per_destination = {plan.destination: plan for plan in plans}
 
     hubs = frozenset(h for plan in plans for h in plan.hubs)

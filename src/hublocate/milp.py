@@ -31,17 +31,35 @@ land arcs, and j the land step count:
 
   variables   A + nB + 2 * nB^2 * nS + nB * nS + R * (j + 1) + U + Un
   constraints P + 3 * nB^2 * nS + 2 * nB * nS + 2 * R + U
+
+Records.  ``Variable`` and ``Constraint`` are ``typing.NamedTuple``
+records: immutable, with named fields, and built as one tuple each (no
+per-field attribute assignment), which matters at tens of thousands of
+records per model.  ``MilpModel.variables`` and ``.constraints`` are
+plain lists in model order; ``MilpModel.variable`` looks a record up by
+name.
+
+Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
+the model: the same model gives the same bytes on every run and every
+release, numerals are ``_num`` (at most 12 significant digits), and rows
+list their terms in sorted variable-name order.  ``decode`` compares a
+model file on disk with a fresh emission byte for byte, so any change to
+the emitted text is a format change.  The text is pinned by the toy
+goldens (``tests/golden/toy_model.*``) and by the sha256 hashes of
+generator models in ``tests/golden/milp_hashes.json``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .cost_model import container_split, land_breakpoints, sea_cost
+from .cost_model import COST_RTOL, container_split, land_breakpoints, sea_cost
 from .errors import InfeasibleSolutionError, InvalidInstanceError, ModelDecodeError
 from .network_model import Instance, validate_instance
-from .solution import Solution, check_feasibility, port_volumes, sea_volumes
+from .pricing import solution_flows
+from .solution import Solution, check_feasibility, evaluate_cost, port_volumes
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -55,8 +73,7 @@ BINARY_TOL = 1e-5
 RESIDUAL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str
     obj: float = 0.0
@@ -64,8 +81,7 @@ class Variable:
     upper: float | None = None  # None = kind default (1 for binary, +inf else)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     coeffs: dict  # variable name -> coefficient
     sense: str
@@ -105,9 +121,9 @@ class MilpModel:
                 raise ValueError(f"duplicate variable name {v.name}")
             names.add(v.name)
         for c in self.constraints:
-            for n in c.coeffs:
-                if n not in names:
-                    raise ValueError(f"constraint {c.name} references unknown variable {n}")
+            if not names.issuperset(c.coeffs):
+                n = next(n for n in c.coeffs if n not in names)
+                raise ValueError(f"constraint {c.name} references unknown variable {n}")
 
     def objective_value(self, values: dict) -> float:
         return sum(v.obj * values[v.name] for v in self.variables if v.obj != 0.0)
@@ -203,13 +219,17 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
             for h in B:
                 add(Variable(_vhn(b, s, h), CONTINUOUS, obj=instance.hub_consol_cost[h], upper=hub_ub))
 
+    # Step variable names uL0..uL<j-1> per arc, shared by the variable,
+    # cap_ and step_ loops.
+    step_names = {(b, r): [_uln(i, b, r) for i in range(j)] for (b, r) in arcs}
     u_lims = {}
     for (b, r) in arcs:
         values = curve_for(b, r).values
+        steps = step_names[(b, r)]
         add(Variable(_nln(b, r), INTEGER, obj=values[j]))
-        add(Variable(_uln(0, b, r), CONTINUOUS, obj=values[0], upper=1.0))
+        add(Variable(steps[0], CONTINUOUS, obj=values[0], upper=1.0))
         for i in range(1, j):
-            add(Variable(_uln(i, b, r), BINARY, obj=values[i]))
+            add(Variable(steps[i], BINARY, obj=values[i]))
     for (s, t) in relations:
         rate = instance.sea_rates[(s, t)]
         fcl = rate.fcl_per_container
@@ -265,11 +285,12 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
         else:
             # Arc into hub r: the feeder flow from b over every port.
             coeffs = {_vhn(b, s, r): 1.0 for s in S}
+        steps = step_names[(b, r)]
         coeffs[_nln(b, r)] = -v_pts[j]
         for i in range(j):
-            coeffs[_uln(i, b, r)] = -v_pts[i]
+            coeffs[steps[i]] = -v_pts[i]
         radd(Constraint(f"cap_{b}_{r}", coeffs, LE, 0.0))
-        radd(Constraint(f"step_{b}_{r}", {_uln(i, b, r): 1.0 for i in range(j)}, LE, 1.0))
+        radd(Constraint(f"step_{b}_{r}", dict.fromkeys(steps, 1.0), LE, 1.0))
 
     for (s, t) in relations:
         coeffs = {}
@@ -321,34 +342,22 @@ def constraint_counts(model: MilpModel) -> dict:
 # Encoding and decoding
 
 
-def _land_arc_volumes(instance: Instance, solution: Solution) -> dict:
-    """(a, r) -> volume on each land arc implied by a solution."""
-    arc: dict = {}
-    for (b, s), v in sorted(port_volumes(instance, solution.port_choice).items()):
-        y = solution.fraction(b, s)
-        direct = y * v
-        if direct > 0.0:
-            arc[(b, s)] = arc.get((b, s), 0.0) + direct
-        routed = (1.0 - y) * v
-        if routed > 0.0:
-            h = solution.hub_choice[(b, s)]
-            arc[(b, h)] = arc.get((b, h), 0.0) + routed
-            arc[(h, s)] = arc.get((h, s), 0.0) + routed
-    return arc
-
-
 def encode_solution(model: MilpModel, solution: Solution) -> dict:
     """Variable assignment realizing a feasible solution.
 
     The land step variables are chosen minimally (smallest feasible
     container count, the unique active step), so the model objective at
-    the assignment equals the approximated cost of the solution.
+    the assignment equals the approximated cost of the solution.  Loads
+    come from ``pricing.solution_flows``, the evaluator's own accounting.
     """
     meta = model.meta
     instance = meta.instance
     report = check_feasibility(instance, solution)
     if report:
         raise InfeasibleSolutionError(report)
+    flows = solution_flows(
+        instance, solution.port_choice, solution.fraction, solution.hub_choice
+    )
 
     values = {v.name: 0.0 for v in model.variables}
 
@@ -357,7 +366,7 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
     for h in solution.hubs:
         values[_xn(h)] = 1.0
 
-    vols = port_volumes(instance, solution.port_choice)
+    vols = flows.vols
     for b in instance.nodes.branches:
         for s in instance.nodes.origin_ports:
             v = vols.get((b, s), 0.0)
@@ -373,7 +382,7 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
     v_pts = meta.breakpoints
     j = meta.step_count
     u_cont = v_pts[-1]
-    arc_vol = _land_arc_volumes(instance, solution)
+    arc_vol = {**flows.port_arc, **flows.hub_arc}  # keys differ: r is a port or a branch
     for (b, r) in meta.land_arcs:
         load = arc_vol.get((b, r), 0.0)
         if load <= 0.0:
@@ -393,8 +402,7 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
                 values[_nln(b, r)] = float(n)
                 values[_uln(i, b, r)] = 1.0
 
-    seas = sea_volumes(instance, solution.port_choice)
-    for (s, t), w in sorted(seas.items()):
+    for (s, t), w in sorted(flows.sea_vol.items()):
         _, n, u = sea_cost(
             instance.sea_rates[(s, t)], w, instance.sea_container_volume,
             instance.nvocc_cap, instance.nvocc_penalty,
@@ -418,11 +426,20 @@ def max_residual(model: MilpModel, values: dict) -> float:
     return max(constraint_residual(c, values) for c in model.constraints)
 
 
-def decode_solution(model: MilpModel, values: dict) -> Solution:
+def decode_solution(model: MilpModel, values: dict):
     """Reconstruct a Solution from solver output values.
 
     Values must cover every model variable; binaries and integers must be
-    within 1e-5 of integral and constraint residuals within 1e-4.
+    within 1e-5 of integral and constraint residuals within 1e-4.  The
+    decoded solution's approximated cost must not exceed the model
+    objective at the (integer-rounded) values by more than ``COST_RTOL``:
+    a load a residual tolerance above a land volume break is priced one
+    step up by the evaluator although the model's step variables price it
+    below.  A cost below the objective is accepted, since the ``cap_`` and
+    ``sea_`` rows let a feasible answer (say, a time-limited solver's
+    incumbent) carry more containers than its loads need; the evaluator
+    prices the minimum.  Returns ``(solution, breakdown)``, the breakdown
+    being the approximated ``CostBreakdown`` of the decoded solution.
     """
     meta = model.meta
     instance = meta.instance
@@ -477,12 +494,20 @@ def decode_solution(model: MilpModel, values: dict) -> Solution:
             else:
                 direct_fraction[(b, s)] = 1.0
 
-    return Solution(
+    solution = Solution(
         port_choice=port_choice,
         hubs=hubs,
         direct_fraction=direct_fraction,
         hub_choice=hub_choice,
     )
+    breakdown = evaluate_cost(instance, solution, "approx")
+    objective = model.objective_value(clean)
+    if breakdown.total - objective > COST_RTOL * max(1.0, abs(objective)):
+        raise ModelDecodeError(
+            f"decoded solution costs {breakdown.total!r} (approximated), "
+            f"more than the model objective {objective!r} at the values"
+        )
+    return solution, breakdown
 
 
 def parse_values_text(text: str) -> dict:
@@ -516,35 +541,44 @@ def _num(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _lp_terms(coeffs: list, width: int = 6) -> list:
+class _Numerals(dict):
+    """value -> ``_num(value)``, rendered on first use.
+
+    One table per emission: a model has tens of thousands of coefficients
+    but only a few hundred distinct values.  Values that compare equal
+    (0.0 and -0.0, 1 and 1.0) have the same numeral, so sharing an entry
+    changes no byte.
+    """
+
+    def __missing__(self, x):
+        s = self[x] = _num(x)
+        return s
+
+
+def _lp_terms(coeffs: list, num: _Numerals, width: int = 6) -> list:
     """Signed `+ c name` terms wrapped into lines of at most `width` terms."""
-    lines = []
-    cur = []
-    for name, coef in coeffs:
-        sign = "-" if coef < 0 else "+"
-        cur.append(f"{sign} {_num(abs(coef))} {name}")
-        if len(cur) == width:
-            lines.append(" ".join(cur))
-            cur = []
-    if cur:
-        lines.append(" ".join(cur))
-    return lines or [""]
+    terms = [
+        f"- {num[-coef]} {name}" if coef < 0 else f"+ {num[coef]} {name}"
+        for name, coef in coeffs
+    ]
+    return [" ".join(terms[i:i + width]) for i in range(0, max(len(terms), 1), width)]
 
 
 def emit_lp(model: MilpModel) -> str:
     """CPLEX-style LP text, canonical order, byte-stable across runs."""
+    num = _Numerals()
     out = [f"\\ hublocate model {model.name}", "Minimize"]
     obj = [(v.name, v.obj) for v in model.variables if v.obj != 0.0]
-    lines = _lp_terms(obj)
+    lines = _lp_terms(obj, num)
     out.append(" obj: " + lines[0])
     out.extend("      " + ln for ln in lines[1:])
     out.append("Subject To")
     for c in model.constraints:
-        terms = sorted(c.coeffs.items())
-        lines = _lp_terms(terms)
-        out.append(f" {c.name}: " + lines[0])
-        out.extend("      " + ln for ln in lines[1:])
-        out[-1] = out[-1] + f" {c.sense} {_num(c.rhs)}"
+        lines = _lp_terms(sorted(c.coeffs.items()), num)
+        lines[-1] += f" {c.sense} {num[c.rhs]}"
+        out.append(f" {c.name}: {lines[0]}")
+        if len(lines) > 1:
+            out.extend("      " + ln for ln in lines[1:])
     bounds = []
     for v in model.variables:
         if v.upper is None:
@@ -554,7 +588,7 @@ def emit_lp(model: MilpModel) -> str:
         if v.upper == 0.0:
             bounds.append(f" {v.name} = 0")
         else:
-            bounds.append(f" {v.name} <= {_num(v.upper)}")
+            bounds.append(f" {v.name} <= {num[v.upper]}")
     if bounds:
         out.append("Bounds")
         out.extend(bounds)
@@ -574,36 +608,38 @@ def emit_lp(model: MilpModel) -> str:
 
 def emit_mps(model: MilpModel) -> str:
     """Free-format MPS text; one column entry per line, integers marked."""
+    num = _Numerals()
     out = [f"NAME {model.name}", "ROWS", " N obj"]
     sense_tag = {LE: "L", GE: "G", EQ: "E"}
     for c in model.constraints:
         out.append(f" {sense_tag[c.sense]} {c.name}")
 
-    entries: dict = {v.name: [] for v in model.variables}
-    for v in model.variables:
-        if v.obj != 0.0:
-            entries[v.name].append(("obj", v.obj))
+    # Each column's entry lines, rendered once, objective row first and
+    # then the constraint rows in model order.
+    entries: dict = {
+        v.name: [f"    {v.name} obj {num[v.obj]}"] if v.obj != 0.0 else []
+        for v in model.variables
+    }
     for c in model.constraints:
+        row = c.name
         for name, coef in sorted(c.coeffs.items()):
-            entries[name].append((c.name, coef))
+            entries[name].append(f"    {name} {row} {num[coef]}")
 
     out.append("COLUMNS")
     continuous = [v for v in model.variables if v.kind == CONTINUOUS]
     integral = [v for v in model.variables if v.kind != CONTINUOUS]
     for v in continuous:
-        for row, coef in entries[v.name]:
-            out.append(f"    {v.name} {row} {_num(coef)}")
+        out.extend(entries[v.name])
     if integral:
         out.append("    MARKER_INT_BEGIN 'MARKER' 'INTORG'")
         for v in integral:
-            for row, coef in entries[v.name]:
-                out.append(f"    {v.name} {row} {_num(coef)}")
+            out.extend(entries[v.name])
         out.append("    MARKER_INT_END 'MARKER' 'INTEND'")
 
     out.append("RHS")
     for c in model.constraints:
         if c.rhs != 0.0:
-            out.append(f"    RHS {c.name} {_num(c.rhs)}")
+            out.append(f"    RHS {c.name} {num[c.rhs]}")
 
     out.append("BOUNDS")
     for v in model.variables:
@@ -616,11 +652,11 @@ def emit_mps(model: MilpModel) -> str:
             if v.upper is None:
                 out.append(f" PL BND {v.name}")
             else:
-                out.append(f" UP BND {v.name} {_num(v.upper)}")
+                out.append(f" UP BND {v.name} {num[v.upper]}")
         elif v.upper is not None:
             if v.upper == 0.0:
                 out.append(f" FX BND {v.name} 0")
             else:
-                out.append(f" UP BND {v.name} {_num(v.upper)}")
+                out.append(f" UP BND {v.name} {num[v.upper]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hublocate import Instance, LandCostTable, NodeSets, SeaRate
+from hublocate import Instance, LandCostTable, NodeSets, SeaRate, Solution, generate
 
 
 def make_toy_instance() -> Instance:
@@ -73,6 +73,20 @@ def make_merge_conflict_instance() -> Instance:
         land_container_volume=80.0,
         name="merge-conflict",
     )
+
+
+def feeder_load_on_a_break() -> tuple:
+    """A generator instance and a solution whose feeder leg B01 -> B02 carries
+    exactly the 8.123 land breakpoint: 9.34 of demand, direct share ``y``
+    chosen so that ``(1.0 - y) * 9.34 == 8.123`` in floating point."""
+    instance = generate(10, 3, 2, 1, 1.0, "consolidation_favorable")
+    solution = Solution(
+        port_choice={("B01", "T1"): "S1", ("B02", "T1"): "S1", ("B03", "T1"): "S1"},
+        hubs=frozenset({"B02"}),
+        direct_fraction={("B01", "S1"): 0.13029978586723762},
+        hub_choice={("B01", "S1"): "B02"},
+    )
+    return instance, solution
 
 
 @pytest.fixture

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from solgen import random_feasible_solution
 
 from hublocate import build_linearized_model, encode_solution, generate, load_instance
 from hublocate.cli import main
+from hublocate.cost_model import COST_RTOL
 from hublocate.milp import format_values_text
 from hublocate.network_model import save_instance
-from hublocate.solution import load_solution
+from hublocate.solution import evaluate_cost, load_solution
 
-from conftest import make_toy_instance
+from conftest import feeder_load_on_a_break, make_toy_instance
 
 
 @pytest.fixture
@@ -94,6 +97,18 @@ class TestSolve:
         save_instance(generate(3, 8, 3, 4, 0.6, "uniform"), inst)
         rc = main([
             "solve", "--method", "two-stage", "--time-budget", "1e-6",
+            str(inst), "-o", str(tmp_path / "x.json"),
+        ])
+        assert rc == 3
+        assert "time budget" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_time_budget_holds_inside_one_destination(self, tmp_path, capsys):
+        # One destination: the budget must stop the hub-set search itself.
+        inst = tmp_path / "inst.json"
+        save_instance(generate(3, 24, 3, 1, 0.9, "consolidation_favorable"), inst)
+        rc = main([
+            "solve", "--method", "two-stage", "--time-budget", "0.05",
             str(inst), "-o", str(tmp_path / "x.json"),
         ])
         assert rc == 3
@@ -217,6 +232,80 @@ class TestMilpRoundTrip:
             "-o", str(tmp_path / "out.json"),
         ])
         assert rc == 1
+
+
+class TestModelJob:
+    """The model pipeline as one user runs it: validate, build both file
+    formats, decode solver values, evaluate the decoded solution."""
+
+    def test_commands_agree_on_the_cost(self, tmp_path, capsys):
+        instance = generate(5, 5, 2, 3, 0.6, "consolidation_favorable")
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        model = build_linearized_model(instance)
+        values = encode_solution(model, random_feasible_solution(instance, random.Random(5)))
+        objective = model.objective_value(values)
+        values_path = tmp_path / "values.txt"
+        values_path.write_text(format_values_text(values))
+        decoded = tmp_path / "decoded.json"
+        outputs = []
+        for argv in (
+            ["validate", str(inst)],
+            ["build-milp", str(inst), "-o", str(tmp_path / "m.lp")],
+            ["build-milp", str(inst), "-o", str(tmp_path / "m.mps")],
+            ["decode", str(inst), str(tmp_path / "m.mps"), str(values_path),
+             "-o", str(decoded)],
+            ["evaluate", "--mode", "approx", "--format", "json", str(inst), str(decoded)],
+        ):
+            assert main(argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].strip() == "VALID"
+        total = json.loads(outputs[4])["total"]
+        assert f"decoded objective (approximated): {total:.6f}" in outputs[3]
+        assert abs(total - objective) <= COST_RTOL * max(1.0, abs(objective))
+
+    def test_decode_refuses_cost_the_objective_lacks(self, tmp_path, capsys):
+        # 3e-14 of the on-break feeder load moved from direct to hub:
+        # decoded, the load sits just above the break.
+        instance, sol = feeder_load_on_a_break()
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        v = instance.demand[("B01", "T1")]
+        values = encode_solution(build_linearized_model(instance), sol)
+        values["vd_B01_S1"] -= 3e-14 * v
+        values["vh_B01_S1_B02"] += 3e-14 * v
+        values_path = tmp_path / "values.txt"
+        values_path.write_text("".join(f"{k} {x!r}\n" for k, x in values.items()))
+        assert main(["build-milp", str(inst), "-o", str(tmp_path / "m.mps")]) == 0
+        out = tmp_path / "decoded.json"
+        rc = main(["decode", str(inst), str(tmp_path / "m.mps"), str(values_path),
+                   "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "2201.48" in err and "2177.84" in err
+        assert not out.exists()
+
+
+    def test_decode_prints_the_cost_of_a_spare_container_answer(self, tmp_path, capsys):
+        # One land container above the minimum: feasible for the model,
+        # decoded, and priced at the evaluator's lower total.
+        instance = generate(5, 5, 2, 3, 0.6, "consolidation_favorable")
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        model = build_linearized_model(instance)
+        sol = random_feasible_solution(instance, random.Random(5))
+        values = encode_solution(model, sol)
+        values[next(v.name for v in model.variables if v.name.startswith("nL_"))] += 1.0
+        values_path = tmp_path / "values.txt"
+        values_path.write_text(format_values_text(values))
+        assert main(["build-milp", str(inst), "-o", str(tmp_path / "m.lp")]) == 0
+        out = tmp_path / "decoded.json"
+        assert main(["decode", str(inst), str(tmp_path / "m.lp"), str(values_path),
+                     "-o", str(out)]) == 0
+        total = evaluate_cost(instance, load_solution(out), "approx").total
+        assert f"decoded objective (approximated): {total:.6f}" in capsys.readouterr().out
+        assert total == pytest.approx(evaluate_cost(instance, sol, "approx").total, rel=1e-12)
+        assert model.objective_value(values) > total + 1.0
 
 
 class TestEvaluateFormats:

@@ -251,6 +251,12 @@ class TestTwoStage:
         with pytest.raises(TimeBudgetError):
             solve_two_stage(inst, deadline=time.monotonic() - 1.0)
 
+    def test_deadline_checked_inside_one_destination(self):
+        inst = generate(3, 24, 3, 1, 0.9, "consolidation_favorable")
+        (t,) = inst.nodes.destination_ports
+        with pytest.raises(TimeBudgetError):
+            solve_single_destination(inst, t, deadline=time.monotonic() - 1.0)
+
     def test_stats_repeat_exactly(self):
         inst = generate(5, 8, 3, 4, 0.6, "consolidation_favorable")
         runs = []

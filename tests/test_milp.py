@@ -34,6 +34,8 @@ from hublocate.milp import (
 )
 from hublocate.solution import Solution
 
+from conftest import feeder_load_on_a_break
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -193,7 +195,7 @@ class TestEncodeDecode:
         sol = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         values = encode_solution(model, sol)
         assert max_residual(model, values) <= 1e-9
-        decoded = decode_solution(model, values)
+        decoded, _ = decode_solution(model, values)
         assert decoded == sol
         assert decoded.hubs == frozenset()
 
@@ -219,7 +221,7 @@ class TestEncodeDecode:
             assert check_feasibility(instance, sol) == []
             values = encode_solution(model, sol)
             assert max_residual(model, values) <= 1e-9
-            decoded = decode_solution(model, values)
+            decoded, _ = decode_solution(model, values)
             assert decoded.approx_equal(sol, tol=1e-9), (sol, decoded)
             assert model.objective_value(values) == pytest.approx(
                 evaluate_cost(instance, sol, "approx").total, rel=1e-6
@@ -256,6 +258,41 @@ class TestEncodeDecode:
         del values["x_B1"]
         with pytest.raises(ModelDecodeError):
             decode_solution(model, values)
+
+    def test_decode_refuses_cost_above_objective(self):
+        # Moving 3e-14 of the on-break feeder load from direct to hub keeps
+        # every residual tiny, but the decoded feeder load lands just above
+        # the break, where the evaluator prices it a whole step up.
+        instance, sol = feeder_load_on_a_break()
+        v = instance.demand[("B01", "T1")]
+        model = build_linearized_model(instance)
+        assert (1.0 - sol.fraction("B01", "S1")) * v == 8.123
+        assert 8.123 in model.meta.breakpoints
+        values = encode_solution(model, sol)
+        solution, breakdown = decode_solution(model, values)
+        assert solution.approx_equal(sol)
+        assert breakdown == evaluate_cost(instance, solution, "approx")
+        assert breakdown.total == pytest.approx(model.objective_value(values), rel=1e-12)
+
+        values["vd_B01_S1"] -= 3e-14 * v
+        values["vh_B01_S1_B02"] += 3e-14 * v
+        assert max_residual(model, values) <= 1e-9
+        with pytest.raises(ModelDecodeError, match="2201.48.*2177.84"):
+            decode_solution(model, values)
+
+    def test_decode_accepts_a_spare_container(self, toy_instance):
+        # cap_ rows are <= rows, so one land container more than the load
+        # needs is a feasible integral answer; its objective is a container
+        # above the evaluator's cost, which prices the minimum.
+        model = build_linearized_model(toy_instance)
+        sol = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
+        values = encode_solution(model, sol)
+        values["nL_B1_S1"] += 1.0
+        assert max_residual(model, values) <= 1e-9
+        decoded, breakdown = decode_solution(model, values)
+        assert decoded == sol
+        assert breakdown == evaluate_cost(toy_instance, sol, "approx")
+        assert model.objective_value(values) > breakdown.total + 1.0
 
     def test_values_text_round_trip(self, toy_instance):
         model = build_linearized_model(toy_instance)
