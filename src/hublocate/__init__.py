@@ -10,13 +10,12 @@ from .cost_model import (
     land_cost_exact,
     sea_cost,
 )
-from .exact_oracle import OracleLimits, OracleResult, enumerate_optimal
+from .exact_oracle import OracleLimits, OracleResult, enumerate_optimal, solve_no_hubs
 from .gen import generate
 from .heuristics import (
     DestinationPlan,
     TwoStageResult,
     local_search_improve,
-    solve_no_hubs,
     solve_single_destination,
     solve_two_stage,
 )

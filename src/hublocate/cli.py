@@ -13,22 +13,9 @@ import sys
 import time
 
 from . import gen as gen_mod
-from .errors import (
-    HublocateError,
-    InfeasibleSolutionError,
-    InstanceFormatError,
-    InvalidInstanceError,
-    OracleLimitError,
-    TimeBudgetError,
-)
-from .exact_oracle import OracleLimits, enumerate_optimal
-from .heuristics import (
-    DEFAULT_HUB_BUDGET,
-    SearchStats,
-    local_search_improve,
-    solve_no_hubs,
-    solve_two_stage,
-)
+from .errors import HublocateError, OracleLimitError, TimeBudgetError
+from .exact_oracle import OracleLimits, enumerate_optimal, solve_no_hubs
+from .heuristics import DEFAULT_HUB_BUDGET, SearchStats, local_search_improve, solve_two_stage
 from .milp import (
     build_linearized_model,
     decode_solution,
@@ -103,7 +90,7 @@ def cmd_solve(args) -> int:
     if report:
         print(f"instance invalid: {report[0].code}: {report[0].message}", file=sys.stderr)
         return 1
-    deadline = time.monotonic() + args.time_budget if args.time_budget else None
+    deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
     limits = OracleLimits(
         max_hub_set_size=args.hub_budget, max_evaluations=args.budget
     )
@@ -268,6 +255,26 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _checked(convert, accept, requirement: str):
+    """An argparse type: convert the text, then refuse values `accept` rejects
+    (NaN fails every comparison, so it is refused wherever a bound is)."""
+
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "must be an integer >= 1")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "must be an integer >= 0")
+_density = _checked(float, lambda x: 0.0 < x <= 1.0, "must be in (0, 1]")
+_positive_number = _checked(float, lambda x: x > 0.0, "must be a number > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hublocate",
@@ -282,21 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--branches", type=int, required=True)
-    p.add_argument("--ports", type=int, required=True)
-    p.add_argument("--dests", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
+    p.add_argument("--branches", type=_positive_int, required=True)
+    p.add_argument("--ports", type=_positive_int, required=True)
+    p.add_argument("--dests", type=_positive_int, required=True)
+    p.add_argument("--density", type=_density, required=True)
     p.add_argument("--profile", choices=gen_mod.PROFILES, default="uniform")
-    p.add_argument("--volume-bands", type=int, default=gen_mod.DEFAULT_VOLUME_BANDS)
+    p.add_argument("--volume-bands", type=_positive_int, default=gen_mod.DEFAULT_VOLUME_BANDS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="run one of the solvers on an instance")
     p.add_argument("--method", choices=("two-stage", "no-hub", "local-search", "oracle"),
                    required=True)
-    p.add_argument("--hub-budget", type=int, default=DEFAULT_HUB_BUDGET)
-    p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--budget", type=float, default=1e8,
+    p.add_argument("--hub-budget", type=_nonnegative_int, default=DEFAULT_HUB_BUDGET)
+    p.add_argument("--time-budget", type=_positive_number, default=None, metavar="SECONDS")
+    p.add_argument("--budget", type=_positive_number, default=1e8,
                    help="oracle evaluation budget (refuses above it)")
     p.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
                    help="starting point for local-search")
@@ -346,13 +353,7 @@ def main(argv=None) -> int:
     except (OracleLimitError, TimeBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (InstanceFormatError, InvalidInstanceError, InfeasibleSolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HublocateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (HublocateError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,19 @@
-"""Brute-force exact solver for desk-scale instances.
+"""Brute-force exact solvers for desk-scale instances.
 
-Enumerates every port assignment, every hub set within the size limit,
-and every hub choice consistent with the constraints; hub sets with an
-unused member are skipped because the same routing is already covered by
-the smaller set.  For each discrete configuration the continuous direct
-shares are optimized over the finite fractions that place an arc volume
-exactly on a piece boundary of its approximated cost curve (plus 0, 1,
-and the per-destination subset sums that merging heuristics produce):
+Both solvers enumerate port assignments on one kernel of pre-resolved
+instance data.  ``solve_no_hubs`` is the exact reference for the
+simplified model (pure port assignment, every shipment direct): it keeps
+the cheapest all-direct assignment.  ``enumerate_optimal`` is the exact
+reference for the integrated model.  It runs the same all-direct pass
+first, whose optimum bounds every configuration, then enumerates every
+port assignment, every hub set within the size limit, and every hub
+choice consistent with the constraints; hub sets with an unused member
+are skipped because the same routing is already covered by the smaller
+set.  For each discrete configuration the continuous direct shares are
+optimized over the finite fractions that place an arc volume exactly on
+a piece boundary of its approximated cost curve (plus 0, 1, and the
+per-destination subset sums that merging heuristics produce), as
+``splits.pair_fraction_candidates`` generates them:
 
   * shares whose three arcs are not shared with another routed pair are
     separable and minimized independently (exact);
@@ -20,6 +27,10 @@ and the per-destination subset sums that merging heuristics produce):
 The objective is the approximated cost, the same one the linearized model
 minimizes; the exact re-evaluation of the optimum is reported alongside.
 Ties are broken toward the first configuration in enumeration order.
+Each share's routing terms are priced per coupled component
+(``_SplitProblem.component_cost``) rather than through
+``pricing.cost_terms``, which would price whole solutions in the
+innermost loop.
 """
 
 from __future__ import annotations
@@ -29,16 +40,18 @@ import math
 import time
 from dataclasses import dataclass
 
-from .cost_model import approx_breakpoint_volumes, land_cost_approx
+from .cost_model import land_cost_approx
 
-# Not called here since pricing goes through hublocate.pricing; kept as
-# attributes of this module because perfbench's tracer hooks them here.
-from .cost_model import land_breakpoints, sea_cost  # noqa: F401
+# Not called here since pricing goes through hublocate.pricing and the
+# candidates through hublocate.splits; kept as attributes of this module
+# because perfbench's tracer hooks them here.
+from .cost_model import approx_breakpoint_volumes, land_breakpoints, sea_cost  # noqa: F401
 from .errors import InvalidInstanceError, OracleLimitError, TimeBudgetError
 from .network_model import Instance, validate_instance
 from .pricing import price_table
 from .solution import CostBreakdown, Solution, evaluate_cost
-from .splits import subset_sums
+from .splits import pair_fraction_candidates
+from .splits import subset_sums  # noqa: F401
 
 DESCENT_ROUNDS = 25
 POLISH_ROUNDS = 5
@@ -50,7 +63,6 @@ class OracleLimits:
     max_ports: int = 4
     max_destinations: int = 4
     max_hub_set_size: int = 2
-    split_grid: tuple = ()  # extra candidate direct fractions, always tried
     max_evaluations: float = 1e8
 
 
@@ -77,8 +89,9 @@ class _Kernel:
         self.pairs = instance.positive_pairs()
         self.options = [instance.usable_ports(t) for (_, t) in self.pairs]
 
-    def fixed_cost(self, zvec) -> tuple[float, dict, dict]:
-        """Port-assignment-only cost terms: port consolidation plus sea."""
+    def fixed_cost(self, zvec) -> tuple[float, dict]:
+        """Port consolidation plus sea cost of one port assignment, and the
+        volume it puts on each (branch, origin port) pair."""
         demand = self.instance.demand
         vols: dict = {}
         seas: dict = {}
@@ -90,32 +103,24 @@ class _Kernel:
             total += self.g[s] * v
         for (s, t), w in seas.items():
             total += self.prices.sea(s, t, w)
-        return total, vols, seas
+        return total, vols
 
-    def routing_cost(self, vols: dict, hubs, assign: dict, fracs: dict) -> float:
-        """Set-up, hub consolidation, and land cost of one routing."""
-        total = sum(self.e[h] for h in hubs)
-        port_arc: dict = {}
-        feeder: dict = {}
-        for (b, s), v in vols.items():
-            h = assign.get((b, s))
-            if h is None:
-                port_arc[(b, s)] = port_arc.get((b, s), 0.0) + v
-                continue
-            y = fracs.get((b, s), 0.0)
-            direct = y * v
-            routed = v - direct
-            if direct > 0.0:
-                port_arc[(b, s)] = port_arc.get((b, s), 0.0) + direct
-            if routed > 0.0:
-                feeder[(b, h)] = feeder.get((b, h), 0.0) + routed
-                port_arc[(h, s)] = port_arc.get((h, s), 0.0) + routed
-                total += self.f[h] * routed
-        for arc, v in port_arc.items():
-            total += land_cost_approx(self.curves[arc], v)
-        for arc, v in feeder.items():
-            total += land_cost_approx(self.curves[arc], v)
-        return total
+    def best_all_direct(self, deadline: float | None, what: str) -> tuple[float, tuple]:
+        """Cheapest port assignment with every volume shipped direct, as
+        (cost, port vector); the first minimum wins ties.  The deadline is
+        checked every 256 vectors; `what` names the solver in the error."""
+        best = None
+        for i, zvec in enumerate(itertools.product(*self.options)):
+            if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
+                raise TimeBudgetError(f"{what} exceeded its time budget")
+            fixed, vols = self.fixed_cost(zvec)
+            land = 0.0
+            for arc, v in vols.items():
+                land += land_cost_approx(self.curves[arc], v)
+            total = fixed + land
+            if best is None or total < best[0]:
+                best = (total, zvec)
+        return best
 
 
 class _SplitProblem:
@@ -127,10 +132,9 @@ class _SplitProblem:
     variables riding that arc.
     """
 
-    def __init__(self, kernel: _Kernel, vols, hubs, assign, dests_via, extra):
+    def __init__(self, kernel: _Kernel, vols, hubs, assign, dests_via):
         self.kernel = kernel
         self.vols = vols
-        self.extra = extra
         self.dests_via = dests_via
         self.vars = sorted(p for p, h in assign.items() if h is not None)
         self.hub_of = {p: assign[p] for p in self.vars}
@@ -200,42 +204,26 @@ class _SplitProblem:
                     total += land_cost_approx(kernel.curves[arc], load)
         return total
 
-    def _crossings(self, p, arc, base) -> list:
-        """Fractions putting `arc`'s load on a piece boundary, base fixed."""
-        v = self.vols[p]
-        curve = self.kernel.curves[arc]
-        if arc == p:  # direct arc: load = y * v
-            return [w / v for w in approx_breakpoint_volumes(curve, 0.0, v)]
-        return [
-            1.0 - (w - base) / v
-            for w in approx_breakpoint_volumes(curve, base, base + v)
-        ]
-
-    def candidates(self, p, fracs=None, skip_arcs=()) -> list:
-        """Candidate shares for p; other variables fixed at `fracs` (0 if None)."""
+    def candidates(self, p, fracs=None, skip_arc=None) -> list:
+        """Candidate shares for p; other variables fixed at `fracs` (0 if
+        None).  `skip_arc`, when given, contributes no boundaries."""
         b, s = p
         h = self.hub_of[p]
-        out = {0.0, 1.0}
-        out.update(self._crossings(p, p, 0.0))
+        curves = self.kernel.curves
+        routed = []
         for arc, groups, base in (
             ((b, h), self.feeder_groups, 0.0),
             ((h, s), self.port_groups, self.port_base.get((h, s), 0.0)),
         ):
-            if arc in skip_arcs:
+            if arc == skip_arc:
                 continue
             for q in groups[arc]:
                 if q != p:
                     base += (1.0 - (fracs.get(q, 0.0) if fracs else 0.0)) * self.vols[q]
-            out.update(self._crossings(p, arc, base))
-        for ss in subset_sums(self.dests_via.get(p, [])):
-            out.add(ss / self.vols[p])
-        out.update(self.extra)
-        vals = sorted(y for y in out if 0.0 <= y <= 1.0)
-        dedup = [vals[0]]
-        for y in vals[1:]:
-            if y - dedup[-1] > 1e-12:
-                dedup.append(y)
-        return dedup
+            routed.append((curves[arc], base))
+        return pair_fraction_candidates(
+            curves[p], routed, self.vols[p], self.dests_via.get(p)
+        )
 
     def shared_arc(self, p, q):
         """The one arc two routed pairs can share, or None."""
@@ -277,8 +265,7 @@ class _SplitProblem:
         arc = self.shared_arc(p, q)
         best = None
         for outer, inner in ((p, q), (q, p)):
-            outer_cands = self.candidates(outer, base_fr or None,
-                                          skip_arcs=(arc,) if arc else ())
+            outer_cands = self.candidates(outer, base_fr or None, skip_arc=arc)
             for y_out in outer_cands:
                 probe = dict(base_fr)
                 probe[outer] = y_out
@@ -446,26 +433,21 @@ def enumerate_optimal(
     _check_limits(instance, limits)
 
     kernel = _Kernel(instance)
-    z_choices = list(itertools.product(*kernel.options)) if kernel.pairs else [()]
     hub_sets = []
     for k in range(0, min(limits.max_hub_set_size, len(kernel.B)) + 1):
         hub_sets.extend(itertools.combinations(kernel.B, k))
     setup_of = {hubs: sum(kernel.e[h] for h in hubs) for hubs in hub_sets}
-    extra = tuple(limits.split_grid)
 
     # All-direct optimum over every port assignment.  Configurations whose
     # lower bound strictly exceeds it cannot be optimal.
-    threshold = math.inf
-    for zvec in z_choices:
-        fixed, vols, _ = kernel.fixed_cost(zvec)
-        threshold = min(threshold, fixed + kernel.routing_cost(vols, (), {}, {}))
+    threshold, _ = kernel.best_all_direct(deadline, "oracle")
 
     best = None  # (cost, payload)
     evaluated = 0
-    for zvec in z_choices:
+    for zvec in itertools.product(*kernel.options):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetError("oracle exceeded its time budget")
-        fixed, vols, _ = kernel.fixed_cost(zvec)
+        fixed, vols = kernel.fixed_cost(zvec)
         if fixed > threshold:
             continue
         active = sorted(vols)
@@ -478,7 +460,7 @@ def enumerate_optimal(
                 continue
             for assign in _hub_assignments(active, hubs):
                 evaluated += 1
-                problem = _SplitProblem(kernel, vols, hubs, assign, dests_via, extra)
+                problem = _SplitProblem(kernel, vols, hubs, assign, dests_via)
                 if fixed + problem.const > threshold:
                     continue
                 fracs, routing = problem.solve(comp_cache)
@@ -504,3 +486,34 @@ def enumerate_optimal(
         exact_cost=evaluate_cost(instance, solution, "exact"),
         evaluated=evaluated,
     )
+
+
+def solve_no_hubs(
+    instance: Instance,
+    limits: OracleLimits | None = None,
+    deadline: float | None = None,
+) -> Solution:
+    """Optimal pure port assignment with direct transport everywhere.
+
+    Solved exactly by enumerating port assignments against the
+    approximated objective (the same restricted problem the linearized
+    model solves when all hub variables are fixed to zero); refuses when
+    the assignment space exceeds the evaluation budget.
+    """
+    violations = validate_instance(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
+    limits = limits or OracleLimits()
+
+    kernel = _Kernel(instance)
+    z_space = 1.0
+    for opts in kernel.options:
+        z_space *= max(1, len(opts))
+    if z_space > limits.max_evaluations:
+        raise OracleLimitError(
+            f"{z_space:.3g} port assignments exceed the budget of "
+            f"{limits.max_evaluations:.3g}; emit the restricted model instead",
+            estimate=z_space,
+        )
+    _, zvec = kernel.best_all_direct(deadline, "no-hub solve")
+    return Solution(port_choice=dict(zip(kernel.pairs, zvec)))

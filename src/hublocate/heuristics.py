@@ -1,4 +1,7 @@
-"""Two-stage per-destination heuristic, no-hub baseline, and local search.
+"""Two-stage per-destination heuristic and local search.
+
+The no-hub baseline is exact and lives in ``hublocate.exact_oracle``;
+``solve_no_hubs`` is re-exported here.
 
 The two-stage method mirrors the alternating per-destination procedure:
 for one destination it loops between an exhaustive search over hub sets
@@ -44,10 +47,13 @@ from .cost_model import land_breakpoints, land_cost_exact, sea_cost  # noqa: F40
 from .errors import (
     InfeasibleSolutionError,
     InvalidInstanceError,
-    OracleLimitError,
     TimeBudgetError,
 )
-from .exact_oracle import OracleLimits, _Kernel
+
+# The no-hub baseline is an exact enumeration and lives in exact_oracle;
+# re-exported because callers (perfbench's workloads among them) import
+# it from here.
+from .exact_oracle import solve_no_hubs  # noqa: F401
 from .network_model import Instance, validate_instance
 from .pricing import TIE_RTOL, cost_terms, price_table, solution_flows
 from .solution import (
@@ -437,48 +443,6 @@ def solve_two_stage(
     )
 
 
-def solve_no_hubs(
-    instance: Instance,
-    limits: OracleLimits | None = None,
-    deadline: float | None = None,
-) -> Solution:
-    """Optimal pure port assignment with direct transport everywhere.
-
-    Solved exactly by enumerating port assignments against the
-    approximated objective (the same restricted problem the linearized
-    model solves when all hub variables are fixed to zero); refuses when
-    the assignment space exceeds the evaluation budget.
-    """
-    violations = validate_instance(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
-    limits = limits or OracleLimits()
-
-    kernel = _Kernel(instance)
-    z_space = 1.0
-    for opts in kernel.options:
-        z_space *= max(1, len(opts))
-    if z_space > limits.max_evaluations:
-        raise OracleLimitError(
-            f"{z_space:.3g} port assignments exceed the budget of "
-            f"{limits.max_evaluations:.3g}; emit the restricted model instead",
-            estimate=z_space,
-        )
-
-    from itertools import product
-
-    best = None
-    for i, zvec in enumerate(product(*kernel.options) if kernel.pairs else [()]):
-        if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-            raise TimeBudgetError("no-hub solve exceeded its time budget")
-        fixed, vols, _ = kernel.fixed_cost(zvec)
-        total = fixed + kernel.routing_cost(vols, (), {}, {})
-        if best is None or total < best[0]:
-            best = (total, zvec)
-    zvec = best[1] if best else ()
-    return Solution(port_choice=dict(zip(kernel.pairs, zvec)))
-
-
 ALL_MOVES = ("toggle_hub", "reassign_port", "reassign_hub", "adjust_fraction")
 
 
@@ -779,7 +743,7 @@ def _fraction_candidates(state: _SearchState, pair) -> list:
         if bb == b and ss == s and inst.demand.get((bb, t), 0.0) > 0.0
     ]
     return pair_fraction_candidates(
-        curve(b, s), curve(b, h), curve(h, s), v, feeder_base, port_base, dest_volumes
+        curve(b, s), ((curve(b, h), feeder_base), (curve(h, s), port_base)), v, dest_volumes
     )
 
 

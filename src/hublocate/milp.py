@@ -55,10 +55,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cost_model import COST_RTOL, container_split, land_breakpoints, sea_cost
+from .cost_model import COST_RTOL, container_split, sea_cost
+
+# Not called here since the curves come from hublocate.pricing; kept as an
+# attribute of this module because perfbench's tracer hooks it here.
+from .cost_model import land_breakpoints  # noqa: F401
 from .errors import InfeasibleSolutionError, InvalidInstanceError, ModelDecodeError
 from .network_model import Instance, validate_instance
-from .pricing import solution_flows
+from .pricing import price_table, solution_flows
 from .solution import Solution, check_feasibility, evaluate_cost, port_volumes
 
 BINARY = "binary"
@@ -185,15 +189,8 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
 
     # The breakpoint volumes are shared by all distance bands; the cost
     # values differ per band.
-    band_curves = {}
-
-    def curve_for(b, r):
-        band = instance.land_costs.distance_band(instance.distance[(b, r)])
-        if band not in band_curves:
-            band_curves[band] = land_breakpoints(instance.land_costs, instance.distance[(b, r)])
-        return band_curves[band]
-
-    first_curve = curve_for(B[0], B[0])
+    curve = price_table(instance).curve
+    first_curve = curve(B[0], B[0])
     v_pts = first_curve.breakpoints
     j = first_curve.step_count
 
@@ -224,7 +221,7 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     step_names = {(b, r): [_uln(i, b, r) for i in range(j)] for (b, r) in arcs}
     u_lims = {}
     for (b, r) in arcs:
-        values = curve_for(b, r).values
+        values = curve(b, r).values
         steps = step_names[(b, r)]
         add(Variable(_nln(b, r), INTEGER, obj=values[j]))
         add(Variable(steps[0], CONTINUOUS, obj=values[0], upper=1.0))

@@ -7,11 +7,14 @@ branch-to-hub, hub-to-port) crosses a piece boundary of its cost curve.
 The continuous optimum is therefore searched over the finite set of
 fractions that place an arc volume exactly on such a boundary, plus the
 extremes 0 and 1, plus the per-destination subset sums that alternating
-per-destination methods can produce.
+per-destination methods can produce.  The oracle and the local search
+both take their candidates from ``pair_fraction_candidates``; each passes
+the routed arcs whose boundaries count as (curve, base) pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
 
 from .cost_model import ApproxLandCurve, approx_breakpoint_volumes
@@ -32,28 +35,25 @@ def subset_sums(volumes: list[float]) -> list[float]:
 
 def pair_fraction_candidates(
     curve_direct: ApproxLandCurve,
-    curve_feeder: ApproxLandCurve,
-    curve_hub_port: ApproxLandCurve,
+    routed: Iterable[tuple[ApproxLandCurve, float]],
     volume: float,
-    feeder_base: float = 0.0,
-    port_base: float = 0.0,
     dest_volumes: list[float] | None = None,
 ) -> list[float]:
     """Sorted candidate direct fractions in [0, 1] for one routed pair.
 
-    feeder_base and port_base are the volumes already riding the
-    branch-to-hub and hub-to-port arcs from other connections; the routed
-    remainder (1 - y) * volume stacks on top of them.
+    `routed` holds one (curve, base) pair per arc the routed remainder
+    (1 - y) * volume rides (branch-to-hub, hub-to-port); base is the volume
+    already on that arc from other connections, and the remainder stacks
+    on top of it.
     """
     cands = {0.0, 1.0}
     if volume <= 0.0:
         return sorted(cands)
     for w in approx_breakpoint_volumes(curve_direct, 0.0, volume):
         cands.add(w / volume)
-    for w in approx_breakpoint_volumes(curve_feeder, feeder_base, feeder_base + volume):
-        cands.add(1.0 - (w - feeder_base) / volume)
-    for w in approx_breakpoint_volumes(curve_hub_port, port_base, port_base + volume):
-        cands.add(1.0 - (w - port_base) / volume)
+    for curve, base in routed:
+        for w in approx_breakpoint_volumes(curve, base, base + volume):
+            cands.add(1.0 - (w - base) / volume)
     if dest_volumes:
         for ss in subset_sums(dest_volumes):
             if 0.0 < ss < volume:

@@ -186,6 +186,34 @@ class TestBadInput:
             err = capsys.readouterr().err
             assert "must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ["gen", "--branches", "0"],
+        ["gen", "--ports", "0"],
+        ["gen", "--dests", "0"],
+        ["gen", "--density", "0"],
+        ["gen", "--density", "1.5"],
+        ["gen", "--density", "nan"],
+        ["gen", "--volume-bands", "0"],
+        ["solve", "--method", "oracle", "--hub-budget", "-1"],
+        ["solve", "--method", "local-search", "--hub-budget", "-1"],
+        ["solve", "--method", "two-stage", "--time-budget", "0"],
+        ["solve", "--method", "two-stage", "--time-budget", "nan"],
+        ["solve", "--method", "oracle", "--budget", "nan"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_flag_is_a_usage_error(self, toy_file, tmp_path, capsys, flags):
+        # A repeated option keeps its last value, so the bad flag wins.
+        command, *bad = flags
+        valid = {
+            "gen": ["--seed", "1", "--branches", "2", "--ports", "2", "--dests", "2",
+                    "--density", "0.5"],
+            "solve": [str(toy_file)],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, *valid, *bad, "-o", str(tmp_path / "out.json")])
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestMilpRoundTrip:
     def test_build_milp_byte_stable(self, toy_file, tmp_path):

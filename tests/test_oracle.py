@@ -16,7 +16,7 @@ from hublocate import (
     solve_no_hubs,
 )
 from hublocate.errors import OracleLimitError, TimeBudgetError
-from hublocate.exact_oracle import OracleLimits, estimate_configurations
+from hublocate.exact_oracle import OracleLimits, _Kernel, estimate_configurations
 from hublocate.network_model import with_demand
 
 WIDE_OPEN = OracleLimits(max_hub_set_size=4, max_evaluations=1e9)
@@ -56,17 +56,6 @@ class TestExactness:
             cost = evaluate_cost(inst, sample, "approx").total
             assert cost >= result.cost.total - slack
 
-    def test_split_grid_candidates_are_honored(self):
-        inst = generate(7, 4, 2, 2, 0.6, "consolidation_favorable")
-        base = enumerate_optimal(inst, WIDE_OPEN)
-        extra = enumerate_optimal(
-            inst,
-            OracleLimits(max_hub_set_size=4, max_evaluations=1e9,
-                         split_grid=(0.123, 0.456, 0.789)),
-        )
-        # a larger candidate set can only match or improve the optimum
-        assert extra.cost.total <= base.cost.total + 1e-9
-
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
@@ -101,3 +90,21 @@ class TestLimits:
         inst = generate(8, 4, 2, 2, 0.5, "uniform")
         with pytest.raises(TimeBudgetError):
             enumerate_optimal(inst, WIDE_OPEN, deadline=time.monotonic() - 1.0)
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst, deadline: enumerate_optimal(
+            inst, OracleLimits(max_hub_set_size=0), deadline=deadline),
+        lambda inst, deadline: solve_no_hubs(inst, deadline=deadline),
+    ], ids=["oracle", "no-hub"])
+    def test_deadline_checked_during_all_direct_pass(self, solve, monkeypatch):
+        # 3**7 port vectors: the all-direct pass must stop within one
+        # batch of 256 instead of pricing every vector first.
+        inst = generate(3, 4, 3, 3, 0.6, "uniform")
+        priced = []
+        fixed_cost = _Kernel.fixed_cost
+        monkeypatch.setattr(
+            _Kernel, "fixed_cost", lambda self, z: priced.append(z) or fixed_cost(self, z)
+        )
+        with pytest.raises(TimeBudgetError, match="time budget"):
+            solve(inst, time.monotonic() - 1.0)
+        assert len(priced) < 256
