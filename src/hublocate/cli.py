@@ -101,6 +101,7 @@ def cmd_solve(args) -> int:
         result = enumerate_optimal(instance, limits, deadline=deadline)
         solution = result.solution
         extra = {"evaluated_configurations": result.evaluated}
+        stats["oracle"] = result.stats
     elif args.method == "two-stage":
         stats["two_stage"] = SearchStats()
         result = solve_two_stage(

@@ -31,6 +31,26 @@ Each share's routing terms are priced per coupled component
 (``_SplitProblem.component_cost``) rather than through
 ``pricing.cost_terms``, which would price whole solutions in the
 innermost loop.
+
+Three shortcuts leave every answer bit-identical:
+
+  * a configuration is cut when its constant part (port and sea cost,
+    set-up, direct arcs no routed share touches) exceeds the all-direct
+    threshold or the best total found so far, whichever is lower.  Every
+    validated cost is nonnegative and adding a nonnegative float never
+    lowers a sum, so such a configuration's total exceeds the incumbent
+    and could not have replaced it.  The port-vector and set-up cuts use
+    the threshold alone, so the count of evaluated configurations does
+    not depend on the incumbent;
+  * a component's cost is memoized per tuple of its members' shares
+    within one configuration.  The cost is a function of those shares
+    alone, and it is summed term by term in one fixed order (member
+    order, each member's direct arc, consolidation, then its feeder and
+    port arcs not already summed), so a recomputation would give the same
+    float;
+  * whole component solves are cached per port assignment by their
+    members and hubs, and hub choices per set of active pairs and hub set,
+    within one call.
 """
 
 from __future__ import annotations
@@ -38,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cost_model import land_cost_approx
 
@@ -50,7 +70,7 @@ from .errors import InvalidInstanceError, OracleLimitError, TimeBudgetError
 from .network_model import Instance, validate_instance
 from .pricing import price_table
 from .solution import CostBreakdown, Solution, evaluate_cost
-from .splits import pair_fraction_candidates
+from .splits import finish_fraction_candidates, fraction_candidate_set, routed_fraction_set
 from .splits import subset_sums  # noqa: F401
 
 DESCENT_ROUNDS = 25
@@ -67,11 +87,40 @@ class OracleLimits:
 
 
 @dataclass
+class OracleStats:
+    """Deterministic work counters of one ``enumerate_optimal`` call.
+
+    ``port_vectors_cut`` counts the port assignments whose port and sea
+    cost alone exceed the all-direct threshold, and ``hub_sets_cut`` the
+    hub sets whose set-up cost takes a surviving assignment over it.
+    Every evaluated configuration is either cut by its lower bound
+    (``threshold_cuts`` above the all-direct threshold, ``incumbent_cuts``
+    above the best total found so far but not the threshold) or solved
+    (``solved_configurations``).  ``component_solves`` counts the coupled
+    components whose shares were optimized rather than taken from the
+    per-port-assignment cache, and ``cost_memo_hits`` the component costs
+    answered from the memo of share vectors already priced.
+    """
+
+    port_vectors_cut: int = 0
+    hub_sets_cut: int = 0
+    threshold_cuts: int = 0
+    incumbent_cuts: int = 0
+    solved_configurations: int = 0
+    component_solves: int = 0
+    cost_memo_hits: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
 class OracleResult:
     solution: Solution
     cost: CostBreakdown  # approximated objective, the enumeration target
     exact_cost: CostBreakdown
     evaluated: int  # discrete configurations evaluated
+    stats: OracleStats
 
 
 class _Kernel:
@@ -123,21 +172,40 @@ class _Kernel:
         return best
 
 
+class _Component:
+    """One coupled group of routed pairs.
+
+    ``plan`` prices the terms its members touch: one entry per member,
+    ``(index, direct curve, volume, f[hub], arcs)``, where ``arcs`` holds
+    the member's feeder and port arcs not already listed by an earlier
+    member, each as ``(curve, base, ((rider index, rider volume), ...))``.
+    ``memo`` maps a tuple of member shares to the cost already priced.
+    """
+
+    __slots__ = ("members", "plan", "memo")
+
+    def __init__(self, members: tuple, plan: tuple):
+        self.members = members
+        self.plan = plan
+        self.memo: dict = {}
+
+
 class _SplitProblem:
     """Continuous share optimization for one discrete configuration.
 
     Variables are the routed pairs; the cost decomposes into a constant,
     a per-variable part (direct arc plus consolidation), and per-arc terms
     for feeder and hub-to-port arcs, each depending on the subset of
-    variables riding that arc.
+    variables riding that arc.  The constructor computes only what the
+    bound needs (the constant); ``solve`` builds the components.
     """
 
-    def __init__(self, kernel: _Kernel, vols, hubs, assign, dests_via):
+    def __init__(self, kernel: _Kernel, vols, hubs, assign, dests_via, direct_land):
         self.kernel = kernel
         self.vols = vols
         self.dests_via = dests_via
-        self.vars = sorted(p for p, h in assign.items() if h is not None)
-        self.hub_of = {p: assign[p] for p in self.vars}
+        self.vars = sorted(assign)
+        self.hub_of = assign
 
         const = sum(kernel.e[h] for h in hubs)
         feeder_groups: dict = {}
@@ -147,19 +215,15 @@ class _SplitProblem:
             h = self.hub_of[p]
             feeder_groups.setdefault((b, h), []).append(p)
             port_groups.setdefault((h, s), []).append(p)
-        for (b, s), v in vols.items():
-            if assign.get((b, s)) is None and (b, s) not in port_groups:
-                const += land_cost_approx(kernel.curves[(b, s)], v)
+        for arc, land in direct_land.items():
+            if arc not in assign and arc not in port_groups:
+                const += land
         self.const = const
-        # Hub-to-port arcs carry the hub's own direct volume as a base.
-        self.port_base = {
-            arc: (vols.get(arc, 0.0) if assign.get(arc) is None else 0.0)
-            for arc in port_groups
-        }
         self.feeder_groups = feeder_groups
         self.port_groups = port_groups
 
-        # Coupled components: variables sharing a feeder or port arc.
+    def _component_members(self) -> list[tuple]:
+        """Coupled components: variables sharing a feeder or port arc."""
         parent = {p: p for p in self.vars}
 
         def find(x):
@@ -168,62 +232,88 @@ class _SplitProblem:
                 x = parent[x]
             return x
 
-        for group in list(feeder_groups.values()) + list(port_groups.values()):
+        for group in list(self.feeder_groups.values()) + list(self.port_groups.values()):
             for other in group[1:]:
                 parent[find(other)] = find(group[0])
         comps: dict = {}
         for p in self.vars:
             comps.setdefault(find(p), []).append(p)
-        self.components = [sorted(c) for c in sorted(comps.values())]
+        return [tuple(sorted(c)) for c in sorted(comps.values())]
 
-    def component_cost(self, comp, fracs) -> float:
-        """Cost of the terms touched by one component's variables."""
+    def _component(self, members: tuple) -> _Component:
+        """The pricing plan of one component; records each member's two
+        arcs as (arc, riders, base) in ``arcs_of`` for the candidates."""
         kernel = self.kernel
-        total = 0.0
+        curves = kernel.curves
+        vols = self.vols
+        index = {p: i for i, p in enumerate(members)}
         seen_arcs = set()
-        for p in comp:
+        plan = []
+        for i, p in enumerate(members):
             b, s = p
             h = self.hub_of[p]
-            v = self.vols[p]
-            y = fracs[p]
-            direct = y * v
-            if direct > 0.0:
-                total += land_cost_approx(kernel.curves[p], direct)
-            total += kernel.f[h] * (v - direct)
-            for arc, groups, base in (
-                ((b, h), self.feeder_groups, 0.0),
-                ((h, s), self.port_groups, self.port_base.get((h, s), 0.0)),
-            ):
+            # Hub-to-port arcs carry the hub's own direct volume as a base.
+            port_base = vols.get((h, s), 0.0) if (h, s) not in self.hub_of else 0.0
+            self.arcs_of[p] = entries = (
+                ((b, h), self.feeder_groups[(b, h)], 0.0),
+                ((h, s), self.port_groups[(h, s)], port_base),
+            )
+            arcs = []
+            for arc, riders, base in entries:
                 if arc in seen_arcs:
                     continue
                 seen_arcs.add(arc)
-                load = base + sum(
-                    (1.0 - fracs[q]) * self.vols[q] for q in groups[arc]
-                )
+                arcs.append((curves[arc], base, tuple((index[q], vols[q]) for q in riders)))
+            plan.append((i, curves[p], vols[p], kernel.f[h], tuple(arcs)))
+        return _Component(members, tuple(plan))
+
+    def component_cost(self, comp: _Component, fracs) -> float:
+        """Cost of the terms touched by one component's variables, summed
+        in member order; each share vector is priced once."""
+        ys = tuple([fracs[p] for p in comp.members])
+        total = comp.memo.get(ys)
+        if total is not None:
+            self.stats.cost_memo_hits += 1
+            return total
+        total = 0.0
+        for i, curve, v, f_h, arcs in comp.plan:
+            direct = ys[i] * v
+            if direct > 0.0:
+                total += land_cost_approx(curve, direct)
+            total += f_h * (v - direct)
+            for arc_curve, base, riders in arcs:
+                routed = 0.0
+                for j, vol in riders:
+                    routed += (1.0 - ys[j]) * vol
+                load = base + routed
                 if load > 0.0:
-                    total += land_cost_approx(kernel.curves[arc], load)
+                    total += land_cost_approx(arc_curve, load)
+        comp.memo[ys] = total
         return total
 
-    def candidates(self, p, fracs=None, skip_arc=None) -> list:
-        """Candidate shares for p; other variables fixed at `fracs` (0 if
-        None).  `skip_arc`, when given, contributes no boundaries."""
-        b, s = p
-        h = self.hub_of[p]
+    def _base(self, p, entry, fracs) -> float:
+        """Volume the other riders of one of p's arcs put on it at `fracs`
+        (a share missing from `fracs` counts as 0)."""
+        _, riders, base = entry
+        for q in riders:
+            if q != p:
+                base += (1.0 - fracs.get(q, 0.0)) * self.vols[q]
+        return base
+
+    def candidate_set(self, p, fracs, skip_arc=None) -> set:
+        """Unfinished candidate shares for p, other variables at `fracs`;
+        `skip_arc`, when given, contributes no boundaries."""
         curves = self.kernel.curves
-        routed = []
-        for arc, groups, base in (
-            ((b, h), self.feeder_groups, 0.0),
-            ((h, s), self.port_groups, self.port_base.get((h, s), 0.0)),
-        ):
-            if arc == skip_arc:
-                continue
-            for q in groups[arc]:
-                if q != p:
-                    base += (1.0 - (fracs.get(q, 0.0) if fracs else 0.0)) * self.vols[q]
-            routed.append((curves[arc], base))
-        return pair_fraction_candidates(
-            curves[p], routed, self.vols[p], self.dests_via.get(p)
-        )
+        routed = [
+            (curves[entry[0]], self._base(p, entry, fracs))
+            for entry in self.arcs_of[p]
+            if entry[0] != skip_arc
+        ]
+        return fraction_candidate_set(curves[p], routed, self.vols[p], self.dests_via.get(p))
+
+    def candidates(self, p, fracs=None) -> list:
+        """Candidate shares for p; other variables fixed at `fracs` (0 if None)."""
+        return finish_fraction_candidates(self.candidate_set(p, fracs or {}))
 
     def shared_arc(self, p, q):
         """The one arc two routed pairs can share, or None."""
@@ -237,47 +327,56 @@ class _SplitProblem:
 
     def _minimize_one(self, comp, fracs, p) -> bool:
         """Exact conditional minimization of one share; True on improvement."""
+        y0 = fracs[p]
         best = self.component_cost(comp, fracs)
-        best_y = fracs[p]
+        best_y = y0
         for y in self.candidates(p, fracs):
-            if abs(y - fracs[p]) <= 1e-15:
+            if abs(y - y0) <= 1e-15:
                 continue
-            trial = dict(fracs)
-            trial[p] = y
-            c = self.component_cost(comp, trial)
+            fracs[p] = y
+            c = self.component_cost(comp, fracs)
             if c < best - 1e-12 * max(1.0, abs(best)):
                 best, best_y = c, y
-        if best_y != fracs[p]:
-            fracs[p] = best_y
-            return True
-        return False
+        fracs[p] = best_y
+        return best_y != y0
 
-    def _solve_pair(self, pair, comp=None, context=None) -> dict:
+    def _solve_pair(self, pair, comp, context=None) -> dict:
         """Exact two-variable solve: a pair shares at most one arc, so every
         boundary intersection has one variable on its own boundary.
 
-        With `comp`/`context` the pair is re-optimized inside a larger
-        component whose other shares stay at their context values.
+        With `context` the pair is re-optimized inside a larger component
+        whose other shares stay at their context values.  The inner
+        share's candidates from everything but the shared arc do not
+        depend on the outer share, so they are built once per order.
         """
         p, q = pair
-        comp = comp if comp is not None else pair
-        base_fr = dict(context) if context else {}
         arc = self.shared_arc(p, q)
-        best = None
+        arc_curve = self.kernel.curves[arc]
+        fracs = dict(context) if context else {}
+        best = None  # (cost, outer, y_out, inner, y_in)
         for outer, inner in ((p, q), (q, p)):
-            outer_cands = self.candidates(outer, base_fr or None, skip_arc=arc)
+            outer_cands = finish_fraction_candidates(
+                self.candidate_set(outer, fracs, skip_arc=arc)
+            )
+            fixed = self.candidate_set(inner, fracs, skip_arc=arc)
+            shared = next(entry for entry in self.arcs_of[inner] if entry[0] == arc)
+            volume = self.vols[inner]
             for y_out in outer_cands:
-                probe = dict(base_fr)
-                probe[outer] = y_out
-                probe[inner] = 0.0
-                for y_in in self.candidates(inner, probe):
-                    full = dict(base_fr)
-                    full[outer] = y_out
-                    full[inner] = y_in
-                    c = self.component_cost(comp, full)
+                fracs[outer] = y_out
+                base = self._base(inner, shared, fracs)
+                inner_cands = finish_fraction_candidates(
+                    fixed | routed_fraction_set(((arc_curve, base),), volume)
+                )
+                for y_in in inner_cands:
+                    fracs[inner] = y_in
+                    c = self.component_cost(comp, fracs)
                     if best is None or c < best[0] - 1e-12 * max(1.0, abs(best[0])):
-                        best = (c, full)
-        return best[1]
+                        best = (c, outer, y_out, inner, y_in)
+        _, outer, y_out, inner, y_in = best
+        out = dict(context) if context else {}
+        out[outer] = y_out
+        out[inner] = y_in
+        return out
 
     def _solve_group(self, comp) -> dict:
         """Conditional descent plus pairwise polish for 3+ coupled shares.
@@ -287,19 +386,19 @@ class _SplitProblem:
         only optima needing three simultaneously off-boundary shares on
         three interlocking arcs could be missed.
         """
-        fracs = {p: 0.0 for p in comp}
+        fracs = {p: 0.0 for p in comp.members}
         for _ in range(DESCENT_ROUNDS):
             improved = False
-            for p in comp:
+            for p in comp.members:
                 improved |= self._minimize_one(comp, fracs, p)
             if not improved:
                 break
         for _ in range(POLISH_ROUNDS):
             improved = False
-            for p, q in itertools.combinations(comp, 2):
+            for p, q in itertools.combinations(comp.members, 2):
                 if self.shared_arc(p, q) is None:
                     continue
-                trial = self._solve_pair((p, q), comp=comp, context=fracs)
+                trial = self._solve_pair((p, q), comp, context=fracs)
                 cur = self.component_cost(comp, fracs)
                 c = self.component_cost(comp, trial)
                 if c < cur - 1e-12 * max(1.0, abs(cur)):
@@ -309,8 +408,9 @@ class _SplitProblem:
         return fracs
 
     def _solve_component(self, comp) -> tuple[dict, float]:
-        if len(comp) == 1:
-            p = comp[0]
+        members = comp.members
+        if len(members) == 1:
+            p = members[0]
             sub = {p: 0.0}
             best = self.component_cost(comp, sub)
             for y in self.candidates(p):
@@ -319,27 +419,27 @@ class _SplitProblem:
                 if c < best - 1e-12 * max(1.0, abs(best)):
                     best, sub = c, trial
             return sub, best
-        if len(comp) == 2:
-            sub = self._solve_pair(comp)
+        if len(members) == 2:
+            sub = self._solve_pair(members, comp)
         else:
             sub = self._solve_group(comp)
         return sub, self.component_cost(comp, sub)
 
-    def solve(self, cache: dict | None = None) -> tuple[dict, float]:
+    def solve(self, cache: dict, stats: OracleStats) -> tuple[dict, float]:
         """Optimal shares and routing cost; component results are memoized
-        per port assignment (they do not depend on the rest of the
-        configuration)."""
+        in `cache` per port assignment (they do not depend on the rest of
+        the configuration)."""
+        self.stats = stats
+        self.arcs_of: dict = {}
         fracs = {}
         total = self.const
-        for comp in self.components:
-            if cache is None:
-                sub, cost = self._solve_component(comp)
-            else:
-                key = tuple((p, self.hub_of[p]) for p in comp)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = cache[key] = self._solve_component(comp)
-                sub, cost = hit
+        for members in self._component_members():
+            key = tuple((p, self.hub_of[p]) for p in members)
+            hit = cache.get(key)
+            if hit is None:
+                stats.component_solves += 1
+                hit = cache[key] = self._solve_component(self._component(members))
+            sub, cost = hit
             fracs.update(sub)
             total += cost
         return fracs, total
@@ -442,31 +542,49 @@ def enumerate_optimal(
     # lower bound strictly exceeds it cannot be optimal.
     threshold, _ = kernel.best_all_direct(deadline, "oracle")
 
+    stats = OracleStats()
     best = None  # (cost, payload)
+    limit = threshold  # min(threshold, best total): a larger lower bound cuts
     evaluated = 0
+    assignments: dict = {}  # (active pairs, hubs) -> hub choices
     for zvec in itertools.product(*kernel.options):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetError("oracle exceeded its time budget")
         fixed, vols = kernel.fixed_cost(zvec)
         if fixed > threshold:
+            stats.port_vectors_cut += 1
             continue
-        active = sorted(vols)
+        active = tuple(sorted(vols))
+        direct_land = {arc: land_cost_approx(kernel.curves[arc], v) for arc, v in vols.items()}
         dests_via: dict = {}
         for (b, t), s in zip(kernel.pairs, zvec):
             dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
         comp_cache: dict = {}
         for hubs in hub_sets:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeBudgetError("oracle exceeded its time budget")
             if fixed + setup_of[hubs] > threshold:
+                stats.hub_sets_cut += 1
                 continue
-            for assign in _hub_assignments(active, hubs):
+            choices = assignments.get((active, hubs))
+            if choices is None:
+                choices = assignments[(active, hubs)] = list(_hub_assignments(active, hubs))
+            for assign in choices:
                 evaluated += 1
-                problem = _SplitProblem(kernel, vols, hubs, assign, dests_via)
-                if fixed + problem.const > threshold:
+                problem = _SplitProblem(kernel, vols, hubs, assign, dests_via, direct_land)
+                lower = fixed + problem.const
+                if lower > limit:
+                    if lower > threshold:
+                        stats.threshold_cuts += 1
+                    else:
+                        stats.incumbent_cuts += 1
                     continue
-                fracs, routing = problem.solve(comp_cache)
+                stats.solved_configurations += 1
+                fracs, routing = problem.solve(comp_cache, stats)
                 total = fixed + routing
                 if best is None or total < best[0]:
                     best = (total, (zvec, hubs, assign, fracs))
+                    limit = min(threshold, total)
 
     if best is None:
         raise OracleLimitError("nothing to enumerate")
@@ -485,6 +603,7 @@ def enumerate_optimal(
         cost=evaluate_cost(instance, solution, "approx"),
         exact_cost=evaluate_cost(instance, solution, "exact"),
         evaluated=evaluated,
+        stats=stats,
     )
 
 

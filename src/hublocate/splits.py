@@ -8,8 +8,13 @@ The continuous optimum is therefore searched over the finite set of
 fractions that place an arc volume exactly on such a boundary, plus the
 extremes 0 and 1, plus the per-destination subset sums that alternating
 per-destination methods can produce.  The oracle and the local search
-both take their candidates from ``pair_fraction_candidates``; each passes
-the routed arcs whose boundaries count as (curve, base) pairs.
+both take their candidates from here and pass the routed arcs whose
+boundaries count as (curve, base) pairs.  ``pair_fraction_candidates`` is
+the composition of a set builder (``fraction_candidate_set``, whose
+routed-arc part is ``routed_fraction_set``) and a finisher
+(``finish_fraction_candidates``) that clamps, sorts and deduplicates; the
+oracle's pair solver builds the set of everything but one shared arc once
+and adds that arc's boundaries per base.
 """
 
 from __future__ import annotations
@@ -33,13 +38,13 @@ def subset_sums(volumes: list[float]) -> list[float]:
     return sorted(out)
 
 
-def pair_fraction_candidates(
+def fraction_candidate_set(
     curve_direct: ApproxLandCurve,
     routed: Iterable[tuple[ApproxLandCurve, float]],
     volume: float,
     dest_volumes: list[float] | None = None,
-) -> list[float]:
-    """Sorted candidate direct fractions in [0, 1] for one routed pair.
+) -> set[float]:
+    """Unsorted, unclamped candidate direct fractions for one routed pair.
 
     `routed` holds one (curve, base) pair per arc the routed remainder
     (1 - y) * volume rides (branch-to-hub, hub-to-port); base is the volume
@@ -48,19 +53,53 @@ def pair_fraction_candidates(
     """
     cands = {0.0, 1.0}
     if volume <= 0.0:
-        return sorted(cands)
+        return cands
     for w in approx_breakpoint_volumes(curve_direct, 0.0, volume):
         cands.add(w / volume)
-    for curve, base in routed:
-        for w in approx_breakpoint_volumes(curve, base, base + volume):
-            cands.add(1.0 - (w - base) / volume)
+    cands |= routed_fraction_set(routed, volume)
     if dest_volumes:
         for ss in subset_sums(dest_volumes):
             if 0.0 < ss < volume:
                 cands.add(ss / volume)
+    return cands
+
+
+def routed_fraction_set(
+    routed: Iterable[tuple[ApproxLandCurve, float]], volume: float
+) -> set[float]:
+    """The fractions that put a routed arc's load on a piece boundary.
+
+    A caller that varies one arc's base keeps the rest of
+    ``fraction_candidate_set`` and unites it with this set per base.
+    """
+    out: set[float] = set()
+    if volume <= 0.0:
+        return out
+    for curve, base in routed:
+        for w in approx_breakpoint_volumes(curve, base, base + volume):
+            out.add(1.0 - (w - base) / volume)
+    return out
+
+
+def finish_fraction_candidates(cands: Iterable[float]) -> list[float]:
+    """Clamp candidate fractions to [0, 1], sort them and drop any within
+    1e-12 of the previous one kept."""
     out = sorted(min(1.0, max(0.0, y)) for y in cands)
     dedup = [out[0]]
     for y in out[1:]:
         if y - dedup[-1] > 1e-12:
             dedup.append(y)
     return dedup
+
+
+def pair_fraction_candidates(
+    curve_direct: ApproxLandCurve,
+    routed: Iterable[tuple[ApproxLandCurve, float]],
+    volume: float,
+    dest_volumes: list[float] | None = None,
+) -> list[float]:
+    """Sorted candidate direct fractions in [0, 1] for one routed pair
+    (arguments as for ``fraction_candidate_set``)."""
+    return finish_fraction_candidates(
+        fraction_candidate_set(curve_direct, routed, volume, dest_volumes)
+    )

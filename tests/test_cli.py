@@ -133,6 +133,26 @@ class TestSolve:
             }
             assert counters["full_evaluations"] > 0
 
+    def test_oracle_json_stats_repeat_exactly(self, cons_file, tmp_path, capsys):
+        reports = []
+        for _ in range(2):
+            rc = main([
+                "solve", "--method", "oracle", str(cons_file),
+                "-o", str(tmp_path / "oracle.json"), "--json",
+            ])
+            assert rc == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["stats"] == reports[1]["stats"]
+        counters = reports[0]["stats"]["oracle"]
+        assert set(counters) == {
+            "port_vectors_cut", "hub_sets_cut", "threshold_cuts", "incumbent_cuts",
+            "solved_configurations", "component_solves", "cost_memo_hits",
+        }
+        assert reports[0]["evaluated_configurations"] == (
+            counters["threshold_cuts"] + counters["incumbent_cuts"]
+            + counters["solved_configurations"]
+        )
+
     def test_oracle_refusal_exits_3(self, cons_file, tmp_path):
         rc = main([
             "solve", "--method", "oracle", "--budget", "5",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from solgen import random_feasible_solution
@@ -15,6 +16,7 @@ from hublocate import (
     generate,
     solve_no_hubs,
 )
+from hublocate import exact_oracle
 from hublocate.errors import OracleLimitError, TimeBudgetError
 from hublocate.exact_oracle import OracleLimits, _Kernel, estimate_configurations
 from hublocate.network_model import with_demand
@@ -108,3 +110,36 @@ class TestLimits:
         with pytest.raises(TimeBudgetError, match="time budget"):
             solve(inst, time.monotonic() - 1.0)
         assert len(priced) < 256
+
+    def test_deadline_checked_per_hub_set(self, monkeypatch):
+        # The clock passes the deadline as the first configuration after
+        # the all-direct pass is built: the enumeration must stop at the
+        # next hub set instead of finishing every hub set of the port
+        # vector first.
+        inst = generate(5, 4, 2, 1, 1.0, "uniform")
+        clock = [0.0]
+        monkeypatch.setattr(exact_oracle, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        built = []
+
+        class CountingProblem(exact_oracle._SplitProblem):
+            def __init__(self, *args):
+                built.append(args)
+                clock[0] = 2.0
+                super().__init__(*args)
+
+        monkeypatch.setattr(exact_oracle, "_SplitProblem", CountingProblem)
+        with pytest.raises(TimeBudgetError, match="time budget"):
+            enumerate_optimal(inst, OracleLimits(max_hub_set_size=2), deadline=1.0)
+        assert len(built) == 1
+
+
+class TestStats:
+    def test_counts_partition_the_evaluated_configurations(self):
+        inst = generate(5, 3, 3, 2, 0.8, "nvocc_only_mix")
+        result = enumerate_optimal(inst)
+        stats = result.stats
+        assert result.evaluated == (
+            stats.threshold_cuts + stats.incumbent_cuts + stats.solved_configurations
+        )
+        # Every counter is exercised on this instance.
+        assert all(value > 0 for value in stats.to_dict().values())
