@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import gen as gen_mod
-from .errors import HublocateError, OracleLimitError, TimeBudgetError
+from .errors import HublocateError, InvalidInstanceError, OracleLimitError, TimeBudgetError
 from .exact_oracle import OracleLimits, enumerate_optimal, solve_no_hubs
 from .heuristics import DEFAULT_HUB_BUDGET, SearchStats, local_search_improve, solve_two_stage
 from .milp import (
@@ -24,7 +24,7 @@ from .milp import (
     encode_solution,
     parse_values_text,
 )
-from .network_model import load_instance, save_instance, validate_instance
+from .network_model import load_instance, read_text, save_instance, validate_instance
 from .solution import (
     CostBreakdown,
     evaluate_cost,
@@ -46,6 +46,16 @@ def _print_breakdown(b: CostBreakdown) -> None:
     width = max(len(k) for k, _ in _breakdown_rows(b))
     for k, v in _breakdown_rows(b):
         print(f"  {k:<{width}}  {v:14.4f}")
+
+
+def _load_valid_instance(path):
+    """The instance in a file; one that fails validation is an error, since
+    solvers and the evaluator assume every invariant."""
+    instance = load_instance(path)
+    report = validate_instance(instance)
+    if report:
+        raise InvalidInstanceError(report)
+    return instance
 
 
 def cmd_validate(args) -> int:
@@ -85,11 +95,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    report = validate_instance(instance)
-    if report:
-        print(f"instance invalid: {report[0].code}: {report[0].message}", file=sys.stderr)
-        return 1
+    instance = _load_valid_instance(args.instance)
     deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
     limits = OracleLimits(
         max_hub_set_size=args.hub_budget, max_evaluations=args.budget
@@ -187,8 +193,7 @@ def cmd_decode(args) -> int:
     instance = load_instance(args.instance)
     model = build_linearized_model(instance)
     model_path = str(args.model)
-    with open(model_path, encoding="utf-8") as fh:
-        on_disk = fh.read()
+    on_disk = read_text(model_path)
     expected = emit_mps(model) if model_path.endswith(".mps") else emit_lp(model)
     if on_disk != expected:
         print(
@@ -197,8 +202,7 @@ def cmd_decode(args) -> int:
             file=sys.stderr,
         )
         return 1
-    with open(args.values, encoding="utf-8") as fh:
-        values = parse_values_text(fh.read())
+    values = parse_values_text(read_text(args.values))
     solution, breakdown = decode_solution(model, values)
     save_solution(solution, args.output)
     print(f"decoded objective (approximated): {breakdown.total:.6f}")
@@ -207,7 +211,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load_valid_instance(args.instance)
     solution = load_solution(args.solution)
     breakdown = evaluate_cost(instance, solution, args.mode)
     if args.format == "json":
@@ -223,7 +227,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load_valid_instance(args.instance)
     sol_a = load_solution(args.solution_a)
     sol_b = load_solution(args.solution_b)
     cost_a = evaluate_cost(instance, sol_a, args.mode)
@@ -354,7 +358,7 @@ def main(argv=None) -> int:
     except (OracleLimitError, TimeBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (HublocateError, FileNotFoundError) as exc:
+    except (HublocateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

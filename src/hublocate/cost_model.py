@@ -128,10 +128,6 @@ class ApproxLandCurve:
         return self.breakpoints[-1]
 
     @property
-    def head_volume(self) -> float:
-        return self.breakpoints[0]
-
-    @property
     def step_count(self) -> int:
         """j, the index of the last breakpoint."""
         return len(self.breakpoints) - 1

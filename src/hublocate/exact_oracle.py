@@ -311,9 +311,9 @@ class _SplitProblem:
         ]
         return fraction_candidate_set(curves[p], routed, self.vols[p], self.dests_via.get(p))
 
-    def candidates(self, p, fracs=None) -> list:
-        """Candidate shares for p; other variables fixed at `fracs` (0 if None)."""
-        return finish_fraction_candidates(self.candidate_set(p, fracs or {}))
+    def candidates(self, p, fracs) -> list:
+        """Candidate shares for p; other variables fixed at `fracs`."""
+        return finish_fraction_candidates(self.candidate_set(p, fracs))
 
     def shared_arc(self, p, q):
         """The one arc two routed pairs can share, or None."""
@@ -408,18 +408,14 @@ class _SplitProblem:
         return fracs
 
     def _solve_component(self, comp) -> tuple[dict, float]:
+        """Optimal shares of one component from all routed (share 0), and
+        their cost: exact for one and two members, descent and polish for
+        more."""
         members = comp.members
         if len(members) == 1:
-            p = members[0]
-            sub = {p: 0.0}
-            best = self.component_cost(comp, sub)
-            for y in self.candidates(p):
-                trial = {p: y}
-                c = self.component_cost(comp, trial)
-                if c < best - 1e-12 * max(1.0, abs(best)):
-                    best, sub = c, trial
-            return sub, best
-        if len(members) == 2:
+            sub = {members[0]: 0.0}
+            self._minimize_one(comp, sub, members[0])
+        elif len(members) == 2:
             sub = self._solve_pair(members, comp)
         else:
             sub = self._solve_group(comp)
@@ -450,11 +446,26 @@ def _valid_assignment_count(k: int, p: int) -> float:
     return sum((-1) ** i * math.comb(k, i) * (1 + k - i) ** p for i in range(k + 1))
 
 
-def estimate_configurations(instance: Instance, limits: OracleLimits) -> float:
-    """Upper bound on the discrete configurations the oracle would visit."""
+def _port_vector_count(instance: Instance) -> float:
+    """Port assignments of the positive-demand pairs (as a float)."""
     z_space = 1.0
     for (_, t) in instance.positive_pairs():
         z_space *= max(1, len(instance.usable_ports(t)))
+    return z_space
+
+
+def hub_subsets(branches, max_size: int) -> list[tuple]:
+    """Every hub set of at most ``max_size`` branches, smallest first, each
+    size in ``itertools.combinations`` order."""
+    out = []
+    for k in range(0, min(max_size, len(branches)) + 1):
+        out.extend(itertools.combinations(branches, k))
+    return out
+
+
+def estimate_configurations(instance: Instance, limits: OracleLimits) -> float:
+    """Upper bound on the discrete configurations the oracle would visit."""
+    z_space = _port_vector_count(instance)
     n_b = len(instance.nodes.branches)
     active = {b for (b, _) in instance.positive_pairs()}
     p = min(len(active) * len(instance.nodes.origin_ports), len(instance.positive_pairs()))
@@ -533,9 +544,7 @@ def enumerate_optimal(
     _check_limits(instance, limits)
 
     kernel = _Kernel(instance)
-    hub_sets = []
-    for k in range(0, min(limits.max_hub_set_size, len(kernel.B)) + 1):
-        hub_sets.extend(itertools.combinations(kernel.B, k))
+    hub_sets = hub_subsets(kernel.B, limits.max_hub_set_size)
     setup_of = {hubs: sum(kernel.e[h] for h in hubs) for hubs in hub_sets}
 
     # All-direct optimum over every port assignment.  Configurations whose
@@ -624,15 +633,13 @@ def solve_no_hubs(
         raise InvalidInstanceError(violations)
     limits = limits or OracleLimits()
 
-    kernel = _Kernel(instance)
-    z_space = 1.0
-    for opts in kernel.options:
-        z_space *= max(1, len(opts))
+    z_space = _port_vector_count(instance)
     if z_space > limits.max_evaluations:
         raise OracleLimitError(
             f"{z_space:.3g} port assignments exceed the budget of "
             f"{limits.max_evaluations:.3g}; emit the restricted model instead",
             estimate=z_space,
         )
+    kernel = _Kernel(instance)
     _, zvec = kernel.best_all_direct(deadline, "no-hub solve")
     return Solution(port_choice=dict(zip(kernel.pairs, zvec)))

@@ -49,6 +49,7 @@ from .errors import (
     InvalidInstanceError,
     TimeBudgetError,
 )
+from .exact_oracle import hub_subsets
 
 # The no-hub baseline is an exact enumeration and lives in exact_oracle;
 # re-exported because callers (perfbench's workloads among them) import
@@ -136,24 +137,19 @@ class _DestinationContext:
         self._direct_costs: dict = {}  # ports per branch -> all-direct cost
 
     def cost(self, ports: dict, routes: dict) -> float:
+        """Set-up over the sorted hubs, then each branch's hub terms in
+        branch order, the sorted port arcs and the sorted ports."""
         self.stats.full_evaluations += 1
         inst = self.instance
         land = self.prices.land_exact
-        used = {h for h in routes.values() if h is not None}
-        total = sum(inst.setup_cost[h] for h in sorted(used))
-        port_arc: dict = {}
-        port_vol: dict = {}
+        port_arc, port_vol, uses = self.loads(ports, routes)
+        total = sum(inst.setup_cost[h] for h in sorted(uses))
         for b in self.branches:
-            v = self.ship[b]
-            s = ports[b]
             h = routes[b]
-            port_vol[s] = port_vol.get(s, 0.0) + v
-            if h is None:
-                port_arc[(b, s)] = port_arc.get((b, s), 0.0) + v
-            else:
+            if h is not None:
+                v = self.ship[b]
                 total += inst.hub_consol_cost[h] * v
                 total += land(b, h, v)
-                port_arc[(h, s)] = port_arc.get((h, s), 0.0) + v
         for (a, s), v in sorted(port_arc.items()):
             total += land(a, s, v)
         for s, v in sorted(port_vol.items()):
@@ -171,7 +167,7 @@ class _DestinationContext:
 
     def loads(self, ports: dict, routes: dict) -> tuple:
         """(port arc loads, port volumes, branches per used hub) of a
-        configuration, summed in the order ``cost`` uses."""
+        configuration, summed in branch order."""
         port_arc: dict = {}
         port_vol: dict = {}
         uses: dict = {}
@@ -298,16 +294,9 @@ class _DestinationContext:
         return routes
 
 
-def _hub_subsets(branches, budget):
-    from itertools import combinations
-
-    for k in range(0, min(budget, len(branches)) + 1):
-        yield from combinations(branches, k)
-
-
-def _check_deadline(deadline: float | None) -> None:
+def _check_deadline(deadline: float | None, what: str) -> None:
     if deadline is not None and time.monotonic() > deadline:
-        raise TimeBudgetError("two-stage solve exceeded its time budget")
+        raise TimeBudgetError(f"{what} exceeded its time budget")
 
 
 def solve_single_destination(
@@ -338,8 +327,8 @@ def solve_single_destination(
         before = cost
 
         # Step 1: ports fixed, exhaustive search over hub sets.
-        for hub_set in _hub_subsets(instance.nodes.branches, hub_budget):
-            _check_deadline(deadline)
+        for hub_set in hub_subsets(instance.nodes.branches, hub_budget):
+            _check_deadline(deadline, "two-stage solve")
             trial_routes = ctx.route_shipments(ports, hub_set)
             c = ctx.cost(ports, trial_routes)
             if c < cost:
@@ -350,7 +339,7 @@ def solve_single_destination(
         used = tuple(sorted({h for h in routes.values() if h is not None}))
         loads = ctx.loads(ports, routes)
         for b in ctx.branches:
-            _check_deadline(deadline)
+            _check_deadline(deadline, "two-stage solve")
             for s in ctx.ports:
                 if s == ports[b]:
                     continue
@@ -394,7 +383,7 @@ def solve_two_stage(
     stats = stats if stats is not None else SearchStats()
     plans = []
     for t in instance.nodes.destination_ports:
-        _check_deadline(deadline)
+        _check_deadline(deadline, "two-stage solve")
         plans.append(solve_single_destination(instance, t, hub_budget, stats, deadline))
     per_destination = {plan.destination: plan for plan in plans}
 
@@ -441,9 +430,6 @@ def solve_two_stage(
         violations=violations,
         cost=evaluate_cost(instance, merged, "exact"),
     )
-
-
-ALL_MOVES = ("toggle_hub", "reassign_port", "reassign_hub", "adjust_fraction")
 
 
 _MISSING = object()
@@ -673,12 +659,14 @@ class _SearchState:
         return c if c < limit else None
 
 
-def _try(state: _SearchState, mutate, current: float) -> float | None:
+def _try(state: _SearchState, mutate, current: float, deadline: float | None) -> float | None:
     """Apply mutate(); return the new cost if strictly better, else roll back.
 
     mutate returns the exact cost of the state it leaves, or None to have
-    it judged from its delta.
+    it judged from its delta.  ``deadline``, when given, is checked first.
     """
+    if deadline is not None:
+        _check_deadline(deadline, "local search")
     token = state.save()
     exact = mutate()
     limit = current - 1e-12 * max(1.0, abs(current))
@@ -750,19 +738,22 @@ def _fraction_candidates(state: _SearchState, pair) -> list:
 def local_search_improve(
     instance: Instance,
     start: Solution,
-    moves: tuple = ALL_MOVES,
     max_rounds: int = 50,
     deadline: float | None = None,
     stats: SearchStats | None = None,
 ) -> Solution:
     """First-improvement local search over hub, port, and split moves.
 
-    Never increases the approximated cost and keeps every intermediate
-    solution feasible; stops after a full round without improvement or
-    after max_rounds.  Candidates are priced by move-local deltas
-    (exactness rules in ``hublocate.pricing``), so the result is the one
-    full re-evaluation of every candidate gives.  ``stats``, when given,
-    accumulates the search counters.
+    Every round tries the four move types in turn: toggle a hub, reassign
+    a shipment's origin port, reassign a pair's hub, adjust a pair's
+    direct share.  Never increases the approximated cost and keeps every
+    intermediate solution feasible; stops after a full round without
+    improvement or after max_rounds.  Candidates are priced by move-local
+    deltas (exactness rules in ``hublocate.pricing``), so the result is
+    the one full re-evaluation of every candidate gives.  ``deadline`` (a
+    ``time.monotonic()`` value) is checked before every round and every
+    candidate move.  ``stats``, when given, accumulates the search
+    counters.
     """
     report = check_feasibility(instance, start)
     if report:
@@ -774,76 +765,71 @@ def local_search_improve(
     branches = list(instance.nodes.branches)
 
     for _ in range(max_rounds):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetError("local search exceeded its time budget")
+        _check_deadline(deadline, "local search")
         improved = False
 
-        if "toggle_hub" in moves:
-            for h in branches:
-                if h in state.hubs:
-                    def close(h=h):
-                        state.close_hub(h)
-                        for key in [k for k, v in state.choices.items() if v == h]:
+        for h in branches:
+            if h in state.hubs:
+                def close(h=h):
+                    state.close_hub(h)
+                    for key in [k for k, v in state.choices.items() if v == h]:
+                        state.set_route(key, None)
+                c = _try(state, close, current, deadline)
+            else:
+                c = _try(state, lambda h=h: _open_hub(state, h), current, deadline)
+            if c is not None:
+                current, improved = c, True
+
+        for (b, t) in instance.positive_pairs():
+            for s2 in instance.usable_ports(t):
+                if s2 == state.ports[(b, t)]:
+                    continue
+
+                def repoint(b=b, t=t, s2=s2):
+                    old = state.ports[(b, t)]
+                    state.set_port(b, t, s2)
+                    state.refresh()
+                    vols = state.flows.vols
+                    for key in ((b, old), (b, s2)):
+                        if key in state.choices and vols.get(key, 0.0) <= 0.0:
                             state.set_route(key, None)
-                    c = _try(state, close, current)
-                else:
-                    c = _try(state, lambda h=h: _open_hub(state, h), current)
+
+                c = _try(state, repoint, current, deadline)
                 if c is not None:
                     current, improved = c, True
 
-        if "reassign_port" in moves:
-            for (b, t) in instance.positive_pairs():
-                for s2 in instance.usable_ports(t):
-                    if s2 == state.ports[(b, t)]:
-                        continue
+        for pair in sorted(state.flows.vols):
+            b, s = pair
+            if b in state.hubs:
+                continue
+            had = pair in state.choices
+            targets = [h for h in sorted(state.hubs) if h != b]
+            options = ([None] if had else []) + [
+                h for h in targets if h != state.choices.get(pair)
+            ]
+            for h2 in options:
 
-                    def repoint(b=b, t=t, s2=s2):
-                        old = state.ports[(b, t)]
-                        state.set_port(b, t, s2)
-                        state.refresh()
-                        vols = state.flows.vols
-                        for key in ((b, old), (b, s2)):
-                            if key in state.choices and vols.get(key, 0.0) <= 0.0:
-                                state.set_route(key, None)
+                def rechoose(pair=pair, h2=h2, had=had):
+                    state.set_route(pair, h2, None if had else 0.0)
 
-                    c = _try(state, repoint, current)
-                    if c is not None:
-                        current, improved = c, True
+                c = _try(state, rechoose, current, deadline)
+                if c is not None:
+                    current, improved = c, True
+                    break
 
-        if "reassign_hub" in moves:
-            for pair in sorted(state.flows.vols):
-                b, s = pair
-                if b in state.hubs:
+        for pair in sorted(state.choices):
+            if state.flows.vols.get(pair, 0.0) <= 0.0:
+                continue
+            for y in _fraction_candidates(state, pair):
+                if abs(y - state.fracs.get(pair, 0.0)) <= 1e-15:
                     continue
-                had = pair in state.choices
-                targets = [h for h in sorted(state.hubs) if h != b]
-                options = ([None] if had else []) + [
-                    h for h in targets if h != state.choices.get(pair)
-                ]
-                for h2 in options:
 
-                    def rechoose(pair=pair, h2=h2, had=had):
-                        state.set_route(pair, h2, None if had else 0.0)
+                def refrac(pair=pair, y=y):
+                    state.set_fraction(pair, y)
 
-                    c = _try(state, rechoose, current)
-                    if c is not None:
-                        current, improved = c, True
-                        break
-
-        if "adjust_fraction" in moves:
-            for pair in sorted(state.choices):
-                if state.flows.vols.get(pair, 0.0) <= 0.0:
-                    continue
-                for y in _fraction_candidates(state, pair):
-                    if abs(y - state.fracs.get(pair, 0.0)) <= 1e-15:
-                        continue
-
-                    def refrac(pair=pair, y=y):
-                        state.set_fraction(pair, y)
-
-                    c = _try(state, refrac, current)
-                    if c is not None:
-                        current, improved = c, True
+                c = _try(state, refrac, current, deadline)
+                if c is not None:
+                    current, improved = c, True
 
         if not improved:
             break

@@ -51,6 +51,7 @@ generator models in ``tests/golden/milp_hashes.json``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -94,12 +95,12 @@ class Constraint(NamedTuple):
 
 @dataclass
 class ModelMeta:
-    """Build context kept alongside the model for encoding and decoding."""
+    """Build context kept alongside the model: what ``encode_solution``
+    and ``decode_solution`` read besides the records."""
 
     instance: Instance
     breakpoints: tuple  # v(0) .. v(j), shared by every distance band
     step_count: int  # j
-    u_lims: dict  # (s, t) -> NVOCC volume bound (0 for FCL-only)
     land_arcs: list  # (b, r) pairs in model order
 
 
@@ -219,7 +220,6 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     # Step variable names uL0..uL<j-1> per arc, shared by the variable,
     # cap_ and step_ loops.
     step_names = {(b, r): [_uln(i, b, r) for i in range(j)] for (b, r) in arcs}
-    u_lims = {}
     for (b, r) in arcs:
         values = curve(b, r).values
         steps = step_names[(b, r)]
@@ -231,9 +231,8 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
         rate = instance.sea_rates[(s, t)]
         fcl = rate.fcl_per_container
         add(Variable(_nsn(s, t), INTEGER, obj=fcl if fcl is not None else instance.nvocc_penalty))
-        u_lim = rate.nvocc_limit(instance.nvocc_cap)
-        u_lims[(s, t)] = u_lim
         if rate.nvocc_per_m3 is not None:
+            u_lim = rate.nvocc_limit(instance.nvocc_cap)
             add(Variable(_usn(s, t), CONTINUOUS, obj=rate.nvocc_per_m3, upper=u_lim))
 
     constraints: list[Constraint] = []
@@ -307,7 +306,6 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
             instance=instance,
             breakpoints=v_pts,
             step_count=j,
-            u_lims=u_lims,
             land_arcs=arcs,
         ),
     )
@@ -426,8 +424,9 @@ def max_residual(model: MilpModel, values: dict) -> float:
 def decode_solution(model: MilpModel, values: dict):
     """Reconstruct a Solution from solver output values.
 
-    Values must cover every model variable; binaries and integers must be
-    within 1e-5 of integral and constraint residuals within 1e-4.  The
+    Values must cover every model variable and be finite; binaries and
+    integers must be within 1e-5 of integral and constraint residuals
+    within 1e-4.  The
     decoded solution's approximated cost must not exceed the model
     objective at the (integer-rounded) values by more than ``COST_RTOL``:
     a load a residual tolerance above a land volume break is priced one
@@ -450,6 +449,8 @@ def decode_solution(model: MilpModel, values: dict):
     clean = {}
     for var in model.variables:
         val = float(values[var.name])
+        if not math.isfinite(val):
+            raise ModelDecodeError(f"{var.name} = {val} is not a finite number")
         if var.kind in (BINARY, INTEGER):
             rounded = round(val)
             if abs(val - rounded) > BINARY_TOL:

@@ -63,9 +63,6 @@ class Instance:
     nvocc_penalty: float = DEFAULT_PENALTY
     name: str = "instance"
 
-    def demand_volume(self, b: str, t: str) -> float:
-        return self.demand.get((b, t), 0.0)
-
     def positive_pairs(self) -> list[tuple[str, str]]:
         """Sorted (branch, destination) pairs with positive demand."""
         return sorted(k for k, v in self.demand.items() if v > 0.0)
@@ -73,9 +70,6 @@ class Instance:
     def usable_ports(self, t: str) -> list[str]:
         """Origin ports with a sea rate toward destination t, sorted."""
         return sorted(s for (s, tt) in self.sea_rates if tt == t)
-
-    def branch_total_demand(self, b: str) -> float:
-        return sum(v for (bb, _), v in self.demand.items() if bb == b and v > 0.0)
 
     def total_demand(self) -> float:
         return sum(v for v in self.demand.values() if v > 0.0)
@@ -448,13 +442,30 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
     )
 
 
-def load_instance(path) -> Instance:
-    p = Path(path)
+def read_text(path) -> str:
+    """A UTF-8 text file's content; other bytes are an InstanceFormatError."""
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})", code="PARSE"
+        )
+
+
+def read_json(path):
+    """A JSON file's parsed content; every defect of the text is an
+    InstanceFormatError with code PARSE."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc.msg}", code="PARSE", line=exc.lineno)
-    return instance_from_doc(doc, name=p.stem)
+    except RecursionError:
+        raise InstanceFormatError("JSON nested too deeply to parse", code="PARSE")
+
+
+def load_instance(path) -> Instance:
+    return instance_from_doc(read_json(path), name=Path(path).stem)
 
 
 def with_demand(instance: Instance, demand: dict) -> Instance:

@@ -32,7 +32,7 @@ from .cost_model import (  # noqa: F401
     sea_cost,
 )
 from .errors import InfeasibleSolutionError, InstanceFormatError, UnknownNodeError
-from .network_model import Instance
+from .network_model import Instance, read_json
 from .pricing import cost_terms, solution_flows
 
 SOLUTION_SCHEMA = "hublocate-solution-1"
@@ -121,18 +121,6 @@ def port_volumes(instance: Instance, port_choice: dict) -> dict:
         s = port_choice.get((b, t))
         if s is not None:
             out[(b, s)] = out.get((b, s), 0.0) + v
-    return out
-
-
-def sea_volumes(instance: Instance, port_choice: dict) -> dict:
-    """(s, t) -> total demand shipped on that sea relation."""
-    out: dict = {}
-    for (b, t), v in instance.demand.items():
-        if v <= 0.0:
-            continue
-        s = port_choice.get((b, t))
-        if s is not None:
-            out[(s, t)] = out.get((s, t), 0.0) + v
     return out
 
 
@@ -292,10 +280,7 @@ def _records(doc: dict, section: str, ids: tuple, number: str | None = None) -> 
 
 def load_solution(path) -> Solution:
     """Read a solution file; every defect of the file is an InstanceFormatError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc.msg}", code="PARSE", line=exc.lineno)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("a solution file must hold a JSON object", code="BAD_TYPE")
     if doc.get("schema") != SOLUTION_SCHEMA:

@@ -83,12 +83,15 @@ def routed_fraction_set(
 
 def finish_fraction_candidates(cands: Iterable[float]) -> list[float]:
     """Clamp candidate fractions to [0, 1], sort them and drop any within
-    1e-12 of the previous one kept."""
+    1e-12 of the previous one kept.  The largest is never dropped: it
+    replaces the last one kept when it lies that close to it, so a set
+    holding 1 always ends with 1."""
     out = sorted(min(1.0, max(0.0, y)) for y in cands)
     dedup = [out[0]]
     for y in out[1:]:
         if y - dedup[-1] > 1e-12:
             dedup.append(y)
+    dedup[-1] = out[-1]
     return dedup
 
 

@@ -8,12 +8,19 @@ import random
 import pytest
 from solgen import random_feasible_solution
 
-from hublocate import build_linearized_model, encode_solution, generate, load_instance
+from hublocate import (
+    Solution,
+    build_linearized_model,
+    encode_solution,
+    generate,
+    load_instance,
+    solve_two_stage,
+)
 from hublocate.cli import main
 from hublocate.cost_model import COST_RTOL
 from hublocate.milp import format_values_text
 from hublocate.network_model import save_instance
-from hublocate.solution import evaluate_cost, load_solution
+from hublocate.solution import evaluate_cost, load_solution, save_solution
 
 from conftest import feeder_load_on_a_break, make_toy_instance
 
@@ -206,6 +213,21 @@ class TestBadInput:
             err = capsys.readouterr().err
             assert "must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_invalid_instance_is_refused_before_pricing(self, toy_file, tmp_path, capsys,
+                                                        command):
+        # Without a (B1, S1) distance the pricing used to end in a KeyError.
+        doc = json.loads(toy_file.read_text())
+        doc["distances"] = [d for d in doc["distances"] if (d["from"], d["to"]) != ("B1", "S1")]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        sol = tmp_path / "sol.json"
+        save_solution(Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"}), sol)
+        argv = [command, str(bad), str(sol)] + ([str(sol)] if command == "compare" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "MISSING_DISTANCE" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [
         ["gen", "--branches", "0"],
         ["gen", "--ports", "0"],
@@ -235,6 +257,94 @@ class TestBadInput:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestUnreadableFiles:
+    """Files that are no UTF-8 text, directories, and JSON nested too deeply
+    to parse: exit 1 with an error line, no traceback and no output file."""
+
+    @pytest.fixture
+    def files(self, toy_file, tmp_path):
+        instance = load_instance(toy_file)
+        sol = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
+        sol_file = tmp_path / "sol.json"
+        save_solution(sol, sol_file)
+        model = tmp_path / "toy.lp"
+        assert main(["build-milp", str(toy_file), "-o", str(model)]) == 0
+        values = tmp_path / "values.txt"
+        values.write_text(format_values_text(encode_solution(build_linearized_model(instance), sol)))
+        return {"instance": toy_file, "solution": sol_file, "model": model, "values": values}
+
+    COMMANDS = {
+        "validate": ["validate", "{instance}"],
+        "evaluate": ["evaluate", "{instance}", "{solution}"],
+        "decode": ["decode", "{instance}", "{model}", "{values}", "-o", "{out}"],
+    }
+    CASES = [
+        ("validate", "instance"),
+        ("evaluate", "instance"),
+        ("evaluate", "solution"),
+        ("decode", "instance"),
+        ("decode", "model"),
+        ("decode", "values"),
+    ]
+
+    def _run(self, files, tmp_path, command, replaced, capsys):
+        paths = {**files, "out": tmp_path / "out.json"}
+        paths[replaced] = tmp_path / "bad"
+        argv = [arg.format(**{k: str(v) for k, v in paths.items()})
+                for arg in self.COMMANDS[command]]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+        return err
+
+    @pytest.mark.parametrize("command, replaced", CASES)
+    def test_bytes_that_are_not_utf8(self, files, tmp_path, capsys, command, replaced):
+        text = files[replaced].read_bytes()
+        (tmp_path / "bad").write_bytes(text[:20] + b"\xff\xfe" + text[20:])
+        assert "not UTF-8 text" in self._run(files, tmp_path, command, replaced, capsys)
+
+    @pytest.mark.parametrize("command, replaced", CASES)
+    def test_a_directory(self, files, tmp_path, capsys, command, replaced):
+        (tmp_path / "bad").mkdir()
+        self._run(files, tmp_path, command, replaced, capsys)
+
+    @pytest.mark.parametrize("command, replaced", [
+        case for case in CASES if case[1] in ("instance", "solution")
+    ])
+    def test_json_nested_too_deeply(self, files, tmp_path, capsys, command, replaced):
+        (tmp_path / "bad").write_text("[" * 200_000 + "]" * 200_000)
+        assert "nested too deeply" in self._run(files, tmp_path, command, replaced, capsys)
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        rc = main(["gen", "--seed", "1", "--branches", "2", "--ports", "2", "--dests", "2",
+                   "--density", "0.5", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_decode_refuses_non_finite_values(self, tmp_path, capsys, value):
+        instance = generate(5, 4, 2, 1, 1.0, "consolidation_favorable")
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        values = encode_solution(build_linearized_model(instance), solve_two_stage(instance).merged)
+        text = format_values_text(values).replace("x_B04 1\n", f"x_B04 {value}\n")
+        assert f"x_B04 {value}\n" in text
+        (tmp_path / "values.txt").write_text(text)
+        assert main(["build-milp", str(inst), "-o", str(tmp_path / "m.lp")]) == 0
+        out = tmp_path / "decoded.json"
+        rc = main(["decode", str(inst), str(tmp_path / "m.lp"), str(tmp_path / "values.txt"),
+                   "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "x_B04" in err and "not a finite number" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestMilpRoundTrip:
     def test_build_milp_byte_stable(self, toy_file, tmp_path):
         a = tmp_path / "a.lp"
@@ -256,7 +366,6 @@ class TestMilpRoundTrip:
         main(["build-milp", str(toy_file), "-o", str(model_path)])
         instance = load_instance(toy_file)
         model = build_linearized_model(instance)
-        from hublocate.solution import Solution
 
         sol = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         values_path = tmp_path / "values.txt"

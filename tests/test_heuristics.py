@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from hublocate import (
     enumerate_optimal,
     evaluate_cost,
     generate,
+    heuristics,
     local_search_improve,
     solve_no_hubs,
     solve_single_destination,
@@ -338,3 +340,23 @@ class TestLocalSearch:
         before = evaluate_cost(inst, ts.merged, "approx").total
         after = local_search_improve(inst, ts.merged)
         assert evaluate_cost(inst, after, "approx").total <= before + 1e-9
+
+    def test_deadline_checked_per_candidate_move(self, monkeypatch):
+        # The clock passes the deadline as the first candidate move ends;
+        # the next candidate must not be tried.
+        inst = generate(3, 8, 3, 4, 0.6, "uniform")
+        start = solve_two_stage(inst).merged
+        clock = [0.0]
+        monkeypatch.setattr(heuristics, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        tried = []
+        real_try = heuristics._try
+
+        def try_then_expire(*args):
+            tried.append(real_try(*args))
+            clock[0] = 2.0
+            return tried[-1]
+
+        monkeypatch.setattr(heuristics, "_try", try_then_expire)
+        with pytest.raises(TimeBudgetError, match="local search exceeded its time budget"):
+            local_search_improve(inst, start, deadline=1.0)
+        assert len(tried) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from hublocate import (
     encode_solution,
     evaluate_cost,
     generate,
+    solve_two_stage,
 )
 from hublocate.errors import InfeasibleSolutionError, ModelDecodeError
 from hublocate.milp import (
@@ -278,6 +280,18 @@ class TestEncodeDecode:
         values["vh_B01_S1_B02"] += 3e-14 * v
         assert max_residual(model, values) <= 1e-9
         with pytest.raises(ModelDecodeError, match="2201.48.*2177.84"):
+            decode_solution(model, values)
+
+    @pytest.mark.parametrize("name", ["vd_B04_S2", "x_B04"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_decode_refuses_non_finite_values(self, name, bad):
+        # NaN passed every check before: max(0.0, nan) is 0.0 and
+        # abs(nan) > tol is false.
+        instance = generate(5, 4, 2, 1, 1.0, "consolidation_favorable")
+        model = build_linearized_model(instance)
+        values = encode_solution(model, solve_two_stage(instance).merged)
+        values[name] = bad
+        with pytest.raises(ModelDecodeError, match=f"{name} = .* not a finite number"):
             decode_solution(model, values)
 
     def test_decode_accepts_a_spare_container(self, toy_instance):

@@ -8,12 +8,8 @@ import pytest
 
 from hublocate import Solution, check_feasibility, evaluate_cost, hub_volume_share
 from hublocate.errors import InfeasibleSolutionError, UnknownNodeError
-from hublocate.solution import (
-    load_solution,
-    port_volumes,
-    save_solution,
-    sea_volumes,
-)
+from hublocate.pricing import solution_flows
+from hublocate.solution import load_solution, save_solution
 
 ALL_DIRECT = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
 
@@ -148,11 +144,10 @@ class TestEvaluate:
             direct_fraction={("B1", "S1"): 0.25},
             hub_choice={("B1", "S1"): "B2"},
         )
-        vols = port_volumes(toy_instance, sol.port_choice)
-        seas = sea_volumes(toy_instance, sol.port_choice)
+        flows = solution_flows(toy_instance, sol.port_choice, sol.fraction, sol.hub_choice)
         for s in toy_instance.nodes.origin_ports:
-            inbound = sum(v for (b, ss), v in vols.items() if ss == s)
-            shipped = sum(w for (ss, t), w in seas.items() if ss == s)
+            inbound = sum(v for (b, ss), v in flows.vols.items() if ss == s)
+            shipped = sum(w for (ss, t), w in flows.sea_vol.items() if ss == s)
             assert abs(inbound - shipped) <= 1e-9
 
     def test_hub_volume_share(self, toy_instance):

@@ -52,3 +52,10 @@ def test_split_candidates_match_the_composition(direct, arcs, vol, dests):
     assert len(split) == len(whole)
     assert all(a == b for a, b in zip(split, whole))
     assert whole[0] == 0.0 and whole[-1] == 1.0
+
+
+def test_one_stays_a_candidate_next_to_a_near_one_fraction():
+    # The subset sum 0.1 over a volume one ulp above it gives the fraction
+    # 0.9999999999999999, within 1e-12 of 1.
+    cands = pair_fraction_candidates(CURVES[0], [], 0.10000000000000002, [1.0, 0.1])
+    assert cands == [0.0, 1.0]
