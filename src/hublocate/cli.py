@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import gen as gen_mod
 from .errors import HublocateError, InvalidInstanceError, OracleLimitError, TimeBudgetError
@@ -21,7 +22,6 @@ from .milp import (
     decode_solution,
     emit_lp,
     emit_mps,
-    encode_solution,
     parse_values_text,
 )
 from .network_model import load_instance, read_text, save_instance, validate_instance
@@ -140,7 +140,7 @@ def cmd_solve(args) -> int:
             instance, start, deadline=deadline, stats=stats["local_search"]
         )
     if stats:
-        extra["stats"] = {name: counters.to_dict() for name, counters in stats.items()}
+        extra["stats"] = {name: asdict(counters) for name, counters in stats.items()}
 
     save_solution(solution, args.output)
     exact = evaluate_cost(instance, solution, "exact")
@@ -150,8 +150,8 @@ def cmd_solve(args) -> int:
             "method": args.method,
             "solution_file": str(args.output),
             "hubs": sorted(solution.hubs),
-            "cost_exact": exact.to_dict(),
-            "cost_approx": approx.to_dict(),
+            "cost_exact": asdict(exact),
+            "cost_approx": asdict(approx),
             "hub_volume_share": hub_volume_share(instance, solution),
             **extra,
         })
@@ -215,7 +215,7 @@ def cmd_evaluate(args) -> int:
     solution = load_solution(args.solution)
     breakdown = evaluate_cost(instance, solution, args.mode)
     if args.format == "json":
-        _print_json({"mode": args.mode, **breakdown.to_dict()})
+        _print_json({"mode": args.mode, **asdict(breakdown)})
     elif args.format == "csv":
         print("term,value")
         for k, v in _breakdown_rows(breakdown):
@@ -240,8 +240,8 @@ def cmd_compare(args) -> int:
     if args.json:
         _print_json({
             "mode": args.mode,
-            "cost_a": cost_a.to_dict(),
-            "cost_b": cost_b.to_dict(),
+            "cost_a": asdict(cost_a),
+            "cost_b": asdict(cost_b),
             "delta": {
                 k: getattr(cost_b, k) - getattr(cost_a, k)
                 for k in (*CostBreakdown.TERMS, "total")

@@ -77,17 +77,6 @@ class LandCostTable:
             )
         return idx
 
-    def volume_band(self, v: float) -> int:
-        if v <= 0.0 or v > self.volume_breaks[-1]:
-            raise ValueError(f"volume {v} outside (0, {self.volume_breaks[-1]}]")
-        return bisect_left(self.volume_breaks, v)
-
-    def lookup(self, dist_km: float, v: float) -> float:
-        """Matrix value C(v) for the band containing dist_km; C(0) = 0."""
-        if v <= 0.0:
-            return 0.0
-        return self.cost[self.distance_band(dist_km)][self.volume_band(v)]
-
 
 def land_cost_exact(table: LandCostTable, dist_km: float, v: float) -> float:
     """Exact stepwise land cost: n * C(full) + C(rest), n maximal."""
@@ -145,7 +134,8 @@ def land_breakpoints(table: LandCostTable, dist_km: float) -> ApproxLandCurve:
     pts = [w for w in table.volume_breaks if w >= head]
     if not math.isclose(pts[0], head, rel_tol=1e-12):
         pts.insert(0, head)
-    values = tuple(table.lookup(dist_km, w) for w in pts)
+    row = table.cost[table.distance_band(dist_km)]
+    values = tuple(land_cost_row(row, table.volume_breaks, w) for w in pts)
     return ApproxLandCurve(breakpoints=tuple(pts), values=values)
 
 

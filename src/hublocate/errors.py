@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 
 class HublocateError(Exception):
     """Base class for all library errors."""
@@ -69,3 +71,10 @@ class OracleLimitError(HublocateError):
 
 class TimeBudgetError(HublocateError):
     """A solver hit its wall-clock budget before completing."""
+
+
+def check_deadline(deadline: float | None, what: str) -> None:
+    """Raise TimeBudgetError once ``time.monotonic()`` passes ``deadline``
+    (no check when it is None); ``what`` names the solver in the message."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetError(f"{what} exceeded its time budget")

@@ -57,8 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .cost_model import land_cost_approx
 
@@ -66,7 +65,7 @@ from .cost_model import land_cost_approx
 # candidates through hublocate.splits; kept as attributes of this module
 # because perfbench's tracer hooks them here.
 from .cost_model import approx_breakpoint_volumes, land_breakpoints, sea_cost  # noqa: F401
-from .errors import InvalidInstanceError, OracleLimitError, TimeBudgetError
+from .errors import InvalidInstanceError, OracleLimitError, check_deadline
 from .network_model import Instance, validate_instance
 from .pricing import price_table
 from .solution import CostBreakdown, Solution, evaluate_cost
@@ -76,12 +75,14 @@ from .splits import subset_sums  # noqa: F401
 DESCENT_ROUNDS = 25
 POLISH_ROUNDS = 5
 
+# Instance dimensions beyond which the oracle refuses outright.
+MAX_BRANCHES = 6
+MAX_PORTS = 4
+MAX_DESTINATIONS = 4
+
 
 @dataclass(frozen=True)
 class OracleLimits:
-    max_branches: int = 6
-    max_ports: int = 4
-    max_destinations: int = 4
     max_hub_set_size: int = 2
     max_evaluations: float = 1e8
 
@@ -109,9 +110,6 @@ class OracleStats:
     solved_configurations: int = 0
     component_solves: int = 0
     cost_memo_hits: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -160,8 +158,8 @@ class _Kernel:
         checked every 256 vectors; `what` names the solver in the error."""
         best = None
         for i, zvec in enumerate(itertools.product(*self.options)):
-            if deadline is not None and i % 256 == 0 and time.monotonic() > deadline:
-                raise TimeBudgetError(f"{what} exceeded its time budget")
+            if i % 256 == 0:
+                check_deadline(deadline, what)
             fixed, vols = self.fixed_cost(zvec)
             land = 0.0
             for arc, v in vols.items():
@@ -200,14 +198,14 @@ class _SplitProblem:
     bound needs (the constant); ``solve`` builds the components.
     """
 
-    def __init__(self, kernel: _Kernel, vols, hubs, assign, dests_via, direct_land):
+    def __init__(self, kernel: _Kernel, vols, setup, assign, dests_via, direct_land):
         self.kernel = kernel
         self.vols = vols
         self.dests_via = dests_via
         self.vars = sorted(assign)
         self.hub_of = assign
 
-        const = sum(kernel.e[h] for h in hubs)
+        const = setup
         feeder_groups: dict = {}
         port_groups: dict = {}
         for p in self.vars:
@@ -479,10 +477,10 @@ def _check_limits(instance: Instance, limits: OracleLimits) -> None:
     n_b = len(instance.nodes.branches)
     n_s = len(instance.nodes.origin_ports)
     n_t = len(instance.nodes.destination_ports)
-    if n_b > limits.max_branches or n_s > limits.max_ports or n_t > limits.max_destinations:
+    if n_b > MAX_BRANCHES or n_s > MAX_PORTS or n_t > MAX_DESTINATIONS:
         raise OracleLimitError(
             f"instance size {n_b} branches / {n_s} ports / {n_t} destinations exceeds "
-            f"oracle limits ({limits.max_branches}/{limits.max_ports}/{limits.max_destinations})"
+            f"oracle limits ({MAX_BRANCHES}/{MAX_PORTS}/{MAX_DESTINATIONS})"
         )
     est = estimate_configurations(instance, limits)
     if est > limits.max_evaluations:
@@ -534,8 +532,12 @@ def enumerate_optimal(
 ) -> OracleResult:
     """Globally minimize the approximated cost by exhaustive enumeration.
 
-    Refuses instances whose enumeration estimate exceeds the configured
-    budget.  Ties go to the first configuration in enumeration order.
+    Refuses instances larger than ``MAX_BRANCHES``/``MAX_PORTS``/
+    ``MAX_DESTINATIONS`` or whose enumeration estimate exceeds the
+    configured budget.  Ties go to the first configuration in enumeration
+    order.  ``deadline`` (a ``time.monotonic()`` value) is checked every
+    256 vectors of the all-direct pass, then before every port vector and
+    every configuration.
     """
     violations = validate_instance(instance)
     if violations:
@@ -557,8 +559,7 @@ def enumerate_optimal(
     evaluated = 0
     assignments: dict = {}  # (active pairs, hubs) -> hub choices
     for zvec in itertools.product(*kernel.options):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetError("oracle exceeded its time budget")
+        check_deadline(deadline, "oracle")
         fixed, vols = kernel.fixed_cost(zvec)
         if fixed > threshold:
             stats.port_vectors_cut += 1
@@ -570,17 +571,17 @@ def enumerate_optimal(
             dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
         comp_cache: dict = {}
         for hubs in hub_sets:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeBudgetError("oracle exceeded its time budget")
-            if fixed + setup_of[hubs] > threshold:
+            setup = setup_of[hubs]
+            if fixed + setup > threshold:
                 stats.hub_sets_cut += 1
                 continue
             choices = assignments.get((active, hubs))
             if choices is None:
                 choices = assignments[(active, hubs)] = list(_hub_assignments(active, hubs))
             for assign in choices:
+                check_deadline(deadline, "oracle")
                 evaluated += 1
-                problem = _SplitProblem(kernel, vols, hubs, assign, dests_via, direct_land)
+                problem = _SplitProblem(kernel, vols, setup, assign, dests_via, direct_land)
                 lower = fixed + problem.const
                 if lower > limit:
                     if lower > threshold:

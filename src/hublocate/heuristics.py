@@ -37,18 +37,12 @@ candidate; every move keeps the constraints by construction.
 
 from __future__ import annotations
 
-import dataclasses
-import time
 from dataclasses import dataclass
 
 # Not called here since pricing goes through hublocate.pricing; kept as
 # attributes of this module because perfbench's tracer hooks them here.
 from .cost_model import land_breakpoints, land_cost_exact, sea_cost  # noqa: F401
-from .errors import (
-    InfeasibleSolutionError,
-    InvalidInstanceError,
-    TimeBudgetError,
-)
+from .errors import InfeasibleSolutionError, InvalidInstanceError, check_deadline
 from .exact_oracle import hub_subsets
 
 # The no-hub baseline is an exact enumeration and lives in exact_oracle;
@@ -68,6 +62,7 @@ from .splits import pair_fraction_candidates
 
 DEFAULT_HUB_BUDGET = 2
 MAX_ROUTE_SWEEPS = 10
+MAX_SEARCH_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -110,9 +105,6 @@ class SearchStats:
     delta_evaluations: int = 0
     near_tie_fallbacks: int = 0
     accepted_moves: int = 0
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 class _DestinationContext:
@@ -294,11 +286,6 @@ class _DestinationContext:
         return routes
 
 
-def _check_deadline(deadline: float | None, what: str) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeBudgetError(f"{what} exceeded its time budget")
-
-
 def solve_single_destination(
     instance: Instance,
     t: str,
@@ -328,7 +315,7 @@ def solve_single_destination(
 
         # Step 1: ports fixed, exhaustive search over hub sets.
         for hub_set in hub_subsets(instance.nodes.branches, hub_budget):
-            _check_deadline(deadline, "two-stage solve")
+            check_deadline(deadline, "two-stage solve")
             trial_routes = ctx.route_shipments(ports, hub_set)
             c = ctx.cost(ports, trial_routes)
             if c < cost:
@@ -339,7 +326,7 @@ def solve_single_destination(
         used = tuple(sorted({h for h in routes.values() if h is not None}))
         loads = ctx.loads(ports, routes)
         for b in ctx.branches:
-            _check_deadline(deadline, "two-stage solve")
+            check_deadline(deadline, "two-stage solve")
             for s in ctx.ports:
                 if s == ports[b]:
                     continue
@@ -383,7 +370,7 @@ def solve_two_stage(
     stats = stats if stats is not None else SearchStats()
     plans = []
     for t in instance.nodes.destination_ports:
-        _check_deadline(deadline, "two-stage solve")
+        check_deadline(deadline, "two-stage solve")
         plans.append(solve_single_destination(instance, t, hub_budget, stats, deadline))
     per_destination = {plan.destination: plan for plan in plans}
 
@@ -663,10 +650,9 @@ def _try(state: _SearchState, mutate, current: float, deadline: float | None) ->
     """Apply mutate(); return the new cost if strictly better, else roll back.
 
     mutate returns the exact cost of the state it leaves, or None to have
-    it judged from its delta.  ``deadline``, when given, is checked first.
+    it judged from its delta.  ``deadline`` is checked first.
     """
-    if deadline is not None:
-        _check_deadline(deadline, "local search")
+    check_deadline(deadline, "local search")
     token = state.save()
     exact = mutate()
     limit = current - 1e-12 * max(1.0, abs(current))
@@ -738,7 +724,6 @@ def _fraction_candidates(state: _SearchState, pair) -> list:
 def local_search_improve(
     instance: Instance,
     start: Solution,
-    max_rounds: int = 50,
     deadline: float | None = None,
     stats: SearchStats | None = None,
 ) -> Solution:
@@ -748,12 +733,12 @@ def local_search_improve(
     a shipment's origin port, reassign a pair's hub, adjust a pair's
     direct share.  Never increases the approximated cost and keeps every
     intermediate solution feasible; stops after a full round without
-    improvement or after max_rounds.  Candidates are priced by move-local
-    deltas (exactness rules in ``hublocate.pricing``), so the result is
-    the one full re-evaluation of every candidate gives.  ``deadline`` (a
-    ``time.monotonic()`` value) is checked before every round and every
-    candidate move.  ``stats``, when given, accumulates the search
-    counters.
+    improvement or after ``MAX_SEARCH_ROUNDS`` rounds.  Candidates are
+    priced by move-local deltas (exactness rules in ``hublocate.pricing``),
+    so the result is the one full re-evaluation of every candidate gives.
+    ``deadline`` (a ``time.monotonic()`` value) is checked before every
+    round and every candidate move.  ``stats``, when given, accumulates
+    the search counters.
     """
     report = check_feasibility(instance, start)
     if report:
@@ -764,8 +749,8 @@ def local_search_improve(
     start_cost = current = state.total()
     branches = list(instance.nodes.branches)
 
-    for _ in range(max_rounds):
-        _check_deadline(deadline, "local search")
+    for _ in range(MAX_SEARCH_ROUNDS):
+        check_deadline(deadline, "local search")
         improved = False
 
         for h in branches:

@@ -36,8 +36,8 @@ Records.  ``Variable`` and ``Constraint`` are ``typing.NamedTuple``
 records: immutable, with named fields, and built as one tuple each (no
 per-field attribute assignment), which matters at tens of thousands of
 records per model.  ``MilpModel.variables`` and ``.constraints`` are
-plain lists in model order; ``MilpModel.variable`` looks a record up by
-name.
+plain lists in model order.  Every variable has lower bound 0 and the
+objective is minimized.
 
 Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
 the model: the same model gives the same bytes on every run and every
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cost_model import COST_RTOL, container_split, sea_cost
@@ -82,7 +82,6 @@ class Variable(NamedTuple):
     name: str
     kind: str
     obj: float = 0.0
-    lower: float = 0.0
     upper: float | None = None  # None = kind default (1 for binary, +inf else)
 
 
@@ -109,15 +108,7 @@ class MilpModel:
     name: str
     variables: list
     constraints: list
-    meta: ModelMeta | None = None
-    sense: str = "minimize"
-    _by_name: dict = field(default_factory=dict, repr=False)
-
-    def variable(self, name: str) -> Variable:
-        return self._by_name[name]
-
-    def has_variable(self, name: str) -> bool:
-        return name in self._by_name
+    meta: ModelMeta
 
     def validate(self) -> None:
         names = set()
@@ -309,7 +300,6 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
             land_arcs=arcs,
         ),
     )
-    model._by_name = {v.name: v for v in variables}
     model.validate()
     return model
 
@@ -458,10 +448,9 @@ def decode_solution(model: MilpModel, values: dict):
             if var.kind == BINARY and rounded not in (0, 1):
                 raise ModelDecodeError(f"{var.name} = {val} is not in {{0, 1}}")
             val = float(rounded)
-        lo = var.lower
         hi = var.upper if var.upper is not None else (1.0 if var.kind == BINARY else None)
-        if val < lo - RESIDUAL_TOL or (hi is not None and val > hi + RESIDUAL_TOL):
-            raise ModelDecodeError(f"{var.name} = {val} violates bounds [{lo}, {hi}]")
+        if val < -RESIDUAL_TOL or (hi is not None and val > hi + RESIDUAL_TOL):
+            raise ModelDecodeError(f"{var.name} = {val} violates bounds [0.0, {hi}]")
         clean[var.name] = val
 
     for c in model.constraints:
@@ -553,13 +542,13 @@ class _Numerals(dict):
         return s
 
 
-def _lp_terms(coeffs: list, num: _Numerals, width: int = 6) -> list:
-    """Signed `+ c name` terms wrapped into lines of at most `width` terms."""
+def _lp_terms(coeffs: list, num: _Numerals) -> list:
+    """Signed `+ c name` terms wrapped into lines of at most six terms."""
     terms = [
         f"- {num[-coef]} {name}" if coef < 0 else f"+ {num[coef]} {name}"
         for name, coef in coeffs
     ]
-    return [" ".join(terms[i:i + width]) for i in range(0, max(len(terms), 1), width)]
+    return [" ".join(terms[i:i + 6]) for i in range(0, max(len(terms), 1), 6)]
 
 
 def emit_lp(model: MilpModel) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cost_model import DEFAULT_PENALTY, LandCostTable, SeaRate
@@ -466,8 +466,3 @@ def read_json(path):
 
 def load_instance(path) -> Instance:
     return instance_from_doc(read_json(path), name=Path(path).stem)
-
-
-def with_demand(instance: Instance, demand: dict) -> Instance:
-    """Copy of the instance with a replaced demand matrix."""
-    return replace(instance, demand=dict(demand))

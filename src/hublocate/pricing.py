@@ -151,13 +151,10 @@ class Flows:
     sea_vol: dict  # (s, t) -> volume shipped on the sea relation
 
 
-def solution_flows(instance, port_choice: dict, fraction, hub_choice: dict) -> Flows:
-    """Loads of a solution given as its decisions.
-
-    ``fraction(b, s)`` is the direct share of a (branch, port) pair.
-    Demand is accumulated in the instance's demand order, pair terms in
-    sorted pair order.
-    """
+def demand_volumes(instance, port_choice: dict) -> tuple:
+    """``(vols, sea_vol)`` of a port choice: the demand each (branch, port)
+    pair and each sea relation carries, positive entries only, accumulated
+    in the instance's demand order."""
     vols: dict = {}
     sea_vol: dict = {}
     for (b, t), v in instance.demand.items():
@@ -167,7 +164,17 @@ def solution_flows(instance, port_choice: dict, fraction, hub_choice: dict) -> F
         if s is not None:
             vols[(b, s)] = vols.get((b, s), 0.0) + v
             sea_vol[(s, t)] = sea_vol.get((s, t), 0.0) + v
+    return vols, sea_vol
 
+
+def solution_flows(instance, port_choice: dict, fraction, hub_choice: dict) -> Flows:
+    """Loads of a solution given as its decisions.
+
+    ``fraction(b, s)`` is the direct share of a (branch, port) pair.
+    Demand is accumulated as in ``demand_volumes``, pair terms in sorted
+    pair order.
+    """
+    vols, sea_vol = demand_volumes(instance, port_choice)
     port_totals: dict = {}
     port_arc: dict = {}
     hub_arc: dict = {}

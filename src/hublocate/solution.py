@@ -33,7 +33,7 @@ from .cost_model import (  # noqa: F401
 )
 from .errors import InfeasibleSolutionError, InstanceFormatError, UnknownNodeError
 from .network_model import Instance, read_json
-from .pricing import cost_terms, solution_flows
+from .pricing import cost_terms, demand_volumes, solution_flows
 
 SOLUTION_SCHEMA = "hublocate-solution-1"
 
@@ -58,8 +58,8 @@ class Solution:
     def fraction(self, b: str, s: str) -> float:
         return self.direct_fraction.get((b, s), 1.0)
 
-    def approx_equal(self, other: "Solution", tol: float = 1e-9) -> bool:
-        """Equality with float tolerance on the direct fractions."""
+    def approx_equal(self, other: "Solution") -> bool:
+        """Equality up to 1e-9 on each direct fraction."""
         if (
             self.port_choice != other.port_choice
             or self.hubs != other.hubs
@@ -69,7 +69,7 @@ class Solution:
         ):
             return False
         return all(
-            abs(v - other.direct_fraction[k]) <= tol for k, v in self.direct_fraction.items()
+            abs(v - other.direct_fraction[k]) <= 1e-9 for k, v in self.direct_fraction.items()
         )
 
 
@@ -101,27 +101,10 @@ class CostBreakdown:
         "sea",
     )
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.TERMS}
-        d["total"] = self.total
-        return d
-
-
-def _make_breakdown(setup, hub_consol, port_consol, land_port, land_hub, sea) -> CostBreakdown:
-    terms = (setup, hub_consol, port_consol, land_port, land_hub, sea)
-    return CostBreakdown(*terms, total=sum(terms))
-
 
 def port_volumes(instance: Instance, port_choice: dict) -> dict:
     """(b, s) -> total demand routed from b via s, positive entries only."""
-    out: dict = {}
-    for (b, t), v in instance.demand.items():
-        if v <= 0.0:
-            continue
-        s = port_choice.get((b, t))
-        if s is not None:
-            out[(b, s)] = out.get((b, s), 0.0) + v
-    return out
+    return demand_volumes(instance, port_choice)[0]
 
 
 def check_feasibility(instance: Instance, solution: Solution) -> list[ConstraintViolation]:
@@ -207,7 +190,8 @@ def evaluate_cost(instance: Instance, solution: Solution, mode: str = "exact") -
     flows = solution_flows(
         instance, solution.port_choice, solution.fraction, solution.hub_choice
     )
-    return _make_breakdown(*cost_terms(instance, flows, solution.hubs, mode))
+    terms = cost_terms(instance, flows, solution.hubs, mode)
+    return CostBreakdown(*terms, total=sum(terms))
 
 
 def hub_volume_share(instance: Instance, solution: Solution) -> float:

@@ -73,6 +73,17 @@ class TestValidateAndGen:
             main(["solve", "--method", "warp-drive", "x", "-o", "y"])
         assert err.value.code == 2
 
+    def test_calls_in_one_process_see_only_their_own_flags(self, toy_file, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        assert main(["solve", "--method", "no-hub", str(toy_file), "-o", str(sol)]) == 0
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--mode", "approx", "--format", "json", str(toy_file), str(sol)
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "approx"
+        assert main(["evaluate", str(toy_file), str(sol)]) == 0
+        assert capsys.readouterr().out.startswith("cost breakdown (exact mode):\n")
+
 
 class TestSolve:
     def test_oracle_solve_then_evaluate_matches(self, cons_file, tmp_path, capsys):

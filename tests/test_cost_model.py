@@ -13,6 +13,7 @@ from hublocate import (
     LandCostTable,
     SeaRate,
     chargeable_weight,
+    generate,
     land_breakpoints,
     land_cost_approx,
     land_cost_exact,
@@ -20,6 +21,7 @@ from hublocate import (
 )
 from hublocate.cost_model import approx_breakpoint_volumes, container_split
 from hublocate.errors import DistanceOutOfRangeError
+from hublocate.gen import PROFILES
 
 
 def near_curve(toy_instance):
@@ -96,6 +98,17 @@ class TestLandBreakpoints:
         assert curve.breakpoints == (8.0, 40.0, 80.0)
         assert curve.values == (30.0, 30.0, 50.0)
         assert curve.step_count == 2
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("n_volume_bands", range(1, 9))
+    def test_values_are_exact_costs_on_generated_tables(self, profile, n_volume_bands):
+        table = generate(3, 2, 2, 1, 1.0, profile, n_volume_bands=n_volume_bands).land_costs
+        # The lower edge of each distance band lies inside it.
+        for dist in (0.0, *table.distance_breaks[:-1]):
+            curve = land_breakpoints(table, dist)
+            assert curve.values == tuple(
+                land_cost_exact(table, dist, w) for w in curve.breakpoints
+            )
 
 
 class TestLandApprox:

@@ -17,6 +17,7 @@ from hublocate import (
     check_feasibility,
     enumerate_optimal,
     evaluate_cost,
+    errors,
     generate,
     heuristics,
     local_search_improve,
@@ -27,7 +28,6 @@ from hublocate import (
 from hublocate.exact_oracle import OracleLimits
 from hublocate.errors import InfeasibleSolutionError, OracleLimitError, TimeBudgetError
 from hublocate.heuristics import MAX_ROUTE_SWEEPS, SearchStats, _DestinationContext
-from hublocate.network_model import with_demand
 from hublocate.solution import Solution
 
 
@@ -72,8 +72,8 @@ def brute_force_single_destination(instance: Instance, t: str, hub_budget: int):
     routing) configurations, costed through the library evaluator."""
     shippers = sorted(b for (b, tt), v in instance.demand.items() if tt == t and v > 0.0)
     ports = instance.usable_ports(t)
-    restricted = with_demand(
-        instance, {(b, tt): v for (b, tt), v in instance.demand.items() if tt == t}
+    restricted = dataclasses.replace(
+        instance, demand={(b, tt): v for (b, tt), v in instance.demand.items() if tt == t}
     )
     best = None
     hub_sets = []
@@ -185,7 +185,7 @@ class TestSingleDestination:
         assert set(plan.ports.values()) == {"S1"}  # nearer port wins
 
     def test_single_branch_never_opens_a_hub(self, toy_instance):
-        inst = with_demand(toy_instance, {("B1", "T1"): 6.0})
+        inst = dataclasses.replace(toy_instance, demand={("B1", "T1"): 6.0})
         plan = solve_single_destination(inst, "T1", hub_budget=2)
         assert plan.hubs == ()
         assert plan.ports == {"B1": "S1"}
@@ -277,13 +277,13 @@ class TestTwoStage:
 class TestNoHubs:
     def test_single_branch_two_ports_picks_argmin(self):
         inst = consolidation_cluster_instance()
-        inst = with_demand(inst, {("B1", "T1"): 4.0})
+        inst = dataclasses.replace(inst, demand={("B1", "T1"): 4.0})
         sol = solve_no_hubs(inst)
         assert sol.port_choice == {("B1", "T1"): "S1"}
         assert sol.hubs == frozenset()
 
     def test_zero_demand(self, toy_instance):
-        inst = with_demand(toy_instance, {})
+        inst = dataclasses.replace(toy_instance, demand={})
         sol = solve_no_hubs(inst)
         assert evaluate_cost(inst, sol, "approx").total == 0.0
 
@@ -292,7 +292,8 @@ class TestNoHubs:
         # one port fills a container.  The optimum must bundle.
         inst = consolidation_cluster_instance()
         inst = dataclasses.replace(
-            with_demand(inst, {("B1", "T1"): 30.0, ("B2", "T1"): 30.0}),
+            inst,
+            demand={("B1", "T1"): 30.0, ("B2", "T1"): 30.0},
             sea_rates={
                 ("S1", "T1"): SeaRate(fcl_per_container=900.0, nvocc_per_m3=40.0),
                 ("S2", "T1"): SeaRate(fcl_per_container=900.0, nvocc_per_m3=40.0),
@@ -308,9 +309,10 @@ class TestNoHubs:
 
 
 class TestLocalSearch:
-    def test_zero_rounds_returns_start(self, toy_instance):
+    def test_zero_rounds_returns_start(self, toy_instance, monkeypatch):
+        monkeypatch.setattr(heuristics, "MAX_SEARCH_ROUNDS", 0)
         start = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
-        assert local_search_improve(toy_instance, start, max_rounds=0) is start
+        assert local_search_improve(toy_instance, start) is start
 
     def test_rejects_infeasible_start(self, toy_instance):
         with pytest.raises(InfeasibleSolutionError):
@@ -347,7 +349,7 @@ class TestLocalSearch:
         inst = generate(3, 8, 3, 4, 0.6, "uniform")
         start = solve_two_stage(inst).merged
         clock = [0.0]
-        monkeypatch.setattr(heuristics, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         tried = []
         real_try = heuristics._try
 

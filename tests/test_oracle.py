@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from types import SimpleNamespace
@@ -16,17 +17,16 @@ from hublocate import (
     generate,
     solve_no_hubs,
 )
-from hublocate import exact_oracle
+from hublocate import errors, exact_oracle
 from hublocate.errors import OracleLimitError, TimeBudgetError
 from hublocate.exact_oracle import OracleLimits, _Kernel, estimate_configurations
-from hublocate.network_model import with_demand
 
 WIDE_OPEN = OracleLimits(max_hub_set_size=4, max_evaluations=1e9)
 
 
 class TestExactness:
     def test_single_shipment_hand_formula(self, toy_instance):
-        inst = with_demand(toy_instance, {("B1", "T1"): 6.0})
+        inst = dataclasses.replace(toy_instance, demand={("B1", "T1"): 6.0})
         result = enumerate_optimal(inst, WIDE_OPEN)
         assert result.solution.hubs == frozenset()
         assert result.solution.port_choice == {("B1", "T1"): "S1"}
@@ -73,7 +73,14 @@ class TestLimits:
     def test_dimension_refusal(self):
         inst = generate(1, 7, 2, 2, 0.5, "uniform")
         with pytest.raises(OracleLimitError):
-            enumerate_optimal(inst, OracleLimits(max_branches=6))
+            enumerate_optimal(inst, OracleLimits())
+
+    @pytest.mark.parametrize("size", [(4, 5, 2), (4, 2, 5)], ids=["ports", "destinations"])
+    def test_dimension_refusal_on_every_axis(self, size):
+        inst = generate(1, *size, 0.5, "uniform")
+        with pytest.raises(OracleLimitError, match="exceeds oracle limits") as err:
+            enumerate_optimal(inst, OracleLimits())
+        assert err.value.estimate is None
 
     def test_budget_refusal_reports_estimate(self):
         inst = generate(2, 4, 2, 2, 0.9, "uniform")
@@ -118,7 +125,7 @@ class TestLimits:
         # vector first.
         inst = generate(5, 4, 2, 1, 1.0, "uniform")
         clock = [0.0]
-        monkeypatch.setattr(exact_oracle, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         built = []
 
         class CountingProblem(exact_oracle._SplitProblem):
@@ -132,6 +139,44 @@ class TestLimits:
             enumerate_optimal(inst, OracleLimits(max_hub_set_size=2), deadline=1.0)
         assert len(built) == 1
 
+    def test_deadline_checked_per_configuration(self, monkeypatch):
+        # Hub set (B01,) has three configurations here (B03, B02 or both
+        # routed via B01), all solved without a deadline.  The clock passes
+        # the deadline as the first of them is solved: the enumeration must
+        # stop before solving the second.
+        inst = generate(1, 3, 2, 1, 1.0, "consolidation_favorable")
+        full = []
+        real_solve = exact_oracle._SplitProblem.solve
+
+        def record(problem, *args):
+            full.append(dict(problem.hub_of))
+            return real_solve(problem, *args)
+
+        monkeypatch.setattr(exact_oracle._SplitProblem, "solve", record)
+        enumerate_optimal(inst, OracleLimits(max_hub_set_size=2))
+        assert full[:4] == [
+            {},
+            {("B03", "S1"): "B01"},
+            {("B02", "S1"): "B01"},
+            {("B02", "S1"): "B01", ("B03", "S1"): "B01"},
+        ]
+
+        clock = [0.0]
+        monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        solved = []
+
+        def solve_then_expire(problem, *args):
+            solved.append(dict(problem.hub_of))
+            result = real_solve(problem, *args)
+            if problem.hub_of:
+                clock[0] = 2.0
+            return result
+
+        monkeypatch.setattr(exact_oracle._SplitProblem, "solve", solve_then_expire)
+        with pytest.raises(TimeBudgetError, match="oracle exceeded its time budget"):
+            enumerate_optimal(inst, OracleLimits(max_hub_set_size=2), deadline=1.0)
+        assert solved == full[:2]
+
 
 class TestStats:
     def test_counts_partition_the_evaluated_configurations(self):
@@ -142,4 +187,4 @@ class TestStats:
             stats.threshold_cuts + stats.incumbent_cuts + stats.solved_configurations
         )
         # Every counter is exercised on this instance.
-        assert all(value > 0 for value in stats.to_dict().values())
+        assert all(value > 0 for value in dataclasses.asdict(stats).values())
