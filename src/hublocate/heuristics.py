@@ -31,6 +31,13 @@ the answers a full evaluation of every candidate gives, by three rules
    away from a tie or acceptance threshold; nearer cases, and every
    accepted state, are costed with the full-order sum.
 
+Two-stage also caches prices and routings for the length of one
+destination's solve, by a fourth rule:
+
+4. a cached price or routing is reused only for an identical state (same
+   ports, routes, loads and tie scale), so it is the float, or the
+   routing, that computing it again would give.
+
 Feasibility is checked once per accepted local-search move, not per
 candidate; every move keeps the constraints by construction.
 """
@@ -98,13 +105,19 @@ class SearchStats:
     counts candidates priced from the terms their move touches;
     ``near_tie_fallbacks`` counts deltas too close to a tie or threshold
     to decide, settled by a full evaluation instead; ``accepted_moves``
-    counts the moves that changed the incumbent.
+    counts the moves that changed the incumbent.  Two-stage only:
+    ``routing_memo_hits`` counts hub-set trials answered by the routing
+    memo, and ``direct_delta_hits`` counts routing deltas read from the
+    all-direct cache instead of priced; neither adds to the two counts of
+    evaluations, which count only work done.
     """
 
     full_evaluations: int = 0
     delta_evaluations: int = 0
     near_tie_fallbacks: int = 0
     accepted_moves: int = 0
+    routing_memo_hits: int = 0
+    direct_delta_hits: int = 0
 
 
 class _DestinationContext:
@@ -114,6 +127,17 @@ class _DestinationContext:
     prices the move of one branch from the terms it touches: its feeder
     leg and hub consolidation, at most two port arcs and two sea
     relations, and the set-up of a hub it starts or stops using.
+
+    Its caches live as long as the context, one destination's solve, and
+    follow exactness rule 4:
+
+    - ``hub_set_trial`` memoises ``(routes, full cost)`` per (port vector,
+      hub set) and hands out copies of the routes;
+    - ``route_shipments`` keeps, per port vector, the delta of moving
+      branch b onto hub h from the all-direct routing, and reads it while
+      its routes are still all direct;
+    - ``delta`` reads each (b, h) feeder term, hub consolidation plus the
+      feeder leg, from ``_feeder``, which prices it once.
     """
 
     def __init__(self, instance: Instance, t: str, stats: SearchStats):
@@ -126,7 +150,10 @@ class _DestinationContext:
         }
         self.branches = sorted(self.ship)
         self.ports = instance.usable_ports(t)
-        self._direct_costs: dict = {}  # ports per branch -> all-direct cost
+        self._direct_costs: dict = {}  # port vector -> all-direct cost
+        self._direct_deltas: dict = {}  # port vector -> {(b, h): delta from all direct}
+        self._routings: dict = {}  # (port vector, hub set) -> (routes, cost)
+        self._feeders: dict = {}  # (b, h) -> hub consolidation + feeder leg
 
     def cost(self, ports: dict, routes: dict) -> float:
         """Set-up over the sorted hubs, then each branch's hub terms in
@@ -149,9 +176,12 @@ class _DestinationContext:
             total += self.prices.sea(s, self.t, v)
         return total
 
+    def port_vector(self, ports: dict) -> tuple:
+        return tuple(ports[b] for b in self.branches)
+
     def direct_cost(self, ports: dict) -> float:
         """Cost with every shipment direct; the magnitude deltas are judged at."""
-        key = tuple(ports[b] for b in self.branches)
+        key = self.port_vector(ports)
         cost = self._direct_costs.get(key)
         if cost is None:
             cost = self._direct_costs[key] = self.cost(ports, dict.fromkeys(self.branches))
@@ -187,15 +217,14 @@ class _DestinationContext:
         inst = self.instance
         land = self.prices.land_exact
         port_arc, port_vol, uses = loads
-        v = self.ship[b]
         d = 0.0
         if h_old != h_new:
             if h_old is not None:
-                d -= inst.hub_consol_cost[h_old] * v + land(b, h_old, v)
+                d -= self._feeder(b, h_old)
                 if uses[h_old] == 1:
                     d -= inst.setup_cost[h_old]
             if h_new is not None:
-                d += inst.hub_consol_cost[h_new] * v + land(b, h_new, v)
+                d += self._feeder(b, h_new)
                 if h_new not in uses:
                     d += inst.setup_cost[h_new]
         arc_old = (b if h_old is None else h_old, s_old)
@@ -222,6 +251,15 @@ class _DestinationContext:
                 d += inst.port_consol_cost[s] * (vol - before)
                 d += sea(s, self.t, vol) - sea(s, self.t, before)
         return d
+
+    def _feeder(self, b: str, h: str) -> float:
+        f = self._feeders.get((b, h))
+        if f is None:
+            v = self.ship[b]
+            f = self._feeders[(b, h)] = (
+                self.instance.hub_consol_cost[h] * v + self.prices.land_exact(b, h, v)
+            )
+        return f
 
     def initial_ports(self) -> dict:
         """Per-branch cheapest standalone direct cost, ties to the first port."""
@@ -254,6 +292,8 @@ class _DestinationContext:
             return routes
         scale = self.direct_cost(ports)  # running estimate, never compared
         loads = self.loads(ports, routes)
+        # Deltas from the all-direct routing; None once a route has changed.
+        direct = self._direct_deltas.setdefault(self.port_vector(ports), {})
         for _ in range(MAX_ROUTE_SWEEPS):
             changed = False
             for b in self.branches:
@@ -265,7 +305,13 @@ class _DestinationContext:
                 for h in hub_set:
                     if h == b:
                         continue
-                    d = self.delta(ports, routes, loads, b, ports[b], h)
+                    if direct is None:
+                        d = self.delta(ports, routes, loads, b, ports[b], h)
+                    elif (b, h) in direct:
+                        d = direct[(b, h)]
+                        self.stats.direct_delta_hits += 1
+                    else:
+                        d = direct[(b, h)] = self.delta(ports, routes, loads, b, ports[b], h)
                     tol = TIE_RTOL * max(1.0, abs(scale) + abs(best_d) + abs(d))
                     if d < best_d - tol:
                         best_h, best_d, best_c = h, d, None
@@ -280,10 +326,23 @@ class _DestinationContext:
                     scale += best_d
                     routes[b] = best_h
                     loads = self.loads(ports, routes)
+                    direct = None
                     changed = True
             if not changed:
                 break
         return routes
+
+    def hub_set_trial(self, ports: dict, hub_set: tuple) -> tuple:
+        """``(route_shipments(ports, hub_set), cost of those routes)``,
+        memoised per (port vector, hub set); the routes are the caller's copy."""
+        key = (self.port_vector(ports), hub_set)
+        trial = self._routings.get(key)
+        if trial is None:
+            routes = self.route_shipments(ports, hub_set)
+            trial = self._routings[key] = (routes, self.cost(ports, routes))
+        else:
+            self.stats.routing_memo_hits += 1
+        return dict(trial[0]), trial[1]
 
 
 def solve_single_destination(
@@ -316,8 +375,7 @@ def solve_single_destination(
         # Step 1: ports fixed, exhaustive search over hub sets.
         for hub_set in hub_subsets(instance.nodes.branches, hub_budget):
             check_deadline(deadline, "two-stage solve")
-            trial_routes = ctx.route_shipments(ports, hub_set)
-            c = ctx.cost(ports, trial_routes)
+            trial_routes, c = ctx.hub_set_trial(ports, hub_set)
             if c < cost:
                 cost, routes = c, trial_routes
                 stats.accepted_moves += 1

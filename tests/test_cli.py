@@ -148,6 +148,7 @@ class TestSolve:
             assert set(counters) == {
                 "full_evaluations", "delta_evaluations",
                 "near_tie_fallbacks", "accepted_moves",
+                "routing_memo_hits", "direct_delta_hits",
             }
             assert counters["full_evaluations"] > 0
 

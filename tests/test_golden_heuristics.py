@@ -5,9 +5,13 @@ merged two-stage solution, the local-search solution started from it, and
 both solutions' exact and approximated totals, recorded from the
 evaluator-per-candidate implementation that predates the arc price table.
 Any change to pricing or search order that moves a single bit of an answer
-fails here.  Re-record only when answers are meant to change:
+fails here.  Record cases added to ``CASES`` with
 
     PYTHONPATH=src python tests/test_golden_heuristics.py --record
+
+which writes only the cases missing from the file, and exits non-zero,
+naming each case, if a recorded answer has changed.  To re-record a case
+on purpose, delete its entry from the file first.
 """
 
 from __future__ import annotations
@@ -24,17 +28,24 @@ from hublocate.solution import solution_to_json
 
 GOLDEN = Path(__file__).parent / "golden" / "heuristics.json"
 
-# (seed, branches, ports, destinations, profile); density 0.6 throughout.
+# (seed, branches, ports, destinations, profile[, density]); density 0.6
+# unless given.  The density-0.9 cases are the ones where the two-stage
+# caches answer most trials.
 CASES = [(seed, 8, 3, 4, PROFILES[seed % 3]) for seed in range(30)] + [
     (3, 16, 3, 4, "consolidation_favorable"),
+    (1, 8, 3, 4, "uniform", 0.9),
+    (5, 8, 3, 4, "uniform", 0.9),
+    (2, 8, 3, 4, "nvocc_only_mix", 0.9),
+    (3, 24, 3, 4, "consolidation_favorable", 0.9),
 ]
 
 
-def run_case(seed, branches, ports, dests, profile) -> dict:
-    inst = generate(seed, branches, ports, dests, 0.6, profile)
+def run_case(seed, branches, ports, dests, profile, density=0.6) -> dict:
+    inst = generate(seed, branches, ports, dests, density, profile)
     merged = solve_two_stage(inst).merged
     improved = local_search_improve(inst, merged)
-    out = {"case": [seed, branches, ports, dests, profile]}
+    case = [seed, branches, ports, dests, profile]
+    out = {"case": case if density == 0.6 else case + [density]}
     for label, sol in (("two_stage", merged), ("local_search", improved)):
         out[label] = {
             "solution": json.loads(solution_to_json(sol)),
@@ -54,11 +65,28 @@ def test_answers_match_golden(case):
     assert run_case(*case) == _recorded()[case]
 
 
+def record() -> int:
+    """Append the missing cases; refuse if a recorded answer has moved."""
+    recorded = _recorded()
+    added, moved = [], []
+    for case in CASES:
+        entry = run_case(*case)
+        if case not in recorded:
+            added.append(entry)
+        elif entry != recorded[case]:
+            moved.append(case)
+    if moved:
+        for case in moved:
+            print(f"recorded answer changed: {list(case)}", file=sys.stderr)
+        print("nothing written; delete an entry to re-record it", file=sys.stderr)
+        return 1
+    doc = list(recorded.values()) + added
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} ({len(added)} new of {len(CASES)} cases)")
+    return 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_golden_heuristics.py --record")
-    GOLDEN.write_text(
-        json.dumps([run_case(*c) for c in CASES], indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {GOLDEN} ({len(CASES)} cases)")
+    sys.exit(record())

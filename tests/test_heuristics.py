@@ -25,7 +25,7 @@ from hublocate import (
     solve_single_destination,
     solve_two_stage,
 )
-from hublocate.exact_oracle import OracleLimits
+from hublocate.exact_oracle import OracleLimits, hub_subsets
 from hublocate.errors import InfeasibleSolutionError, OracleLimitError, TimeBudgetError
 from hublocate.heuristics import MAX_ROUTE_SWEEPS, SearchStats, _DestinationContext
 from hublocate.solution import Solution
@@ -156,16 +156,39 @@ class TestRouteDeltas:
         generate(5, 8, 3, 2, 0.8, "nvocc_only_mix"),
     ], ids=["twin-hubs", "consolidation", "nvocc-mix"])
     def test_delta_routing_matches_full_costs(self, inst):
+        # One context per destination walks every hub set for two port
+        # vectors, so cached all-direct deltas are read across hub sets
+        # and keyed anew when a branch changes port.
         stats = SearchStats()
         for t in inst.nodes.destination_ports:
             ctx = _DestinationContext(inst, t, stats)
             if not ctx.branches:
                 continue
             ports = ctx.initial_ports()
-            for hub_set in itertools.combinations(inst.nodes.branches, 2):
-                assert ctx.route_shipments(ports, hub_set) == full_cost_routes(
-                    ctx, ports, hub_set
-                )
+            b = ctx.branches[0]
+            moved = {**ports, b: next(s for s in ctx.ports if s != ports[b])}
+            for port_map in (ports, moved):
+                for hub_set in hub_subsets(inst.nodes.branches, 2):
+                    assert ctx.route_shipments(port_map, hub_set) == full_cost_routes(
+                        ctx, port_map, hub_set
+                    )
+        assert stats.direct_delta_hits > 0
+
+    def test_repeated_trial_is_answered_from_the_memo(self):
+        inst = twin_hub_instance()
+        stats = SearchStats()
+        ctx = _DestinationContext(inst, "T1", stats)
+        ports = {b: "S1" for b in ctx.branches}
+        routes, cost = ctx.hub_set_trial(ports, ("H1", "H2"))
+        assert routes == {"B1": "H1", "B2": "H1", "H1": None, "H2": None}
+        assert cost == ctx.cost(ports, routes)
+        work = (stats.delta_evaluations, stats.full_evaluations)
+        routes["B1"] = "H2"  # the caller's copy; the memo keeps its own
+        assert ctx.hub_set_trial(ports, ("H1", "H2")) == (
+            {"B1": "H1", "B2": "H1", "H1": None, "H2": None}, cost
+        )
+        assert (stats.delta_evaluations, stats.full_evaluations) == work
+        assert stats.routing_memo_hits == 1
 
     def test_exact_ties_fall_back_to_full_costs(self):
         inst = twin_hub_instance()
