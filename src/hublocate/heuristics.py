@@ -32,11 +32,26 @@ the answers a full evaluation of every candidate gives, by three rules
    accepted state, are costed with the full-order sum.
 
 Two-stage also caches prices and routings for the length of one
-destination's solve, by a fourth rule:
+destination's solve, and skips routings it already knows, by two more
+rules:
 
 4. a cached price or routing is reused only for an identical state (same
    ports, routes, loads and tie scale), so it is the float, or the
-   routing, that computing it again would give.
+   routing, that computing it again would give;
+5. a hub-set trial is read off smaller trials at the same port vector
+   when they decide it.  A single-hub trial ``{h}`` in which no route
+   changed marks h inert; if every delta of moving a branch from the
+   all-direct routing onto h also exceeds ``CLEAR_MARGIN`` times the
+   all-direct cost, h is clearly inert.  A set of inert hubs routes all
+   direct: its first sweep sees the all-direct state and the cached
+   deltas the single trials compared, so nothing moves.  A set with a
+   clearly inert member h routes as the set without h, provided branch h
+   never moved in that trial.  Moving a branch from direct onto h then
+   changes the same terms by the same amounts in every state of that
+   trial: its own direct arc and feeder leg, h's set-up, and h's port
+   arc, which carries only h's own direct shipment.  So h's option lies
+   at least the margin (1e-6 relative) above the direct option, a
+   thousand times the ``TIE_RTOL`` band, and is never taken or tied.
 
 Feasibility is checked once per accepted local-search move, not per
 candidate; every move keeps the constraints by construction.
@@ -44,7 +59,7 @@ candidate; every move keeps the constraints by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Not called here since pricing goes through hublocate.pricing; kept as
 # attributes of this module because perfbench's tracer hooks them here.
@@ -70,6 +85,9 @@ from .splits import pair_fraction_candidates
 DEFAULT_HUB_BUDGET = 2
 MAX_ROUTE_SWEEPS = 10
 MAX_SEARCH_ROUNDS = 50
+# Relative margin above which a hub's all-direct deltas make it clearly
+# inert (rule 5); far outside TIE_RTOL and the deltas' rounding.
+CLEAR_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,9 +125,11 @@ class SearchStats:
     to decide, settled by a full evaluation instead; ``accepted_moves``
     counts the moves that changed the incumbent.  Two-stage only:
     ``routing_memo_hits`` counts hub-set trials answered by the routing
-    memo, and ``direct_delta_hits`` counts routing deltas read from the
-    all-direct cache instead of priced; neither adds to the two counts of
-    evaluations, which count only work done.
+    memo, ``inert_hub_hits`` trials read off smaller trials (rule 5), and
+    ``direct_delta_hits`` routing deltas read from the all-direct cache
+    instead of priced; none adds to the two counts of evaluations, which
+    count only work done.  Local search only: ``moves_tried`` and
+    ``moves_accepted`` count candidate moves per move type.
     """
 
     full_evaluations: int = 0
@@ -117,7 +137,10 @@ class SearchStats:
     near_tie_fallbacks: int = 0
     accepted_moves: int = 0
     routing_memo_hits: int = 0
+    inert_hub_hits: int = 0
     direct_delta_hits: int = 0
+    moves_tried: dict = field(default_factory=dict)  # move type -> count
+    moves_accepted: dict = field(default_factory=dict)
 
 
 class _DestinationContext:
@@ -129,10 +152,11 @@ class _DestinationContext:
     relations, and the set-up of a hub it starts or stops using.
 
     Its caches live as long as the context, one destination's solve, and
-    follow exactness rule 4:
+    follow exactness rules 4 and 5:
 
-    - ``hub_set_trial`` memoises ``(routes, full cost)`` per (port vector,
-      hub set) and hands out copies of the routes;
+    - ``hub_set_trial`` memoises ``(routes, full cost, movers)`` per (port
+      vector, hub set) and hands out copies of the routes; per port vector
+      it notes the inert single hubs that rule 5 reads;
     - ``route_shipments`` keeps, per port vector, the delta of moving
       branch b onto hub h from the all-direct routing, and reads it while
       its routes are still all direct;
@@ -152,7 +176,8 @@ class _DestinationContext:
         self.ports = instance.usable_ports(t)
         self._direct_costs: dict = {}  # port vector -> all-direct cost
         self._direct_deltas: dict = {}  # port vector -> {(b, h): delta from all direct}
-        self._routings: dict = {}  # (port vector, hub set) -> (routes, cost)
+        self._routings: dict = {}  # (port vector, hub set) -> (routes, cost, movers)
+        self._inert: dict = {}  # port vector -> {inert hub: whether clearly inert}
         self._feeders: dict = {}  # (b, h) -> hub consolidation + feeder leg
 
     def cost(self, ports: dict, routes: dict) -> float:
@@ -279,17 +304,19 @@ class _DestinationContext:
             out[b] = best[1]
         return out
 
-    def route_shipments(self, ports: dict, hub_set: tuple) -> dict:
+    def route_shipments(self, ports: dict, hub_set: tuple) -> tuple:
         """Best-response routing sweeps: direct or one hub per shipment.
 
-        Branches inside the hub set always ship direct.  Ties prefer
-        direct, then the lexicographically first hub.  Options are ranked
-        by their deltas; deltas closer than TIE_RTOL times the cost are
-        settled by full costs, so the choice is the one full costs make.
+        Returns ``(routes, movers)``, the branches whose route changed at
+        some point.  Branches inside the hub set always ship direct.  Ties
+        prefer direct, then the lexicographically first hub.  Options are
+        ranked by their deltas; deltas closer than TIE_RTOL times the cost
+        are settled by full costs, so the choice is the one full costs make.
         """
         routes = dict.fromkeys(self.branches)
+        movers: set = set()
         if not hub_set:
-            return routes
+            return routes, movers
         scale = self.direct_cost(ports)  # running estimate, never compared
         loads = self.loads(ports, routes)
         # Deltas from the all-direct routing; None once a route has changed.
@@ -300,7 +327,10 @@ class _DestinationContext:
                 if b in hub_set:
                     continue
                 best_h = None
-                best_d = self.delta(ports, routes, loads, b, ports[b], None)
+                # Staying direct changes nothing; only a routed branch is priced.
+                best_d = 0.0 if routes[b] is None else self.delta(
+                    ports, routes, loads, b, ports[b], None
+                )
                 best_c = None  # full cost of best_h, once a near tie needed it
                 for h in hub_set:
                     if h == b:
@@ -327,22 +357,58 @@ class _DestinationContext:
                     routes[b] = best_h
                     loads = self.loads(ports, routes)
                     direct = None
+                    movers.add(b)
                     changed = True
             if not changed:
                 break
-        return routes
+        return routes, movers
 
     def hub_set_trial(self, ports: dict, hub_set: tuple) -> tuple:
-        """``(route_shipments(ports, hub_set), cost of those routes)``,
-        memoised per (port vector, hub set); the routes are the caller's copy."""
-        key = (self.port_vector(ports), hub_set)
+        """``(routes, cost)`` of ``route_shipments(ports, hub_set)``,
+        memoised per (port vector, hub set); the routes are the caller's copy.
+
+        A trial that smaller ones decide (rule 5) is answered without
+        routing, and one whose routes never left all direct is costed by
+        ``direct_cost``: the same function on the same inputs.
+        """
+        vector = self.port_vector(ports)
+        key = (vector, hub_set)
         trial = self._routings.get(key)
-        if trial is None:
-            routes = self.route_shipments(ports, hub_set)
-            trial = self._routings[key] = (routes, self.cost(ports, routes))
-        else:
+        if trial is not None:
             self.stats.routing_memo_hits += 1
+        else:
+            trial = self._known_trial(ports, vector, hub_set)
+            if trial is not None:
+                self.stats.inert_hub_hits += 1
+            else:
+                routes, movers = self.route_shipments(ports, hub_set)
+                cost = self.cost(ports, routes) if movers else self.direct_cost(ports)
+                trial = (routes, cost, movers)
+                if len(hub_set) == 1 and not movers:
+                    # h is inert, and clearly so if all its all-direct
+                    # deltas, which this trial filled, exceed the margin.
+                    (h,) = hub_set
+                    margin = CLEAR_MARGIN * max(1.0, abs(cost))
+                    direct = self._direct_deltas[vector]
+                    self._inert.setdefault(vector, {})[h] = all(
+                        direct[(b, h)] > margin for b in self.branches if b != h
+                    )
+            self._routings[key] = trial
         return dict(trial[0]), trial[1]
+
+    def _known_trial(self, ports: dict, vector: tuple, hub_set: tuple):
+        """The memo entry rule 5 gives a set of two or more hubs, or None."""
+        if len(hub_set) < 2:
+            return None
+        inert = self._inert.get(vector, {})
+        if all(h in inert for h in hub_set):
+            return dict.fromkeys(self.branches), self.direct_cost(ports), set()
+        for h in hub_set:
+            if inert.get(h):
+                smaller = self._routings.get((vector, tuple(x for x in hub_set if x != h)))
+                if smaller is not None and h not in smaller[2]:
+                    return smaller
+        return None
 
 
 def solve_single_destination(
@@ -704,13 +770,18 @@ class _SearchState:
         return c if c < limit else None
 
 
-def _try(state: _SearchState, mutate, current: float, deadline: float | None) -> float | None:
-    """Apply mutate(); return the new cost if strictly better, else roll back.
+def _try(
+    state: _SearchState, kind: str, mutate, current: float, deadline: float | None
+) -> float | None:
+    """Apply mutate(), a move of type ``kind``; return the new cost if
+    strictly better, else roll back.
 
     mutate returns the exact cost of the state it leaves, or None to have
     it judged from its delta.  ``deadline`` is checked first.
     """
     check_deadline(deadline, "local search")
+    tried = state.stats.moves_tried
+    tried[kind] = tried.get(kind, 0) + 1
     token = state.save()
     exact = mutate()
     limit = current - 1e-12 * max(1.0, abs(current))
@@ -727,6 +798,8 @@ def _try(state: _SearchState, mutate, current: float, deadline: float | None) ->
     if report:
         raise InfeasibleSolutionError(report)
     state.stats.accepted_moves += 1
+    accepted = state.stats.moves_accepted
+    accepted[kind] = accepted.get(kind, 0) + 1
     return c
 
 
@@ -787,13 +860,15 @@ def local_search_improve(
 ) -> Solution:
     """First-improvement local search over hub, port, and split moves.
 
-    Every round tries the four move types in turn: toggle a hub, reassign
-    a shipment's origin port, reassign a pair's hub, adjust a pair's
-    direct share.  Never increases the approximated cost and keeps every
-    intermediate solution feasible; stops after a full round without
-    improvement or after ``MAX_SEARCH_ROUNDS`` rounds.  Candidates are
-    priced by move-local deltas (exactness rules in ``hublocate.pricing``),
-    so the result is the one full re-evaluation of every candidate gives.
+    Every round tries the four move types in turn: toggle a hub
+    (``"hub_toggle"`` in the move counters), reassign a shipment's origin
+    port (``"port"``), reassign a pair's hub (``"hub_choice"``), adjust a
+    pair's direct share (``"fraction"``).  Never increases the
+    approximated cost and keeps every intermediate solution feasible;
+    stops after a full round without improvement or after
+    ``MAX_SEARCH_ROUNDS`` rounds.  Candidates are priced by move-local
+    deltas (exactness rules in ``hublocate.pricing``), so the result is
+    the one full re-evaluation of every candidate gives.
     ``deadline`` (a ``time.monotonic()`` value) is checked before every
     round and every candidate move.  ``stats``, when given, accumulates
     the search counters.
@@ -817,9 +892,9 @@ def local_search_improve(
                     state.close_hub(h)
                     for key in [k for k, v in state.choices.items() if v == h]:
                         state.set_route(key, None)
-                c = _try(state, close, current, deadline)
+                c = _try(state, "hub_toggle", close, current, deadline)
             else:
-                c = _try(state, lambda h=h: _open_hub(state, h), current, deadline)
+                c = _try(state, "hub_toggle", lambda h=h: _open_hub(state, h), current, deadline)
             if c is not None:
                 current, improved = c, True
 
@@ -837,7 +912,7 @@ def local_search_improve(
                         if key in state.choices and vols.get(key, 0.0) <= 0.0:
                             state.set_route(key, None)
 
-                c = _try(state, repoint, current, deadline)
+                c = _try(state, "port", repoint, current, deadline)
                 if c is not None:
                     current, improved = c, True
 
@@ -855,7 +930,7 @@ def local_search_improve(
                 def rechoose(pair=pair, h2=h2, had=had):
                     state.set_route(pair, h2, None if had else 0.0)
 
-                c = _try(state, rechoose, current, deadline)
+                c = _try(state, "hub_choice", rechoose, current, deadline)
                 if c is not None:
                     current, improved = c, True
                     break
@@ -870,7 +945,7 @@ def local_search_improve(
                 def refrac(pair=pair, y=y):
                     state.set_fraction(pair, y)
 
-                c = _try(state, refrac, current, deadline)
+                c = _try(state, "fraction", refrac, current, deadline)
                 if c is not None:
                     current, improved = c, True
 

@@ -3,10 +3,10 @@
 ``price_table(instance)`` returns the instance's ``ArcPrices``: per land
 arc the tariff row of its distance band (whose last entry is the
 full-container price) and the band's shared approximated curve, each
-resolved once, plus memos of exact land prices per (arc, load) and of sea
-prices per (relation, volume).  The table is cached on the instance
-object, so every solver working on one instance shares it and nothing
-outlives the instance.
+resolved once, plus memos of exact and of approximated land prices per
+(arc, load) and of sea prices per (relation, volume).  The table is cached
+on the instance object, so every solver working on one instance shares it
+and nothing outlives the instance.
 
 ``solution_flows`` turns a solution's decisions into the loads the six
 cost terms are priced from, and ``cost_terms`` prices them; together they
@@ -22,8 +22,9 @@ full evaluation, because they keep three rules:
    ``land_cost_row`` on the band's row, approximated ones from
    ``land_cost_approx`` on the band's curve, sea prices from
    ``sea_cost``.  The table only saves the band lookup and the curve
-   construction, and repeats an exact land or sea price it has computed
-   before.
+   construction, and repeats a land price (exact or approximated) or a
+   sea price it has computed before for the same arc or relation and the
+   same load: the same function on the same inputs gives the same float.
 2. Loads are re-summed, never patched.  A load a move changes is summed
    again from its members, in the order the full evaluator adds them.
    Adding or subtracting the moved volume instead drifts by about 1e-15,
@@ -73,6 +74,7 @@ class ArcPrices:
         self._curves: dict = {}  # (a, r) -> ApproxLandCurve shared per band
         self._band_curves: dict = {}  # band -> ApproxLandCurve
         self._exact: dict = {}  # (a, r, volume) -> exact land price
+        self._approx: dict = {}  # (a, r, volume) -> approximated land price
         self._sea: dict = {}  # (s, t, volume) -> sea price
 
     def _row(self, a: str, r: str) -> tuple:
@@ -104,9 +106,13 @@ class ArcPrices:
         return price
 
     def land_approx(self, a: str, r: str, v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        return land_cost_approx(self.curve(a, r), v)
+        key = (a, r, v)
+        price = self._approx.get(key)
+        if price is None:
+            if v <= 0.0:
+                return 0.0
+            price = self._approx[key] = land_cost_approx(self.curve(a, r), v)
+        return price
 
     def land(self, mode: str):
         """The land price function for "exact" or "approx" mode."""

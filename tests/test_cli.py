@@ -148,9 +148,15 @@ class TestSolve:
             assert set(counters) == {
                 "full_evaluations", "delta_evaluations",
                 "near_tie_fallbacks", "accepted_moves",
-                "routing_memo_hits", "direct_delta_hits",
+                "routing_memo_hits", "inert_hub_hits", "direct_delta_hits",
+                "moves_tried", "moves_accepted",
             }
             assert counters["full_evaluations"] > 0
+        ts, ls = reports[0]["two_stage"], reports[0]["local_search"]
+        assert ts["inert_hub_hits"] > 0
+        assert ts["moves_tried"] == ts["moves_accepted"] == {}
+        assert set(ls["moves_tried"]) == {"hub_toggle", "port", "hub_choice", "fraction"}
+        assert sum(ls["moves_accepted"].values()) == ls["accepted_moves"] > 0
 
     def test_oracle_json_stats_repeat_exactly(self, cons_file, tmp_path, capsys):
         reports = []

@@ -30,13 +30,16 @@ GOLDEN = Path(__file__).parent / "golden" / "heuristics.json"
 
 # (seed, branches, ports, destinations, profile[, density]); density 0.6
 # unless given.  The density-0.9 cases are the ones where the two-stage
-# caches answer most trials.
+# caches answer most trials; the 12x3x6 cases are the shape where the
+# inert-hub reuse skips the most routing.
 CASES = [(seed, 8, 3, 4, PROFILES[seed % 3]) for seed in range(30)] + [
     (3, 16, 3, 4, "consolidation_favorable"),
     (1, 8, 3, 4, "uniform", 0.9),
     (5, 8, 3, 4, "uniform", 0.9),
     (2, 8, 3, 4, "nvocc_only_mix", 0.9),
     (3, 24, 3, 4, "consolidation_favorable", 0.9),
+    (4, 12, 3, 6, "consolidation_favorable"),
+    (7, 12, 3, 6, "uniform"),
 ]
 
 

@@ -27,7 +27,9 @@ from hublocate import (
 )
 from hublocate.exact_oracle import OracleLimits, hub_subsets
 from hublocate.errors import InfeasibleSolutionError, OracleLimitError, TimeBudgetError
+from hublocate.gen import PROFILES
 from hublocate.heuristics import MAX_ROUTE_SWEEPS, SearchStats, _DestinationContext
+from hublocate.pricing import TIE_RTOL
 from hublocate.solution import Solution
 
 
@@ -169,7 +171,7 @@ class TestRouteDeltas:
             moved = {**ports, b: next(s for s in ctx.ports if s != ports[b])}
             for port_map in (ports, moved):
                 for hub_set in hub_subsets(inst.nodes.branches, 2):
-                    assert ctx.route_shipments(port_map, hub_set) == full_cost_routes(
+                    assert ctx.route_shipments(port_map, hub_set)[0] == full_cost_routes(
                         ctx, port_map, hub_set
                     )
         assert stats.direct_delta_hits > 0
@@ -190,11 +192,69 @@ class TestRouteDeltas:
         assert (stats.delta_evaluations, stats.full_evaluations) == work
         assert stats.routing_memo_hits == 1
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_hub_set_trials_match_fresh_routings(self, profile):
+        # One context per destination walks every hub set of up to three
+        # hubs in order at two port vectors, so trials read off smaller
+        # ones (rule 5) meet the memo and caches they rely on; each must
+        # equal a fresh context's routing and full cost.
+        stats = SearchStats()
+        for density in (0.6, 0.9):
+            inst = generate(4, 8, 3, 2, density, profile)
+            for t in inst.nodes.destination_ports:
+                ctx = _DestinationContext(inst, t, stats)
+                if not ctx.branches:
+                    continue
+                ports = ctx.initial_ports()
+                b = ctx.branches[0]
+                moved = {**ports, b: next(s for s in ctx.ports if s != ports[b])}
+                for port_map in (ports, moved):
+                    for hub_set in hub_subsets(inst.nodes.branches, 3):
+                        fresh = _DestinationContext(inst, t, SearchStats())
+                        routes, _ = fresh.route_shipments(port_map, hub_set)
+                        expected = (routes, fresh.cost(port_map, routes))
+                        assert ctx.hub_set_trial(port_map, hub_set) == expected
+        assert stats.inert_hub_hits > 0
+
+    def test_clearly_inert_hub_that_moved_is_routed(self):
+        # Opening B2 costs so much that no branch would route via it, so B2
+        # is clearly inert; but in the {H1} trial branch B2 itself moves
+        # onto H1.  The pair trial must route again, with B2 shipping direct.
+        base = consolidation_cluster_instance()
+        inst = dataclasses.replace(base, setup_cost={**base.setup_cost, "B2": 1e5})
+        stats = SearchStats()
+        ctx = _DestinationContext(inst, "T1", stats)
+        ports = {b: "S1" for b in ctx.branches}
+        assert ctx.hub_set_trial(ports, ("B2",))[0] == dict.fromkeys(ctx.branches)
+        assert ctx.hub_set_trial(ports, ("H1",))[0] == {"B1": "H1", "B2": "H1", "H1": None}
+        assert ctx._inert[ctx.port_vector(ports)] == {"B2": True}
+        routes, cost = ctx.hub_set_trial(ports, ("B2", "H1"))
+        assert routes == {"B1": "H1", "B2": None, "H1": None}
+        assert cost == ctx.cost(ports, routes)
+        assert stats.inert_hub_hits == 0
+
+    def test_hub_just_above_a_tie_is_inert_but_not_clearly(self):
+        # H1's set-up is tuned so that moving B1 or B2 onto it costs 1e-4
+        # more than shipping direct: outside the tie band, inside the margin.
+        base = consolidation_cluster_instance()
+        ctx = _DestinationContext(base, "T1", SearchStats())
+        ports = {b: "S1" for b in ctx.branches}
+        direct = dict.fromkeys(ctx.branches)
+        gain = base.setup_cost["H1"] - ctx.delta(
+            ports, direct, ctx.loads(ports, direct), "B1", "S1", "H1"
+        )
+        inst = dataclasses.replace(base, setup_cost={**base.setup_cost, "H1": gain + 1e-4})
+        ctx = _DestinationContext(inst, "T1", SearchStats())
+        margin = heuristics.CLEAR_MARGIN * ctx.direct_cost(ports)
+        assert TIE_RTOL * ctx.direct_cost(ports) < 1e-4 < margin
+        assert ctx.hub_set_trial(ports, ("H1",))[0] == direct
+        assert ctx._inert[ctx.port_vector(ports)] == {"H1": False}
+
     def test_exact_ties_fall_back_to_full_costs(self):
         inst = twin_hub_instance()
         stats = SearchStats()
         ctx = _DestinationContext(inst, "T1", stats)
-        routes = ctx.route_shipments({b: "S1" for b in ctx.branches}, ("H1", "H2"))
+        routes, _ = ctx.route_shipments({b: "S1" for b in ctx.branches}, ("H1", "H2"))
         assert stats.near_tie_fallbacks > 0
         assert routes == {"B1": "H1", "B2": "H1", "H1": None, "H2": None}
 

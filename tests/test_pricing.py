@@ -166,9 +166,12 @@ def test_table_prices_equal_cost_model():
     land = inst.land_costs
     for (a, r), dist in sorted(inst.distance.items()):
         curve = land_breakpoints(land, dist)
-        for v in (0.0, 0.3, 7.0, land.container_volume, 2.5 * land.container_volume):
-            assert table.land_exact(a, r, v) == land_cost_exact(land, dist, v)
-            assert table.land_approx(a, r, v) == land_cost_approx(curve, v)
+        loads = (0.0, 0.3, 7.0, curve.breakpoints[0], *land.volume_breaks,
+                 land.container_volume, 2.5 * land.container_volume)
+        for v in loads:
+            for _ in range(2):  # priced, then read from the memo
+                assert table.land_exact(a, r, v) == land_cost_exact(land, dist, v)
+                assert table.land_approx(a, r, v) == land_cost_approx(curve, v)
     for (s, t), rate in sorted(inst.sea_rates.items()):
         for w in (0.0, 3.0, 41.0, 120.0):
             price = sea_cost(rate, w, inst.sea_container_volume, inst.nvocc_cap,
