@@ -7,7 +7,12 @@ The two-stage method mirrors the alternating per-destination procedure:
 for one destination it loops between an exhaustive search over hub sets
 (up to the hub budget) and a per-branch best-port step, evaluating every
 candidate with the exact cost model restricted to that destination's
-shipments, until an iteration brings no strict improvement.  Shipments
+shipments.  It stops after the first iteration whose port step accepts
+no move, which is where looping until an iteration brings no strict
+improvement stops too: the next iteration would start from the same
+ports, routes and cost, its hub-set trials would give the same floats
+(rule 4 below), none of them below a cost that is already their
+minimum, and its port step would make the same decisions.  Shipments
 are routed whole: each one goes fully direct or fully via one hub, chosen
 by per-shipment best response under the joint cost (a standalone
 comparison would never see consolidation gains).
@@ -31,26 +36,29 @@ the answers a full evaluation of every candidate gives, by three rules
    away from a tie or acceptance threshold; nearer cases, and every
    accepted state, are costed with the full-order sum.
 
-Two-stage also caches prices and routings for the length of one
-destination's solve, and skips routings it already knows, by two more
-rules:
+Two-stage also caches prices and routings, and skips routings it already
+knows, by two more rules:
 
 4. a cached price or routing is reused only for an identical state (same
    ports, routes, loads and tie scale), so it is the float, or the
-   routing, that computing it again would give;
-5. a hub-set trial is read off smaller trials at the same port vector
+   routing, that computing it again would give.  The feeder terms depend
+   on nothing but (branch, hub) and are kept for one destination's
+   solve; the all-direct cost and deltas, the trials and the inert hubs
+   are kept for one hub-set sweep (step 1 at one port vector), and the
+   deltas are read only while the routes are all direct;
+5. a hub-set trial is read off smaller trials of the same hub-set sweep
    when they decide it.  A single-hub trial ``{h}`` in which no route
    changed marks h inert; if every delta of moving a branch from the
    all-direct routing onto h also exceeds ``CLEAR_MARGIN`` times the
    all-direct cost, h is clearly inert.  A set of inert hubs routes all
-   direct: its first sweep sees the all-direct state and the cached
-   deltas the single trials compared, so nothing moves.  A set with a
-   clearly inert member h routes as the set without h, provided branch h
-   never moved in that trial.  Moving a branch from direct onto h then
-   changes the same terms by the same amounts in every state of that
-   trial: its own direct arc and feeder leg, h's set-up, and h's port
-   arc, which carries only h's own direct shipment.  So h's option lies
-   at least the margin (1e-6 relative) above the direct option, a
+   direct: its first routing sweep sees the all-direct state and the
+   cached deltas the single trials compared, so nothing moves.  A set
+   with a clearly inert member h routes as the set without h, provided
+   branch h never moved in that trial.  Moving a branch from direct onto
+   h then changes the same terms by the same amounts in every state of
+   that trial: its own direct arc and feeder leg, h's set-up, and h's
+   port arc, which carries only h's own direct shipment.  So h's option
+   lies at least the margin (1e-6 relative) above the direct option, a
    thousand times the ``TIE_RTOL`` band, and is never taken or tied.
 
 Feasibility is checked once per accepted local-search move, not per
@@ -73,13 +81,8 @@ from .exact_oracle import hub_subsets
 from .exact_oracle import solve_no_hubs  # noqa: F401
 from .network_model import Instance, validate_instance
 from .pricing import TIE_RTOL, cost_terms, price_table, solution_flows
-from .solution import (
-    ConstraintViolation,
-    CostBreakdown,
-    Solution,
-    check_feasibility,
-    evaluate_cost,
-)
+from .solution import ConstraintViolation, Solution, check_feasibility
+from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
 from .splits import pair_fraction_candidates
 
 DEFAULT_HUB_BUDGET = 2
@@ -107,7 +110,6 @@ class TwoStageResult:
     per_destination: dict  # t -> DestinationPlan
     merged: Solution
     violations: list  # pre-repair C8 conflicts from the merge
-    cost: CostBreakdown  # merged solution, exact mode
 
     @property
     def iterations(self) -> dict:
@@ -124,19 +126,18 @@ class SearchStats:
     ``near_tie_fallbacks`` counts deltas too close to a tie or threshold
     to decide, settled by a full evaluation instead; ``accepted_moves``
     counts the moves that changed the incumbent.  Two-stage only:
-    ``routing_memo_hits`` counts hub-set trials answered by the routing
-    memo, ``inert_hub_hits`` trials read off smaller trials (rule 5), and
-    ``direct_delta_hits`` routing deltas read from the all-direct cache
-    instead of priced; none adds to the two counts of evaluations, which
-    count only work done.  Local search only: ``moves_tried`` and
-    ``moves_accepted`` count candidate moves per move type.
+    ``inert_hub_hits`` counts hub-set trials read off smaller trials
+    (rule 5), and ``direct_delta_hits`` routing deltas read from the
+    all-direct cache instead of priced; neither adds to the two counts of
+    evaluations, which count only work done.  Local search only:
+    ``moves_tried`` and ``moves_accepted`` count candidate moves per move
+    type.
     """
 
     full_evaluations: int = 0
     delta_evaluations: int = 0
     near_tie_fallbacks: int = 0
     accepted_moves: int = 0
-    routing_memo_hits: int = 0
     inert_hub_hits: int = 0
     direct_delta_hits: int = 0
     moves_tried: dict = field(default_factory=dict)  # move type -> count
@@ -151,17 +152,15 @@ class _DestinationContext:
     leg and hub consolidation, at most two port arcs and two sea
     relations, and the set-up of a hub it starts or stops using.
 
-    Its caches live as long as the context, one destination's solve, and
-    follow exactness rules 4 and 5:
+    Its caches follow exactness rules 4 and 5:
 
-    - ``hub_set_trial`` memoises ``(routes, full cost, movers)`` per (port
-      vector, hub set) and hands out copies of the routes; per port vector
-      it notes the inert single hubs that rule 5 reads;
-    - ``route_shipments`` keeps, per port vector, the delta of moving
-      branch b onto hub h from the all-direct routing, and reads it while
-      its routes are still all direct;
+    - ``hub_set_trials`` keeps, for the one sweep over hub sets at one
+      port vector, the all-direct cost, the delta of moving branch b onto
+      hub h from the all-direct routing (which ``route_shipments`` reads
+      while its routes are still all direct), the sweep's trials and the
+      inert single hubs that rule 5 reads;
     - ``delta`` reads each (b, h) feeder term, hub consolidation plus the
-      feeder leg, from ``_feeder``, which prices it once.
+      feeder leg, from ``_feeder``, which prices it once per context.
     """
 
     def __init__(self, instance: Instance, t: str, stats: SearchStats):
@@ -174,10 +173,6 @@ class _DestinationContext:
         }
         self.branches = sorted(self.ship)
         self.ports = instance.usable_ports(t)
-        self._direct_costs: dict = {}  # port vector -> all-direct cost
-        self._direct_deltas: dict = {}  # port vector -> {(b, h): delta from all direct}
-        self._routings: dict = {}  # (port vector, hub set) -> (routes, cost, movers)
-        self._inert: dict = {}  # port vector -> {inert hub: whether clearly inert}
         self._feeders: dict = {}  # (b, h) -> hub consolidation + feeder leg
 
     def cost(self, ports: dict, routes: dict) -> float:
@@ -200,17 +195,6 @@ class _DestinationContext:
             total += inst.port_consol_cost[s] * v
             total += self.prices.sea(s, self.t, v)
         return total
-
-    def port_vector(self, ports: dict) -> tuple:
-        return tuple(ports[b] for b in self.branches)
-
-    def direct_cost(self, ports: dict) -> float:
-        """Cost with every shipment direct; the magnitude deltas are judged at."""
-        key = self.port_vector(ports)
-        cost = self._direct_costs.get(key)
-        if cost is None:
-            cost = self._direct_costs[key] = self.cost(ports, dict.fromkeys(self.branches))
-        return cost
 
     def loads(self, ports: dict, routes: dict) -> tuple:
         """(port arc loads, port volumes, branches per used hub) of a
@@ -304,7 +288,9 @@ class _DestinationContext:
             out[b] = best[1]
         return out
 
-    def route_shipments(self, ports: dict, hub_set: tuple) -> tuple:
+    def route_shipments(
+        self, ports: dict, hub_set: tuple, direct_cost: float, direct: dict
+    ) -> tuple:
         """Best-response routing sweeps: direct or one hub per shipment.
 
         Returns ``(routes, movers)``, the branches whose route changed at
@@ -312,15 +298,16 @@ class _DestinationContext:
         prefer direct, then the lexicographically first hub.  Options are
         ranked by their deltas; deltas closer than TIE_RTOL times the cost
         are settled by full costs, so the choice is the one full costs make.
+        ``direct_cost`` is the all-direct cost at ``ports``; ``direct`` maps
+        (b, h) to the delta of moving b onto h from the all-direct routing
+        at ``ports``, and is read and filled while the routes are all direct.
         """
         routes = dict.fromkeys(self.branches)
         movers: set = set()
         if not hub_set:
             return routes, movers
-        scale = self.direct_cost(ports)  # running estimate, never compared
+        scale = direct_cost  # running estimate, never compared
         loads = self.loads(ports, routes)
-        # Deltas from the all-direct routing; None once a route has changed.
-        direct = self._direct_deltas.setdefault(self.port_vector(ports), {})
         for _ in range(MAX_ROUTE_SWEEPS):
             changed = False
             for b in self.branches:
@@ -356,59 +343,56 @@ class _DestinationContext:
                     scale += best_d
                     routes[b] = best_h
                     loads = self.loads(ports, routes)
-                    direct = None
+                    direct = None  # deltas from all direct no longer apply
                     movers.add(b)
                     changed = True
             if not changed:
                 break
         return routes, movers
 
-    def hub_set_trial(self, ports: dict, hub_set: tuple) -> tuple:
-        """``(routes, cost)`` of ``route_shipments(ports, hub_set)``,
-        memoised per (port vector, hub set); the routes are the caller's copy.
+    def hub_set_trials(self, ports: dict, hub_budget: int, deadline: float | None):
+        """Yield ``(routes, cost)`` of ``route_shipments`` at ``ports`` for
+        each hub set of ``hub_subsets(branches, hub_budget)``, in order.
 
-        A trial that smaller ones decide (rule 5) is answered without
-        routing, and one whose routes never left all direct is costed by
-        ``direct_cost``: the same function on the same inputs.
+        The sweep keeps the all-direct cost and deltas, its trials so far
+        and its inert hubs; a trial that smaller ones decide (rule 5) is
+        read off them without routing, and one whose routes never left all
+        direct is costed at the all-direct cost.  ``deadline`` is checked
+        before every trial.
         """
-        vector = self.port_vector(ports)
-        key = (vector, hub_set)
-        trial = self._routings.get(key)
-        if trial is not None:
-            self.stats.routing_memo_hits += 1
-        else:
-            trial = self._known_trial(ports, vector, hub_set)
+        all_direct = dict.fromkeys(self.branches)
+        direct_cost = self.cost(ports, all_direct)
+        direct: dict = {}  # (b, h) -> delta of moving b onto h from all direct
+        trials: dict = {}  # hub set -> (routes, cost, movers)
+        inert: dict = {}  # inert single hub -> whether it is clearly inert
+        # Smallest sets first, so the trials rule 5 reads come before it.
+        for hub_set in hub_subsets(self.instance.nodes.branches, hub_budget):
+            check_deadline(deadline, "two-stage solve")
+            trial = None
+            if len(hub_set) > 1:
+                if all(h in inert for h in hub_set):
+                    trial = all_direct, direct_cost, set()
+                else:
+                    for h in hub_set:
+                        if inert.get(h):
+                            smaller = trials[tuple(x for x in hub_set if x != h)]
+                            if h not in smaller[2]:
+                                trial = smaller
+                                break
             if trial is not None:
                 self.stats.inert_hub_hits += 1
             else:
-                routes, movers = self.route_shipments(ports, hub_set)
-                cost = self.cost(ports, routes) if movers else self.direct_cost(ports)
+                routes, movers = self.route_shipments(ports, hub_set, direct_cost, direct)
+                cost = self.cost(ports, routes) if movers else direct_cost
                 trial = (routes, cost, movers)
                 if len(hub_set) == 1 and not movers:
                     # h is inert, and clearly so if all its all-direct
                     # deltas, which this trial filled, exceed the margin.
                     (h,) = hub_set
-                    margin = CLEAR_MARGIN * max(1.0, abs(cost))
-                    direct = self._direct_deltas[vector]
-                    self._inert.setdefault(vector, {})[h] = all(
-                        direct[(b, h)] > margin for b in self.branches if b != h
-                    )
-            self._routings[key] = trial
-        return dict(trial[0]), trial[1]
-
-    def _known_trial(self, ports: dict, vector: tuple, hub_set: tuple):
-        """The memo entry rule 5 gives a set of two or more hubs, or None."""
-        if len(hub_set) < 2:
-            return None
-        inert = self._inert.get(vector, {})
-        if all(h in inert for h in hub_set):
-            return dict.fromkeys(self.branches), self.direct_cost(ports), set()
-        for h in hub_set:
-            if inert.get(h):
-                smaller = self._routings.get((vector, tuple(x for x in hub_set if x != h)))
-                if smaller is not None and h not in smaller[2]:
-                    return smaller
-        return None
+                    margin = CLEAR_MARGIN * max(1.0, abs(direct_cost))
+                    inert[h] = all(direct[(b, h)] > margin for b in self.branches if b != h)
+            trials[hub_set] = trial
+            yield trial[0], trial[1]
 
 
 def solve_single_destination(
@@ -418,7 +402,8 @@ def solve_single_destination(
     stats: SearchStats | None = None,
     deadline: float | None = None,
 ) -> DestinationPlan:
-    """Alternating hub-set / port search for one destination.
+    """Alternating hub-set / port search for one destination, until a port
+    step accepts no move.
 
     Port moves are screened by their deltas like the routing options in
     ``route_shipments``; every accepted configuration is costed in full.
@@ -432,16 +417,13 @@ def solve_single_destination(
 
     ports = ctx.initial_ports()
     routes = dict.fromkeys(ctx.branches)
-    cost = ctx.direct_cost(ports)
+    cost = ctx.cost(ports, routes)
     iterations = 0
     while True:
         iterations += 1
-        before = cost
 
         # Step 1: ports fixed, exhaustive search over hub sets.
-        for hub_set in hub_subsets(instance.nodes.branches, hub_budget):
-            check_deadline(deadline, "two-stage solve")
-            trial_routes, c = ctx.hub_set_trial(ports, hub_set)
+        for trial_routes, c in ctx.hub_set_trials(ports, hub_budget, deadline):
             if c < cost:
                 cost, routes = c, trial_routes
                 stats.accepted_moves += 1
@@ -449,6 +431,7 @@ def solve_single_destination(
         # Step 2: hubs fixed, per-branch best port under the same routing rule.
         used = tuple(sorted({h for h in routes.values() if h is not None}))
         loads = ctx.loads(ports, routes)
+        moved = False
         for b in ctx.branches:
             check_deadline(deadline, "two-stage solve")
             for s in ctx.ports:
@@ -469,12 +452,11 @@ def solve_single_destination(
                         cost, ports, routes = c, trial_ports, trial_routes
                         loads = ctx.loads(ports, routes)
                         stats.accepted_moves += 1
+                        moved = True
 
-        if cost >= before:
-            break
-
-    used = tuple(sorted({h for h in routes.values() if h is not None}))
-    return DestinationPlan(t, ports, used, routes, cost, iterations)
+        # Another iteration would repeat this one (module docstring).
+        if not moved:
+            return DestinationPlan(t, ports, used, routes, cost, iterations)
 
 
 def solve_two_stage(
@@ -500,18 +482,18 @@ def solve_two_stage(
 
     hubs = frozenset(h for plan in plans for h in plan.hubs)
     port_choice = {}
-    per_pair: dict = {}  # (b, s) -> list of (hub or None, volume, t)
+    per_pair: dict = {}  # (b, s) -> list of (hub or None, volume)
     for plan in plans:
         for b, s in sorted(plan.ports.items()):
             port_choice[(b, plan.destination)] = s
             v = instance.demand[(b, plan.destination)]
-            per_pair.setdefault((b, s), []).append((plan.routes[b], v, plan.destination))
+            per_pair.setdefault((b, s), []).append((plan.routes[b], v))
 
     violations = []
     hub_choice = {}
     fractions = {}
     for (b, s), entries in sorted(per_pair.items()):
-        chosen = sorted({h for h, _, _ in entries if h is not None})
+        chosen = sorted({h for h, _ in entries if h is not None})
         if len(chosen) > 1:
             violations.append(ConstraintViolation(
                 "C8", (b, s),
@@ -520,12 +502,12 @@ def solve_two_stage(
         if b in hubs or not chosen:
             continue  # hubs ship direct; pure-direct pairs need no entry
         by_hub: dict = {}
-        for h, v, _ in entries:
+        for h, v in entries:
             if h is not None:
                 by_hub[h] = by_hub.get(h, 0.0) + v
         winner = max(sorted(by_hub), key=lambda h: by_hub[h])
-        total = sum(v for _, v, _ in entries)
-        direct = sum(v for h, v, _ in entries if h is None)
+        total = sum(v for _, v in entries)
+        direct = sum(v for h, v in entries if h is None)
         hub_choice[(b, s)] = winner
         fractions[(b, s)] = direct / total if total > 0.0 else 1.0
 
@@ -539,7 +521,6 @@ def solve_two_stage(
         per_destination=per_destination,
         merged=merged,
         violations=violations,
-        cost=evaluate_cost(instance, merged, "exact"),
     )
 
 

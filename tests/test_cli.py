@@ -148,7 +148,7 @@ class TestSolve:
             assert set(counters) == {
                 "full_evaluations", "delta_evaluations",
                 "near_tie_fallbacks", "accepted_moves",
-                "routing_memo_hits", "inert_hub_hits", "direct_delta_hits",
+                "inert_hub_hits", "direct_delta_hits",
                 "moves_tried", "moves_accepted",
             }
             assert counters["full_evaluations"] > 0

@@ -28,10 +28,12 @@ from hublocate.solution import solution_to_json
 
 GOLDEN = Path(__file__).parent / "golden" / "heuristics.json"
 
-# (seed, branches, ports, destinations, profile[, density]); density 0.6
-# unless given.  The density-0.9 cases are the ones where the two-stage
-# caches answer most trials; the 12x3x6 cases are the shape where the
-# inert-hub reuse skips the most routing.
+# (seed, branches, ports, destinations, profile[, density[, hub budget]]);
+# density 0.6 and hub budget 2 unless given.  The density-0.9 cases are the
+# ones where the two-stage caches answer most trials; the 12x3x6 cases are
+# the shape where the inert-hub reuse skips the most routing; the budget-3
+# cases read three-hub trials off two-hub ones, and the 12x3x6 one answers
+# differently than at budget 2.
 CASES = [(seed, 8, 3, 4, PROFILES[seed % 3]) for seed in range(30)] + [
     (3, 16, 3, 4, "consolidation_favorable"),
     (1, 8, 3, 4, "uniform", 0.9),
@@ -40,15 +42,21 @@ CASES = [(seed, 8, 3, 4, PROFILES[seed % 3]) for seed in range(30)] + [
     (3, 24, 3, 4, "consolidation_favorable", 0.9),
     (4, 12, 3, 6, "consolidation_favorable"),
     (7, 12, 3, 6, "uniform"),
+    (2, 12, 3, 6, "consolidation_favorable", 0.9, 3),
+    (5, 8, 3, 4, "uniform", 0.9, 3),
 ]
 
 
-def run_case(seed, branches, ports, dests, profile, density=0.6) -> dict:
+def run_case(seed, branches, ports, dests, profile, density=0.6, hub_budget=2) -> dict:
     inst = generate(seed, branches, ports, dests, density, profile)
-    merged = solve_two_stage(inst).merged
+    merged = solve_two_stage(inst, hub_budget).merged
     improved = local_search_improve(inst, merged)
     case = [seed, branches, ports, dests, profile]
-    out = {"case": case if density == 0.6 else case + [density]}
+    if density != 0.6 or hub_budget != 2:
+        case.append(density)
+    if hub_budget != 2:
+        case.append(hub_budget)
+    out = {"case": case}
     for label, sol in (("two_stage", merged), ("local_search", improved)):
         out[label] = {
             "solution": json.loads(solution_to_json(sol)),

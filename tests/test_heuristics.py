@@ -130,6 +130,40 @@ def twin_hub_instance() -> Instance:
     )
 
 
+def outlier_hub_instance() -> Instance:
+    """The cluster instance with a fourth branch X: 20 m3 next to B1 only,
+    so the {X} trial moves B1 alone and leaves H1 shipping direct."""
+    base = consolidation_cluster_instance()
+    distance = {**base.distance, ("X", "X"): 0.0, ("X", "S1"): 500.0, ("X", "S2"): 560.0}
+    for b, d in (("B1", 8.0), ("B2", 60.0), ("H1", 60.0)):
+        distance[("X", b)] = distance[(b, "X")] = d
+    return dataclasses.replace(
+        base,
+        nodes=NodeSets(("B1", "B2", "H1", "X"), ("S1", "S2"), ("T1",)),
+        demand={**base.demand, ("X", "T1"): 20.0},
+        setup_cost={**base.setup_cost, "X": 40.0},
+        hub_consol_cost={**base.hub_consol_cost, "X": 0.5},
+        distance=distance,
+    )
+
+
+def all_direct_cost(ctx, ports) -> float:
+    return ctx.cost(ports, dict.fromkeys(ctx.branches))
+
+
+def fresh_trial(inst, t, ports, hub_set) -> tuple:
+    """(routes, cost) of one hub-set trial from a context that caches nothing yet."""
+    ctx = _DestinationContext(inst, t, SearchStats())
+    routes, _ = ctx.route_shipments(ports, hub_set, all_direct_cost(ctx, ports), {})
+    return routes, ctx.cost(ports, routes)
+
+
+def sweep(ctx, ports, hub_budget) -> dict:
+    """Hub set -> the (routes, cost) ``hub_set_trials`` yields for it."""
+    hub_sets = hub_subsets(ctx.instance.nodes.branches, hub_budget)
+    return dict(zip(hub_sets, ctx.hub_set_trials(ports, hub_budget, None), strict=True))
+
+
 def full_cost_routes(ctx, ports, hub_set) -> dict:
     """Best-response routing with every option costed in full."""
     routes = dict.fromkeys(ctx.branches)
@@ -151,6 +185,35 @@ def full_cost_routes(ctx, ports, hub_set) -> dict:
     return routes
 
 
+def reference_single_destination(inst, t, hub_budget) -> tuple:
+    """The alternating search with every hub-set trial routed afresh and
+    every port move costed in full, repeated until an iteration brings no
+    strict improvement; returns (ports, hubs used, routes, cost)."""
+    ctx = _DestinationContext(inst, t, SearchStats())
+    ports = ctx.initial_ports()
+    routes = dict.fromkeys(ctx.branches)
+    cost = ctx.cost(ports, routes)
+    while True:
+        before = cost
+        for hub_set in hub_subsets(inst.nodes.branches, hub_budget):
+            trial_routes, c = fresh_trial(inst, t, ports, hub_set)
+            if c < cost:
+                cost, routes = c, trial_routes
+        used = tuple(sorted({h for h in routes.values() if h is not None}))
+        for b in ctx.branches:
+            for s in ctx.ports:
+                if s == ports[b]:
+                    continue
+                for h in [None] if b in used else [None, *used]:
+                    trial_ports, trial_routes = {**ports, b: s}, {**routes, b: h}
+                    c = ctx.cost(trial_ports, trial_routes)
+                    if c < cost:
+                        cost, ports, routes = c, trial_ports, trial_routes
+        if cost >= before:
+            used = tuple(sorted({h for h in routes.values() if h is not None}))
+            return ports, used, routes, cost
+
+
 class TestRouteDeltas:
     @pytest.mark.parametrize("inst", [
         twin_hub_instance(),
@@ -158,9 +221,9 @@ class TestRouteDeltas:
         generate(5, 8, 3, 2, 0.8, "nvocc_only_mix"),
     ], ids=["twin-hubs", "consolidation", "nvocc-mix"])
     def test_delta_routing_matches_full_costs(self, inst):
-        # One context per destination walks every hub set for two port
-        # vectors, so cached all-direct deltas are read across hub sets
-        # and keyed anew when a branch changes port.
+        # Every hub set at one port vector shares one dict of all-direct
+        # deltas, as in a hub-set sweep, so cached deltas are read across
+        # hub sets; a second port vector starts a new dict.
         stats = SearchStats()
         for t in inst.nodes.destination_ports:
             ctx = _DestinationContext(inst, t, stats)
@@ -170,34 +233,18 @@ class TestRouteDeltas:
             b = ctx.branches[0]
             moved = {**ports, b: next(s for s in ctx.ports if s != ports[b])}
             for port_map in (ports, moved):
+                direct_cost, direct = all_direct_cost(ctx, port_map), {}
                 for hub_set in hub_subsets(inst.nodes.branches, 2):
-                    assert ctx.route_shipments(port_map, hub_set)[0] == full_cost_routes(
-                        ctx, port_map, hub_set
-                    )
+                    routes, _ = ctx.route_shipments(port_map, hub_set, direct_cost, direct)
+                    assert routes == full_cost_routes(ctx, port_map, hub_set)
         assert stats.direct_delta_hits > 0
-
-    def test_repeated_trial_is_answered_from_the_memo(self):
-        inst = twin_hub_instance()
-        stats = SearchStats()
-        ctx = _DestinationContext(inst, "T1", stats)
-        ports = {b: "S1" for b in ctx.branches}
-        routes, cost = ctx.hub_set_trial(ports, ("H1", "H2"))
-        assert routes == {"B1": "H1", "B2": "H1", "H1": None, "H2": None}
-        assert cost == ctx.cost(ports, routes)
-        work = (stats.delta_evaluations, stats.full_evaluations)
-        routes["B1"] = "H2"  # the caller's copy; the memo keeps its own
-        assert ctx.hub_set_trial(ports, ("H1", "H2")) == (
-            {"B1": "H1", "B2": "H1", "H1": None, "H2": None}, cost
-        )
-        assert (stats.delta_evaluations, stats.full_evaluations) == work
-        assert stats.routing_memo_hits == 1
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_hub_set_trials_match_fresh_routings(self, profile):
-        # One context per destination walks every hub set of up to three
-        # hubs in order at two port vectors, so trials read off smaller
-        # ones (rule 5) meet the memo and caches they rely on; each must
-        # equal a fresh context's routing and full cost.
+        # One context per destination sweeps every hub set of up to three
+        # hubs at two port vectors, so trials read off smaller ones (rule 5)
+        # meet the caches they rely on; each must equal a fresh context's
+        # routing and full cost.
         stats = SearchStats()
         for density in (0.6, 0.9):
             inst = generate(4, 8, 3, 2, density, profile)
@@ -209,11 +256,8 @@ class TestRouteDeltas:
                 b = ctx.branches[0]
                 moved = {**ports, b: next(s for s in ctx.ports if s != ports[b])}
                 for port_map in (ports, moved):
-                    for hub_set in hub_subsets(inst.nodes.branches, 3):
-                        fresh = _DestinationContext(inst, t, SearchStats())
-                        routes, _ = fresh.route_shipments(port_map, hub_set)
-                        expected = (routes, fresh.cost(port_map, routes))
-                        assert ctx.hub_set_trial(port_map, hub_set) == expected
+                    for hub_set, trial in sweep(ctx, port_map, 3).items():
+                        assert trial == fresh_trial(inst, t, port_map, hub_set)
         assert stats.inert_hub_hits > 0
 
     def test_clearly_inert_hub_that_moved_is_routed(self):
@@ -225,18 +269,23 @@ class TestRouteDeltas:
         stats = SearchStats()
         ctx = _DestinationContext(inst, "T1", stats)
         ports = {b: "S1" for b in ctx.branches}
-        assert ctx.hub_set_trial(ports, ("B2",))[0] == dict.fromkeys(ctx.branches)
-        assert ctx.hub_set_trial(ports, ("H1",))[0] == {"B1": "H1", "B2": "H1", "H1": None}
-        assert ctx._inert[ctx.port_vector(ports)] == {"B2": True}
-        routes, cost = ctx.hub_set_trial(ports, ("B2", "H1"))
-        assert routes == {"B1": "H1", "B2": None, "H1": None}
-        assert cost == ctx.cost(ports, routes)
+        direct = dict.fromkeys(ctx.branches)
+        direct_cost = ctx.cost(ports, direct)
+        loads = ctx.loads(ports, direct)
+        margin = heuristics.CLEAR_MARGIN * direct_cost
+        assert all(ctx.delta(ports, direct, loads, b, "S1", "B2") > margin for b in ("B1", "H1"))
+        trials = sweep(ctx, ports, 2)
+        assert trials[("B2",)] == (direct, direct_cost)
+        assert trials[("H1",)][0] == {"B1": "H1", "B2": "H1", "H1": None}
+        assert trials[("B2", "H1")] == fresh_trial(inst, "T1", ports, ("B2", "H1"))
+        assert trials[("B2", "H1")][0] == {"B1": "H1", "B2": None, "H1": None}
         assert stats.inert_hub_hits == 0
 
     def test_hub_just_above_a_tie_is_inert_but_not_clearly(self):
         # H1's set-up is tuned so that moving B1 or B2 onto it costs 1e-4
         # more than shipping direct: outside the tie band, inside the margin.
-        base = consolidation_cluster_instance()
+        # H1 is inert, but the {H1, X} trial is routed, not read off {X}.
+        base = outlier_hub_instance()
         ctx = _DestinationContext(base, "T1", SearchStats())
         ports = {b: "S1" for b in ctx.branches}
         direct = dict.fromkeys(ctx.branches)
@@ -244,17 +293,22 @@ class TestRouteDeltas:
             ports, direct, ctx.loads(ports, direct), "B1", "S1", "H1"
         )
         inst = dataclasses.replace(base, setup_cost={**base.setup_cost, "H1": gain + 1e-4})
-        ctx = _DestinationContext(inst, "T1", SearchStats())
-        margin = heuristics.CLEAR_MARGIN * ctx.direct_cost(ports)
-        assert TIE_RTOL * ctx.direct_cost(ports) < 1e-4 < margin
-        assert ctx.hub_set_trial(ports, ("H1",))[0] == direct
-        assert ctx._inert[ctx.port_vector(ports)] == {"H1": False}
+        stats = SearchStats()
+        ctx = _DestinationContext(inst, "T1", stats)
+        direct_cost = all_direct_cost(ctx, ports)
+        assert TIE_RTOL * direct_cost < 1e-4 < heuristics.CLEAR_MARGIN * direct_cost
+        trials = sweep(ctx, ports, 2)
+        assert trials[("H1",)] == (direct, direct_cost)
+        assert trials[("X",)][0] == {**direct, "B1": "X"}
+        assert trials[("H1", "X")] == fresh_trial(inst, "T1", ports, ("H1", "X"))
+        assert stats.inert_hub_hits == 0
 
     def test_exact_ties_fall_back_to_full_costs(self):
         inst = twin_hub_instance()
         stats = SearchStats()
         ctx = _DestinationContext(inst, "T1", stats)
-        routes, _ = ctx.route_shipments({b: "S1" for b in ctx.branches}, ("H1", "H2"))
+        ports = {b: "S1" for b in ctx.branches}
+        routes, _ = ctx.route_shipments(ports, ("H1", "H2"), all_direct_cost(ctx, ports), {})
         assert stats.near_tie_fallbacks > 0
         assert routes == {"B1": "H1", "B2": "H1", "H1": None, "H2": None}
 
@@ -283,9 +337,27 @@ class TestSingleDestination:
         assert plan.cost == pytest.approx(best_cost, rel=1e-9)
 
     def test_iterations_bounded_and_counted(self):
+        # An iteration whose port step moves nothing is the last one.  On
+        # the cluster instance step 1 opens H1 and no port move follows;
+        # on the generated one port moves keep the search going.
         inst = consolidation_cluster_instance()
-        plan = solve_single_destination(inst, "T1", hub_budget=2)
-        assert 1 <= plan.iterations <= 50
+        stats = SearchStats()
+        assert solve_single_destination(inst, "T1", 2, stats).iterations == 1
+        assert stats.accepted_moves == 2
+        inst = generate(7, 8, 3, 2, 0.6, "consolidation_favorable")
+        stats = SearchStats()
+        assert solve_single_destination(inst, "T1", 2, stats).iterations == 3
+        assert stats.accepted_moves == 12
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_stops_where_the_strict_improvement_loop_stops(self, profile):
+        for density, hub_budget in itertools.product((0.6, 0.9), (1, 2, 3)):
+            inst = generate(7, 8, 3, 2, density, profile)
+            for t in inst.nodes.destination_ports:
+                plan = solve_single_destination(inst, t, hub_budget)
+                assert (plan.ports, plan.hubs, plan.routes, plan.cost) == (
+                    reference_single_destination(inst, t, hub_budget)
+                )
 
 
 class TestTwoStage:
@@ -296,7 +368,9 @@ class TestTwoStage:
         assert result.merged.hubs == frozenset({"H1"})
         assert check_feasibility(inst, result.merged) == []
         plan = result.per_destination["T1"]
-        assert result.cost.total == pytest.approx(plan.cost, rel=1e-9)
+        assert evaluate_cost(inst, result.merged, "exact").total == pytest.approx(
+            plan.cost, rel=1e-9
+        )
 
     def test_merge_conflict_reported_as_c8(self, merge_conflict_instance):
         result = solve_two_stage(merge_conflict_instance, hub_budget=2)
