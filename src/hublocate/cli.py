@@ -170,16 +170,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_build_milp(args) -> int:
-    instance = load_instance(args.instance)
-    model = build_linearized_model(instance, fix_no_hubs=args.no_hubs)
     out = str(args.output)
-    if out.endswith(".mps"):
-        text = emit_mps(model)
-    elif out.endswith(".lp"):
-        text = emit_lp(model)
-    else:
+    if not out.endswith((".lp", ".mps")):
         print(f"output must end with .lp or .mps, got {out}", file=sys.stderr)
         return 2
+    instance = load_instance(args.instance)
+    model = build_linearized_model(instance, fix_no_hubs=args.no_hubs)
+    text = emit_mps(model) if out.endswith(".mps") else emit_lp(model)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(

@@ -37,12 +37,17 @@ records: immutable, with named fields, and built as one tuple each (no
 per-field attribute assignment), which matters at tens of thousands of
 records per model.  ``MilpModel.variables`` and ``.constraints`` are
 plain lists in model order.  Every variable has lower bound 0 and the
-objective is minimized.
+objective is minimized.  The builder formats each variable name once,
+into per-family name tables that the variable and constraint loops share.
 
 Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
 the model: the same model gives the same bytes on every run and every
-release, numerals are ``_num`` (at most 12 significant digits), and rows
-list their terms in sorted variable-name order.  ``decode`` compares a
+release, and numerals are ``_num`` (at most 12 significant digits).  LP
+rows list their terms in sorted variable-name order.  MPS columns come
+in variable order, each with its objective entry and then its row
+entries in model row order; a row holds at most one entry per column,
+so ``emit_mps`` sorts nothing and the order of a row's coefficient dict
+never reaches either text.  ``decode`` compares a
 model file on disk with a fresh emission byte for byte, so any change to
 the emitted text is a format change.  The text is pinned by the toy
 goldens (``tests/golden/toy_model.*``) and by the sha256 hashes of
@@ -111,11 +116,13 @@ class MilpModel:
     meta: ModelMeta
 
     def validate(self) -> None:
-        names = set()
-        for v in self.variables:
-            if v.name in names:
-                raise ValueError(f"duplicate variable name {v.name}")
-            names.add(v.name)
+        names = {v.name for v in self.variables}
+        if len(names) != len(self.variables):
+            seen = set()
+            for v in self.variables:
+                if v.name in seen:
+                    raise ValueError(f"duplicate variable name {v.name}")
+                seen.add(v.name)
         for c in self.constraints:
             if not names.issuperset(c.coeffs):
                 n = next(n for n in c.coeffs if n not in names)
@@ -187,61 +194,69 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     j = first_curve.step_count
 
     hub_ub = 0.0 if fix_no_hubs else None
+
+    # Every name is formatted once, into the per-family tables that the
+    # variable and constraint loops share.  y_names[b, s] and
+    # vh_names[b, s] list the names over the hubs h in B order.
+    z_names = {(b, t): {s: _zn(b, t, s) for s in usable[t]} for (b, t) in pairs}
+    x_names = {b: _xn(b) for b in B}
+    y_names = {(b, s): [_yn(b, s, h) for h in B] for b in B for s in S}
+    vd_names = {(b, s): _vdn(b, s) for b in B for s in S}
+    vh_names = {(b, s): [_vhn(b, s, h) for h in B] for b in B for s in S}
+    # Per arc, in arcs order: nL and the step names uL0..uL<j-1>.
+    land_names = [(_nln(b, r), [_uln(i, b, r) for i in range(j)]) for (b, r) in arcs]
+    # Per relation: nS, and uS where the relation has an NVOCC rate.
+    sea_names = {}
+    for (s, t) in relations:
+        nvocc = instance.sea_rates[(s, t)].nvocc_per_m3 is not None
+        sea_names[(s, t)] = (_nsn(s, t), _usn(s, t) if nvocc else None)
+
     variables: list[Variable] = []
     add = variables.append
 
     for (b, t) in pairs:
         v = instance.demand[(b, t)]
-        for s in usable[t]:
-            add(Variable(_zn(b, t, s), BINARY, obj=instance.port_consol_cost[s] * v))
+        for s, name in z_names[(b, t)].items():
+            add(Variable(name, BINARY, obj=instance.port_consol_cost[s] * v))
     for b in B:
-        add(Variable(_xn(b), BINARY, obj=instance.setup_cost[b], upper=hub_ub))
-    for b in B:
-        for s in S:
-            for h in B:
-                add(Variable(_yn(b, s, h), BINARY, upper=hub_ub))
-    for b in B:
-        for s in S:
-            add(Variable(_vdn(b, s), CONTINUOUS))
-    for b in B:
-        for s in S:
-            for h in B:
-                add(Variable(_vhn(b, s, h), CONTINUOUS, obj=instance.hub_consol_cost[h], upper=hub_ub))
+        add(Variable(x_names[b], BINARY, obj=instance.setup_cost[b], upper=hub_ub))
+    for ys in y_names.values():
+        for name in ys:
+            add(Variable(name, BINARY, upper=hub_ub))
+    for name in vd_names.values():
+        add(Variable(name, CONTINUOUS))
+    for vhs in vh_names.values():
+        for h, name in zip(B, vhs):
+            add(Variable(name, CONTINUOUS, obj=instance.hub_consol_cost[h], upper=hub_ub))
 
-    # Step variable names uL0..uL<j-1> per arc, shared by the variable,
-    # cap_ and step_ loops.
-    step_names = {(b, r): [_uln(i, b, r) for i in range(j)] for (b, r) in arcs}
-    for (b, r) in arcs:
+    for (b, r), (nl, steps) in zip(arcs, land_names):
         values = curve(b, r).values
-        steps = step_names[(b, r)]
-        add(Variable(_nln(b, r), INTEGER, obj=values[j]))
+        add(Variable(nl, INTEGER, obj=values[j]))
         add(Variable(steps[0], CONTINUOUS, obj=values[0], upper=1.0))
         for i in range(1, j):
             add(Variable(steps[i], BINARY, obj=values[i]))
-    for (s, t) in relations:
+    for (s, t), (ns, us) in sea_names.items():
         rate = instance.sea_rates[(s, t)]
         fcl = rate.fcl_per_container
-        add(Variable(_nsn(s, t), INTEGER, obj=fcl if fcl is not None else instance.nvocc_penalty))
-        if rate.nvocc_per_m3 is not None:
+        add(Variable(ns, INTEGER, obj=fcl if fcl is not None else instance.nvocc_penalty))
+        if us is not None:
             u_lim = rate.nvocc_limit(instance.nvocc_cap)
-            add(Variable(_usn(s, t), CONTINUOUS, obj=rate.nvocc_per_m3, upper=u_lim))
+            add(Variable(us, CONTINUOUS, obj=rate.nvocc_per_m3, upper=u_lim))
 
     constraints: list[Constraint] = []
     radd = constraints.append
 
     for (b, t) in pairs:
-        radd(Constraint(f"port_{b}_{t}", {_zn(b, t, s): 1.0 for s in usable[t]}, EQ, 1.0))
-    for b in B:
-        for s in S:
-            radd(Constraint(f"onehub_{b}_{s}", {_yn(b, s, h): 1.0 for h in B}, LE, 1.0))
-    for b in B:
-        for s in S:
-            for h in B:
-                radd(Constraint(f"act_{b}_{s}_{h}", {_yn(b, s, h): 1.0, _xn(h): -1.0}, LE, 0.0))
-    for h in B:
-        for s in S:
-            for c in B:
-                radd(Constraint(f"norelay_{h}_{s}_{c}", {_yn(h, s, c): 1.0, _xn(h): 1.0}, LE, 1.0))
+        radd(Constraint(f"port_{b}_{t}", dict.fromkeys(z_names[(b, t)].values(), 1.0), EQ, 1.0))
+    for (b, s), ys in y_names.items():
+        radd(Constraint(f"onehub_{b}_{s}", dict.fromkeys(ys, 1.0), LE, 1.0))
+    for (b, s), ys in y_names.items():
+        for h, y in zip(B, ys):
+            radd(Constraint(f"act_{b}_{s}_{h}", {y: 1.0, x_names[h]: -1.0}, LE, 0.0))
+    for (h, s), ys in y_names.items():
+        x = x_names[h]
+        for c, y in zip(B, ys):
+            radd(Constraint(f"norelay_{h}_{s}_{c}", {y: 1.0, x: 1.0}, LE, 1.0))
 
     by_branch = {}
     for (b, t) in pairs:
@@ -249,44 +264,45 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     for b in B:
         m_b = sum(instance.demand[(b, t)] for t in by_branch.get(b, []))
         for s in S:
-            coeffs = {_vdn(b, s): -1.0}
-            for h in B:
-                coeffs[_vhn(b, s, h)] = -1.0
+            vhs = vh_names[(b, s)]
+            coeffs = {vd_names[(b, s)]: -1.0}
+            coeffs.update(dict.fromkeys(vhs, -1.0))
             for t in by_branch.get(b, []):
-                if s in usable[t]:
-                    coeffs[_zn(b, t, s)] = instance.demand[(b, t)]
+                zs = z_names[(b, t)]
+                if s in zs:
+                    coeffs[zs[s]] = instance.demand[(b, t)]
             radd(Constraint(f"split_{b}_{s}", coeffs, EQ, 0.0))
-            for h in B:
-                radd(Constraint(
-                    f"bigm_{b}_{s}_{h}",
-                    {_vhn(b, s, h): 1.0, _yn(b, s, h): -m_b},
-                    LE, 0.0,
-                ))
+            for h, vh, y in zip(B, vhs, y_names[(b, s)]):
+                radd(Constraint(f"bigm_{b}_{s}_{h}", {vh: 1.0, y: -m_b}, LE, 0.0))
 
-    for (b, r) in arcs:
+    position = {b: i for i, b in enumerate(B)}
+    for (b, r), (nl, steps) in zip(arcs, land_names):
         if r in instance.nodes.origin_ports:
             # Arc into a port: direct volume of b plus everything hubbed via b.
-            coeffs = {_vdn(b, r): 1.0}
+            hub = position[b]
+            coeffs = {vd_names[(b, r)]: 1.0}
             for c in B:
-                coeffs[_vhn(c, r, b)] = 1.0
+                coeffs[vh_names[(c, r)][hub]] = 1.0
         else:
             # Arc into hub r: the feeder flow from b over every port.
-            coeffs = {_vhn(b, s, r): 1.0 for s in S}
-        steps = step_names[(b, r)]
-        coeffs[_nln(b, r)] = -v_pts[j]
-        for i in range(j):
-            coeffs[steps[i]] = -v_pts[i]
+            hub = position[r]
+            coeffs = {vh_names[(b, s)][hub]: 1.0 for s in S}
+        coeffs[nl] = -v_pts[j]
+        for name, v in zip(steps, v_pts):
+            coeffs[name] = -v
         radd(Constraint(f"cap_{b}_{r}", coeffs, LE, 0.0))
         radd(Constraint(f"step_{b}_{r}", dict.fromkeys(steps, 1.0), LE, 1.0))
 
-    for (s, t) in relations:
+    for (s, t), (ns, us) in sea_names.items():
         coeffs = {}
         for (b, t2) in pairs:
-            if t2 == t and s in usable[t]:
-                coeffs[_zn(b, t, s)] = instance.demand[(b, t)]
-        coeffs[_nsn(s, t)] = -instance.sea_container_volume
-        if instance.sea_rates[(s, t)].nvocc_per_m3 is not None:
-            coeffs[_usn(s, t)] = -1.0
+            if t2 == t:
+                zs = z_names[(b, t)]
+                if s in zs:
+                    coeffs[zs[s]] = instance.demand[(b, t)]
+        coeffs[ns] = -instance.sea_container_volume
+        if us is not None:
+            coeffs[us] = -1.0
         radd(Constraint(f"sea_{s}_{t}", coeffs, LE, 0.0))
 
     model = MilpModel(
@@ -399,7 +415,10 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
 
 
 def constraint_residual(constraint: Constraint, values: dict) -> float:
-    lhs = sum(coef * values[name] for name, coef in constraint.coeffs.items())
+    # A plain loop, not sum() over a generator: decode checks every row.
+    lhs = 0.0
+    for name, coef in constraint.coeffs.items():
+        lhs += coef * values[name]
     if constraint.sense == LE:
         return max(0.0, lhs - constraint.rhs)
     if constraint.sense == GE:
@@ -542,26 +561,38 @@ class _Numerals(dict):
         return s
 
 
-def _lp_terms(coeffs: list, num: _Numerals) -> list:
-    """Signed `+ c name` terms wrapped into lines of at most six terms."""
-    terms = [
-        f"- {num[-coef]} {name}" if coef < 0 else f"+ {num[coef]} {name}"
-        for name, coef in coeffs
-    ]
-    return [" ".join(terms[i:i + 6]) for i in range(0, max(len(terms), 1), 6)]
+class _TermHeads(dict):
+    """coefficient -> ``"+ c "`` or ``"- c "``, the head of an LP term,
+    rendered on first use; one table per emission, as ``_Numerals``."""
+
+    def __missing__(self, x):
+        s = self[x] = f"- {_num(-x)} " if x < 0 else f"+ {_num(x)} "
+        return s
+
+
+def _lp_terms(names, coeffs: dict, heads: _TermHeads) -> list:
+    """Signed `+ c name` terms in the order of ``names``, wrapped into
+    lines of at most six terms."""
+    terms = [heads[coeffs[name]] + name for name in names]
+    if len(terms) <= 6:  # most rows
+        return [" ".join(terms)]
+    return [" ".join(terms[i:i + 6]) for i in range(0, len(terms), 6)]
 
 
 def emit_lp(model: MilpModel) -> str:
     """CPLEX-style LP text, canonical order, byte-stable across runs."""
     num = _Numerals()
+    heads = _TermHeads()
     out = [f"\\ hublocate model {model.name}", "Minimize"]
-    obj = [(v.name, v.obj) for v in model.variables if v.obj != 0.0]
-    lines = _lp_terms(obj, num)
+    obj = {v.name: v.obj for v in model.variables if v.obj != 0.0}
+    lines = _lp_terms(obj, obj, heads)
     out.append(" obj: " + lines[0])
     out.extend("      " + ln for ln in lines[1:])
     out.append("Subject To")
     for c in model.constraints:
-        lines = _lp_terms(sorted(c.coeffs.items()), num)
+        # Names are unique, so sorting the names alone gives the order that
+        # sorting (name, coefficient) pairs gives, without building pairs.
+        lines = _lp_terms(sorted(c.coeffs), c.coeffs, heads)
         lines[-1] += f" {c.sense} {num[c.rhs]}"
         out.append(f" {c.name}: {lines[0]}")
         if len(lines) > 1:
@@ -602,14 +633,15 @@ def emit_mps(model: MilpModel) -> str:
         out.append(f" {sense_tag[c.sense]} {c.name}")
 
     # Each column's entry lines, rendered once, objective row first and
-    # then the constraint rows in model order.
+    # then the constraint rows in model order.  A row holds at most one
+    # entry per column, so the order of a row's coefficients never shows.
     entries: dict = {
         v.name: [f"    {v.name} obj {num[v.obj]}"] if v.obj != 0.0 else []
         for v in model.variables
     }
     for c in model.constraints:
         row = c.name
-        for name, coef in sorted(c.coeffs.items()):
+        for name, coef in c.coeffs.items():
             entries[name].append(f"    {name} {row} {num[coef]}")
 
     out.append("COLUMNS")

@@ -374,6 +374,15 @@ class TestMilpRoundTrip:
     def test_build_milp_rejects_unknown_extension(self, toy_file, tmp_path):
         assert main(["build-milp", str(toy_file), "-o", str(tmp_path / "m.txt")]) == 2
 
+    def test_build_milp_checks_the_extension_before_loading(self, tmp_path, capsys):
+        # The suffix is refused before the instance is read: a missing
+        # instance would otherwise exit 1.
+        out = tmp_path / "m.txt"
+        rc = main(["build-milp", str(tmp_path / "missing.json"), "-o", str(out)])
+        assert rc == 2
+        assert "must end with .lp or .mps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_hub_restriction_flag(self, toy_file, tmp_path):
         out = tmp_path / "restricted.lp"
         assert main(["build-milp", "--no-hubs", str(toy_file), "-o", str(out)]) == 0

@@ -2,7 +2,8 @@
 
 ``golden/milp_hashes.json`` holds the sha256 of ``emit_lp`` and
 ``emit_mps`` for seeded generator models of two sizes over all three
-profiles, one of them built with ``fix_no_hubs=True``.  The toy goldens
+profiles, two of them built with ``fix_no_hubs=True`` (one at the
+benchmark's 16x3x6 ``model`` shape).  The toy goldens
 in ``golden/toy_model.*`` show the full text of a 2-branch model; these
 hashes cover models with every constraint family at realistic sizes.  Any
 change to model order, naming or numeral formatting fails here.
@@ -33,6 +34,7 @@ CASES = [
     (5, 16, 3, 6, "consolidation_favorable", False),
     (6, 16, 3, 6, "nvocc_only_mix", False),
     (7, 8, 3, 4, "consolidation_favorable", True),
+    (4, 16, 3, 6, "uniform", True),
 ]
 
 

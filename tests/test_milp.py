@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -39,6 +40,10 @@ from hublocate.solution import Solution
 from conftest import feeder_load_on_a_break
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def variables_by_name(model) -> dict:
@@ -185,6 +190,41 @@ class TestEmission:
         assert parsed.binaries == {v.name for v in model.variables if v.kind == "binary"}
         assert parsed.integers == {v.name for v in model.variables if v.kind == "integer"}
 
+    def test_emission_ignores_coefficient_insertion_order(self):
+        # Both emitters fix the term order themselves: LP rows by variable
+        # name, MPS column entries by row.  So a row's dict order never shows.
+        model = build_linearized_model(generate(4, 16, 3, 6, 0.6, "uniform"))
+        reversed_model = dataclasses.replace(model, constraints=[
+            c._replace(coeffs=dict(reversed(c.coeffs.items()))) for c in model.constraints
+        ])
+        assert [list(c.coeffs) for c in reversed_model.constraints] != [
+            list(c.coeffs) for c in model.constraints
+        ]
+        # Compared by hash: a failing == on the texts would diff 0.3 MB.
+        for emit in (emit_lp, emit_mps):
+            assert sha256(emit(reversed_model)) == sha256(emit(model)), emit.__name__
+
+    def test_lp_rows_list_terms_in_sorted_name_order(self):
+        # Unpadded branch names: the rows are built in node order (B1, B10,
+        # B2, ...), but z_B10_T1_S1 sorts before z_B1_T1_S1 ("0" < "_").
+        model = build_linearized_model(full_demand_instance(10, 2, 2))
+        names = {v.name for v in model.variables}
+        rows, row = {}, None
+        text = emit_lp(model)
+        body = text[text.index("Subject To\n"):text.index("Bounds\n")].splitlines()[1:]
+        for line in body:
+            head = line.split()[0]
+            if head.endswith(":"):
+                row = rows[head[:-1]] = []
+            row.extend(tok for tok in line.split() if tok in names)
+        assert list(rows) == [c.name for c in model.constraints]
+        for c in model.constraints:
+            assert rows[c.name] == sorted(c.coeffs), c.name
+        built = list(next(c for c in model.constraints if c.name == "sea_S1_T1").coeffs)
+        assert built.index("z_B1_T1_S1") < built.index("z_B10_T1_S1")
+        sea = rows["sea_S1_T1"]
+        assert sea.index("z_B10_T1_S1") < sea.index("z_B1_T1_S1")
+
     def test_numerals_at_most_12_significant_digits(self):
         inst = full_demand_instance(2, 1, 1)
         inst = dataclasses.replace(
@@ -253,17 +293,24 @@ class TestEncodeDecode:
             model, Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         )
         values["z_B1_T1_S1"] = 0.0  # breaks the port totality row
-        with pytest.raises(ModelDecodeError):
+        values["y_B1_S1_B2"] = 1.0  # breaks act_B1_S1_B2: sorts first, comes later
+        rows = [c.name for c in model.constraints]
+        assert rows.index("port_B1_T1") < rows.index("act_B1_S1_B2")
+        with pytest.raises(ModelDecodeError) as err:
             decode_solution(model, values)
+        # The first violated row in model order, with its residual.
+        assert str(err.value) == "constraint port_B1_T1 violated by 1.0"
 
     def test_decode_rejects_missing_variable(self, toy_instance):
         model = build_linearized_model(toy_instance)
         values = encode_solution(
             model, Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         )
-        del values["x_B1"]
-        with pytest.raises(ModelDecodeError):
+        for name in ("nS_S1_T1", "x_B1", "y_B1_S1_B1"):
+            del values[name]
+        with pytest.raises(ModelDecodeError) as err:
             decode_solution(model, values)
+        assert str(err.value) == "values missing for 3 variable(s), first: x_B1"
 
     def test_decode_refuses_cost_above_objective(self):
         # Moving 3e-14 of the on-break feeder load from direct to hub keeps
