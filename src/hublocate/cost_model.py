@@ -213,24 +213,20 @@ def sea_cost(
     u_cont: float,
     nvocc_cap: float,
     penalty: float = DEFAULT_PENALTY,
-    u_lim: float | None = None,
 ) -> tuple[float, int, float]:
     """Cheapest (cost, containers, NVOCC volume) covering v m3.
 
     Minimizes n * container_price + u * nvocc over integer n >= 0 and
-    0 <= u <= u_lim with n * u_cont + u >= v.  Relations without an FCL
-    rate price each container at ``penalty`` instead, so volumes beyond
-    the NVOCC cap stay representable at prohibitive cost.  Cost ties are
-    broken toward more containers.  ``u_lim`` overrides the derived limit
-    when given (the result is cost-identical for any override at or above
-    the derived limit).
+    0 <= u <= rate.nvocc_limit(nvocc_cap) with n * u_cont + u >= v.
+    Relations without an FCL rate price each container at ``penalty``
+    instead, so volumes beyond the NVOCC cap stay representable at
+    prohibitive cost.  Cost ties are broken toward more containers.
     """
     if v < 0.0:
         raise ValueError(f"negative volume {v}")
     if v == 0.0:
         return 0.0, 0, 0.0
-    if u_lim is None:
-        u_lim = rate.nvocc_limit(nvocc_cap)
+    u_lim = rate.nvocc_limit(nvocc_cap)
     per_container = rate.fcl_per_container if rate.fcl_per_container is not None else penalty
     nvocc = rate.nvocc_per_m3 or 0.0
     # Small slack keeps knife-edge volumes (v - u_lim an exact container

@@ -152,6 +152,10 @@ class _Kernel:
             total += self.prices.sea(s, t, w)
         return total, vols
 
+    def direct_land(self, vols: dict) -> dict:
+        """Approximated land price of each arc in ``vols`` shipped all direct."""
+        return {arc: land_cost_approx(self.curves[arc], v) for arc, v in vols.items()}
+
     def best_all_direct(self, deadline: float | None, what: str) -> tuple[float, tuple]:
         """Cheapest port assignment with every volume shipped direct, as
         (cost, port vector); the first minimum wins ties.  The deadline is
@@ -161,10 +165,7 @@ class _Kernel:
             if i % 256 == 0:
                 check_deadline(deadline, what)
             fixed, vols = self.fixed_cost(zvec)
-            land = 0.0
-            for arc, v in vols.items():
-                land += land_cost_approx(self.curves[arc], v)
-            total = fixed + land
+            total = fixed + sum(self.direct_land(vols).values())
             if best is None or total < best[0]:
                 best = (total, zvec)
         return best
@@ -452,13 +453,13 @@ def _port_vector_count(instance: Instance) -> float:
     return z_space
 
 
-def hub_subsets(branches, max_size: int) -> list[tuple]:
-    """Every hub set of at most ``max_size`` branches, smallest first, each
-    size in ``itertools.combinations`` order."""
-    out = []
+def hub_subsets(branches, max_size: int):
+    """Yield every hub set of at most ``max_size`` branches, smallest
+    first, each size in ``itertools.combinations`` order.  A generator, so
+    a caller that checks a deadline per set never waits for the whole
+    list."""
     for k in range(0, min(max_size, len(branches)) + 1):
-        out.extend(itertools.combinations(branches, k))
-    return out
+        yield from itertools.combinations(branches, k)
 
 
 def estimate_configurations(instance: Instance, limits: OracleLimits) -> float:
@@ -546,7 +547,7 @@ def enumerate_optimal(
     _check_limits(instance, limits)
 
     kernel = _Kernel(instance)
-    hub_sets = hub_subsets(kernel.B, limits.max_hub_set_size)
+    hub_sets = list(hub_subsets(kernel.B, limits.max_hub_set_size))
     setup_of = {hubs: sum(kernel.e[h] for h in hubs) for hubs in hub_sets}
 
     # All-direct optimum over every port assignment.  Configurations whose
@@ -565,7 +566,7 @@ def enumerate_optimal(
             stats.port_vectors_cut += 1
             continue
         active = tuple(sorted(vols))
-        direct_land = {arc: land_cost_approx(kernel.curves[arc], v) for arc, v in vols.items()}
+        direct_land = kernel.direct_land(vols)
         dests_via: dict = {}
         for (b, t), s in zip(kernel.pairs, zvec):
             dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])

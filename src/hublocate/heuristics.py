@@ -41,11 +41,10 @@ knows, by two more rules:
 
 4. a cached price or routing is reused only for an identical state (same
    ports, routes, loads and tie scale), so it is the float, or the
-   routing, that computing it again would give.  The feeder terms depend
-   on nothing but (branch, hub) and are kept for one destination's
-   solve; the all-direct cost and deltas, the trials and the inert hubs
-   are kept for one hub-set sweep (step 1 at one port vector), and the
-   deltas are read only while the routes are all direct;
+   routing, that computing it again would give.  The all-direct cost and
+   deltas, the trials and the inert hubs are kept for one hub-set sweep
+   (step 1 at one port vector), and the deltas are read only while the
+   routes are all direct;
 5. a hub-set trial is read off smaller trials of the same hub-set sweep
    when they decide it.  A single-hub trial ``{h}`` in which no route
    changed marks h inert; if every delta of moving a branch from the
@@ -152,15 +151,12 @@ class _DestinationContext:
     leg and hub consolidation, at most two port arcs and two sea
     relations, and the set-up of a hub it starts or stops using.
 
-    Its caches follow exactness rules 4 and 5:
-
-    - ``hub_set_trials`` keeps, for the one sweep over hub sets at one
-      port vector, the all-direct cost, the delta of moving branch b onto
-      hub h from the all-direct routing (which ``route_shipments`` reads
-      while its routes are still all direct), the sweep's trials and the
-      inert single hubs that rule 5 reads;
-    - ``delta`` reads each (b, h) feeder term, hub consolidation plus the
-      feeder leg, from ``_feeder``, which prices it once per context.
+    Its caches follow exactness rules 4 and 5: ``hub_set_trials`` keeps,
+    for the one sweep over hub sets at one port vector, the all-direct
+    cost, the delta of moving branch b onto hub h from the all-direct
+    routing (which ``route_shipments`` reads while its routes are still
+    all direct), the sweep's trials and the inert single hubs that rule 5
+    reads.
     """
 
     def __init__(self, instance: Instance, t: str, stats: SearchStats):
@@ -173,7 +169,6 @@ class _DestinationContext:
         }
         self.branches = sorted(self.ship)
         self.ports = instance.usable_ports(t)
-        self._feeders: dict = {}  # (b, h) -> hub consolidation + feeder leg
 
     def cost(self, ports: dict, routes: dict) -> float:
         """Set-up over the sorted hubs, then each branch's hub terms in
@@ -228,12 +223,13 @@ class _DestinationContext:
         port_arc, port_vol, uses = loads
         d = 0.0
         if h_old != h_new:
+            v = self.ship[b]
             if h_old is not None:
-                d -= self._feeder(b, h_old)
+                d -= inst.hub_consol_cost[h_old] * v + land(b, h_old, v)
                 if uses[h_old] == 1:
                     d -= inst.setup_cost[h_old]
             if h_new is not None:
-                d += self._feeder(b, h_new)
+                d += inst.hub_consol_cost[h_new] * v + land(b, h_new, v)
                 if h_new not in uses:
                     d += inst.setup_cost[h_new]
         arc_old = (b if h_old is None else h_old, s_old)
@@ -260,15 +256,6 @@ class _DestinationContext:
                 d += inst.port_consol_cost[s] * (vol - before)
                 d += sea(s, self.t, vol) - sea(s, self.t, before)
         return d
-
-    def _feeder(self, b: str, h: str) -> float:
-        f = self._feeders.get((b, h))
-        if f is None:
-            v = self.ship[b]
-            f = self._feeders[(b, h)] = (
-                self.instance.hub_consol_cost[h] * v + self.prices.land_exact(b, h, v)
-            )
-        return f
 
     def initial_ports(self) -> dict:
         """Per-branch cheapest standalone direct cost, ties to the first port."""
@@ -524,9 +511,6 @@ def solve_two_stage(
     )
 
 
-_MISSING = object()
-
-
 class _SearchState:
     """Mutable working copy of a solution for the local search.
 
@@ -536,7 +520,7 @@ class _SearchState:
     ``refresh`` re-sums just those loads from their members (in the order
     ``solution_flows`` uses, so the flows stay equal to a fresh build) and
     returns the change of the approximated cost they cause.  ``save`` and
-    ``restore`` roll a rejected move back through an undo log.
+    ``restore`` roll a rejected move back through a copy of the whole state.
     """
 
     def __init__(self, instance: Instance, solution: Solution, stats: SearchStats):
@@ -556,8 +540,7 @@ class _SearchState:
             if v > 0.0:
                 self.demand_of.setdefault(b, []).append((t, v))
                 self.shippers_to.setdefault(t, []).append((b, v))
-        self.delta = 0.0  # cost change since the log was last cleared
-        self._log: list = []  # (map, key, previous value or _MISSING)
+        self.delta = 0.0  # cost change since the last accepted move
         # Touched since the last refresh; dicts keep the order deterministic.
         self._pairs: dict = {}  # pair -> its hub before the first touch
         self._vol_pairs: dict = {}
@@ -616,13 +599,11 @@ class _SearchState:
 
     def _set(self, table: dict, key, value: float) -> float:
         """Store a re-summed load (dropping zeros); returns the previous one."""
-        old = table.get(key, _MISSING)
-        self._log.append((table, key, old))
         if value > 0.0:
+            old = table.get(key, 0.0)
             table[key] = value
-        else:
-            table.pop(key, None)
-        return 0.0 if old is _MISSING else old
+            return old
+        return table.pop(key, 0.0)
 
     def refresh(self) -> float:
         """Re-sum what the moves since the last refresh touched; returns
@@ -715,24 +696,19 @@ class _SearchState:
         self._setups.clear()
 
     def save(self):
+        fl = self.flows
         return (
-            len(self._log), self.delta,
-            dict(self.ports), set(self.hubs), dict(self.choices), dict(self.fracs),
+            self.delta, dict(self.ports), set(self.hubs), dict(self.choices), dict(self.fracs),
+            dict(fl.vols), dict(fl.port_arc), dict(fl.hub_arc), dict(fl.hub_inflow),
+            dict(fl.port_totals), dict(fl.sea_vol),
         )
 
     def restore(self, token) -> None:
-        mark, self.delta, self.ports, self.hubs, self.choices, self.fracs = token
-        while len(self._log) > mark:
-            table, key, old = self._log.pop()
-            if old is _MISSING:
-                table.pop(key, None)
-            else:
-                table[key] = old
+        """Return to the state of ``token``, taking over its maps (so restore a token once)."""
+        fl = self.flows
+        (self.delta, self.ports, self.hubs, self.choices, self.fracs, fl.vols, fl.port_arc,
+         fl.hub_arc, fl.hub_inflow, fl.port_totals, fl.sea_vol) = token
         self._clear_touched()
-
-    def commit(self) -> None:
-        self._log.clear()
-        self.delta = 0.0
 
     def below(self, estimate: float, limit: float) -> float | None:
         """The exact cost of the current state if it is below ``limit``.
@@ -774,7 +750,7 @@ def _try(
     if c is None:
         state.restore(token)
         return None
-    state.commit()
+    state.delta = 0.0
     report = check_feasibility(state.instance, state.as_solution())
     if report:
         raise InfeasibleSolutionError(report)
@@ -790,10 +766,9 @@ def _open_hub(state: _SearchState, h: str) -> float:
     for key in [k for k in state.choices if k[0] == h]:
         state.set_route(key, None)
     state.refresh()
-    vols = state.flows.vols
     base = state.total()
-    for (b, s) in sorted(vols):
-        if b in state.hubs or b == h or vols[(b, s)] <= 0.0:
+    for (b, s) in sorted(state.flows.vols):
+        if b in state.hubs or b == h or state.flows.vols[(b, s)] <= 0.0:
             continue
         token = state.save()
         state.set_route((b, s), h, 0.0)

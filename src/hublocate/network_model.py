@@ -327,6 +327,16 @@ def _id_list(raw, set_name: str) -> list[str]:
     return raw
 
 
+def put_record(table: dict, key: tuple, value, section: str) -> None:
+    """Store one keyed record of a file section; a second record with the
+    same key is an InstanceFormatError, not a silent overwrite."""
+    if key in table:
+        raise InstanceFormatError(
+            f"duplicate record for {key}", code="DUPLICATE_RECORD", section=section
+        )
+    table[key] = value
+
+
 def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
     """Build an Instance from a parsed document, with precise schema errors."""
     if not isinstance(doc, dict):
@@ -353,7 +363,7 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
         if not isinstance(rec, dict):
             raise InstanceFormatError("demand entries must be objects", code="BAD_TYPE", section="demand")
         key = (str(rec.get("branch")), str(rec.get("destination")))
-        demand[key] = _number(rec.get("volume"), "demand", "volume")
+        put_record(demand, key, _number(rec.get("volume"), "demand", "volume"), "demand")
 
     distance = {}
     for rec in _need(doc, "distances", list):
@@ -361,7 +371,8 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
             raise InstanceFormatError(
                 "distance entries must be objects", code="BAD_TYPE", section="distances"
             )
-        distance[(str(rec.get("from")), str(rec.get("to")))] = _number(rec.get("km"), "distances", "km")
+        key = (str(rec.get("from")), str(rec.get("to")))
+        put_record(distance, key, _number(rec.get("km"), "distances", "km"), "distances")
 
     table_doc = _need(doc, "land_cost_table", dict)
     try:
@@ -390,7 +401,7 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
             )
         key = (str(rec.get("origin")), str(rec.get("destination")))
         try:
-            sea_rates[key] = SeaRate(
+            rate = SeaRate(
                 fcl_per_container=_number(
                     rec.get("fcl_per_container"), "sea_rates", "fcl_per_container", allow_none=True
                 ),
@@ -402,6 +413,7 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
             raise InstanceFormatError(
                 f"invalid sea rate for {key}: {exc}", code="BAD_SEA_RATE", section="sea_rates"
             )
+        put_record(sea_rates, key, rate, "sea_rates")
 
     setup = {
         str(k): _number(v, "setup_costs", k) for k, v in _need(doc, "setup_costs", dict).items()

@@ -32,7 +32,7 @@ from .cost_model import (  # noqa: F401
     sea_cost,
 )
 from .errors import InfeasibleSolutionError, InstanceFormatError, UnknownNodeError
-from .network_model import Instance, read_json
+from .network_model import Instance, put_record, read_json
 from .pricing import cost_terms, demand_volumes, solution_flows
 
 SOLUTION_SCHEMA = "hublocate-solution-1"
@@ -234,15 +234,16 @@ def save_solution(solution: Solution, path) -> None:
     Path(path).write_text(solution_to_json(solution), encoding="utf-8")
 
 
-def _records(doc: dict, section: str, ids: tuple, number: str | None = None) -> list:
-    """One section's records as tuples: the ``ids`` fields (strings), then
-    the ``number`` field (a direct share in [0, 1]) when given."""
+def _records(doc: dict, section: str, ids: tuple, number: str | None = None) -> dict:
+    """One section's records as a map from their key, the first two
+    ``ids`` fields (strings), to the third one or, when given, to the
+    ``number`` field (a direct share in [0, 1]); a key may occur once."""
     recs = doc.get(section, [])
     if not isinstance(recs, list):
         raise InstanceFormatError(
             f"section {section!r} must be a list", code="BAD_TYPE", section=section
         )
-    out = []
+    out: dict = {}
     for rec in recs:
         if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in ids):
             raise InstanceFormatError(
@@ -258,7 +259,7 @@ def _records(doc: dict, section: str, ids: tuple, number: str | None = None) -> 
                     code="BAD_RECORD", section=section,
                 )
             row += (float(y),)
-        out.append(row)
+        put_record(out, row[:2], row[2], section)
     return out
 
 
@@ -277,16 +278,8 @@ def load_solution(path) -> Solution:
             "hubs must be a list of strings", code="BAD_TYPE", section="hubs"
         )
     return Solution(
-        port_choice={
-            (b, t): s
-            for b, t, s in _records(doc, "port_choice", ("branch", "destination", "origin"))
-        },
+        port_choice=_records(doc, "port_choice", ("branch", "destination", "origin")),
         hubs=frozenset(hubs),
-        direct_fraction={
-            (b, s): y
-            for b, s, y in _records(doc, "direct_fraction", ("branch", "origin"), "fraction")
-        },
-        hub_choice={
-            (b, s): h for b, s, h in _records(doc, "hub_choice", ("branch", "origin", "hub"))
-        },
+        direct_fraction=_records(doc, "direct_fraction", ("branch", "origin"), "fraction"),
+        hub_choice=_records(doc, "hub_choice", ("branch", "origin", "hub")),
     )

@@ -7,6 +7,7 @@ only there.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -40,3 +41,45 @@ def test_harness_and_workloads_import(perfbench):
     harness = perfbench("harness")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert set(harness.WORKLOADS) == {w["name"] for w in spec["workloads"]}
+
+
+def _unused_imports(tree) -> dict:
+    """Name -> import statement of each name a module imports and never
+    uses (a name listed in ``__all__`` counts as used)."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node
+    return {name: node for name, node in imported.items() if name not in used}
+
+
+def test_unused_imports_are_benchmark_shims(perfbench):
+    # A name a module imports but never calls is kept only as an attribute
+    # for the benchmark: it sits on a "# noqa: F401" line, and the tracer
+    # hooks it on that module or perfbench imports it from there.  The
+    # names this test sees are the list of shims to delete once the
+    # benchmark points at the defining modules.
+    tracer = perfbench("tracer")
+    wanted = {(module, attr) for module, attr, _ in tracer.SPAN_HOOKS + tracer.COUNTER_HOOKS}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hublocate."):
+                module = node.module.removeprefix("hublocate.")
+                wanted.update((module, alias.name) for alias in node.names)
+    stray = []
+    for path in sorted((ROOT / "src" / "hublocate").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for name, node in _unused_imports(ast.parse(text)).items():
+            if "# noqa: F401" not in lines[node.lineno - 1] or (path.stem, name) not in wanted:
+                stray.append(f"{path.name}:{node.lineno} {name}")
+    assert stray == []

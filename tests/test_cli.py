@@ -218,6 +218,31 @@ class TestBadInput:
         assert main(["evaluate", str(toy_file), str(sol)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_duplicate_demand_record_exits_1(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--seed", "1", "--branches", "3", "--ports", "2", "--dests", "2",
+                     "--density", "1.0", "-o", str(inst)]) == 0
+        capsys.readouterr()
+        doc = json.loads(inst.read_text())
+        first = doc["demand"][0]
+        doc["demand"].append({**first, "volume": 999.0})
+        inst.write_text(json.dumps(doc))
+        assert main(["validate", str(inst)]) == 1
+        out = capsys.readouterr()
+        assert "VALID" not in out.out
+        assert f"duplicate record for ('{first['branch']}', '{first['destination']}')" in out.err
+        assert "section 'demand'" in out.err
+
+    def test_duplicate_port_choice_record_exits_1(self, toy_file, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        save_solution(Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"}), sol)
+        doc = json.loads(sol.read_text())
+        doc["port_choice"].append({"branch": "B1", "destination": "T1", "origin": "S2"})
+        sol.write_text(json.dumps(doc))
+        assert main(["evaluate", str(toy_file), str(sol)]) == 1
+        err = capsys.readouterr().err
+        assert "duplicate record for ('B1', 'T1')" in err and "section 'port_choice'" in err
+
     def test_non_finite_numbers_exit_1(self, toy_file, tmp_path, capsys):
         doc = json.loads(toy_file.read_text())
         doc["setup_costs"]["B1"] = float("nan")

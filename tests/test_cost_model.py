@@ -196,11 +196,12 @@ def test_approx_equals_exact_from_head_to_container(table, data):
     )
 
 
-def brute_force_sea(rate, v, u_cont, cap, penalty, grid=20000):
-    """Independent minimizer: scan n and a fine u grid."""
+def brute_force_sea(rate, v, u_cont, cap, penalty, grid=20000, limit=None):
+    """Independent minimizer: scan n and a fine u grid up to the relation's
+    NVOCC limit, or up to ``limit`` when given."""
     if v <= 0.0:
         return 0.0
-    u_lim = rate.nvocc_limit(cap)
+    u_lim = rate.nvocc_limit(cap) if limit is None else limit
     per_n = rate.fcl_per_container if rate.fcl_per_container is not None else penalty
     nvocc = rate.nvocc_per_m3 or 0.0
     best = math.inf
@@ -256,15 +257,19 @@ class TestSeaCost:
         assert cost >= 1e8
 
     def test_limit_equivalence_randomized(self):
+        # The derived limit min(cap, fcl / nvocc) loses nothing against the
+        # plain cap.  Volumes and the container volume 55 are multiples of
+        # the grid step 40 / 400, so every rest volume lies on the grid and
+        # the brute force is exact.
         rng = random.Random(7)
-        for _ in range(2000):
+        for _ in range(500):
             fcl = rng.uniform(50.0, 3000.0)
             nvocc = rng.uniform(1.0, 120.0)
             rate = SeaRate(fcl_per_container=fcl, nvocc_per_m3=nvocc)
-            v = rng.uniform(0.0, 200.0)
-            c1, _, _ = sea_cost(rate, v, 55.0, 40.0)
-            c2, _, _ = sea_cost(rate, v, 55.0, 40.0, u_lim=40.0)
-            assert c1 == pytest.approx(c2, rel=1e-9, abs=1e-9)
+            v = rng.randint(0, 2000) / 10.0
+            cost, _, _ = sea_cost(rate, v, 55.0, 40.0)
+            brute = brute_force_sea(rate, v, 55.0, 40.0, 1e8, grid=400, limit=40.0)
+            assert cost == pytest.approx(brute, rel=1e-9, abs=1e-9)
 
     def test_never_above_all_containers(self):
         rng = random.Random(8)

@@ -128,6 +128,15 @@ class TestRoundTrip:
             instance_from_doc(doc)
         assert err.value.code == "BAD_SEA_RATE"
 
+    @pytest.mark.parametrize("section", ["demand", "distances", "sea_rates"])
+    def test_duplicate_keyed_record_rejected(self, toy_instance, section):
+        doc = json.loads(instance_to_json(toy_instance))
+        doc[section].append(dict(doc[section][0]))
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_doc(doc)
+        assert err.value.code == "DUPLICATE_RECORD"
+        assert err.value.section == section
+
     def test_node_sets_sorted_on_construction(self):
         ns = NodeSets(("B2", "B1"), ("S1",), ("T1",))
         assert ns.branches == ("B1", "B2")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
 import time
 from types import SimpleNamespace
@@ -188,3 +189,20 @@ class TestStats:
         )
         # Every counter is exercised on this instance.
         assert all(value > 0 for value in dataclasses.asdict(stats).values())
+
+
+class TestHubSubsets:
+    def test_order_smallest_first(self):
+        sets = list(exact_oracle.hub_subsets(("B1", "B2", "B3"), 2))
+        assert sets == [(), ("B1",), ("B2",), ("B3",),
+                        ("B1", "B2"), ("B1", "B3"), ("B2", "B3")]
+
+    def test_is_lazy(self):
+        # Two-stage checks its deadline per hub set, so the sets must not be
+        # built up front: C(40, 20) alone is about 1.4e11 sets.  Checked
+        # first, so a version that builds a list fails before it runs.
+        assert inspect.isgeneratorfunction(exact_oracle.hub_subsets)
+        sets = exact_oracle.hub_subsets([f"B{i:02d}" for i in range(40)], 20)
+        assert iter(sets) is sets
+        assert next(sets) == ()
+        assert next(sets) == ("B00",)

@@ -123,7 +123,7 @@ def test_move_delta_matches_full_evaluation(volumes, seed):
             inst, after_solution.port_choice, after_solution.fraction,
             after_solution.hub_choice,
         )
-        state.commit()
+        state.delta = 0.0  # what local search does on accepting a move
 
 
 def test_load_back_on_a_break_is_resummed():
@@ -144,6 +144,42 @@ def test_load_back_on_a_break_is_resummed():
     assert state.flows.port_arc[("B3", "S2")] == 10.0
     assert state.total() == evaluate_cost(inst, start, "approx").total
     assert there + back == pytest.approx(0.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    volumes=st.lists(st.sampled_from(VOLUMES), min_size=len(PAIRS), max_size=len(PAIRS)),
+    seed=st.integers(0, 2**16),
+)
+def test_nested_rollback_restores_each_token(volumes, seed):
+    # Token A, a move, token B, a second move, then B and A restored: the
+    # pattern of _open_hub's inner trials inside a local-search candidate.
+    inst = break_instance(volumes)
+    if not inst.positive_pairs():
+        return
+    rng = random.Random(seed)
+    state = _SearchState(inst, random_feasible_solution(inst, rng), SearchStats())
+
+    def at_token():
+        decisions = (dict(state.ports), set(state.hubs), dict(state.choices), dict(state.fracs))
+        return state.save(), decisions, state.total(), state.delta
+
+    outer = at_token()
+    apply_random_move(state, rng)
+    state.refresh()
+    inner = at_token()
+    apply_random_move(state, rng)
+    state.refresh()
+    for token, decisions, total, delta in (inner, outer):
+        state.restore(token)
+        assert (state.ports, state.hubs, state.choices, state.fracs) == decisions
+        assert state.flows == solution_flows(inst, state.ports, state.fraction, state.choices)
+        assert state.total() == total
+        assert state.delta == delta
+    # The restored state prices further moves like a fresh one.
+    apply_random_move(state, rng)
+    state.refresh()
+    assert state.flows == solution_flows(inst, state.ports, state.fraction, state.choices)
 
 
 def test_rollback_restores_flows():

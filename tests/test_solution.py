@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from hublocate import Solution, check_feasibility, evaluate_cost, hub_volume_share
-from hublocate.errors import InfeasibleSolutionError, UnknownNodeError
+from hublocate.errors import InfeasibleSolutionError, InstanceFormatError, UnknownNodeError
 from hublocate.pricing import solution_flows
 from hublocate.solution import load_solution, save_solution
 
@@ -172,3 +173,26 @@ class TestSolutionIO:
         path = tmp_path / "sol.json"
         save_solution(sol, path)
         assert load_solution(path) == sol
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("port_choice", "origin", "S2"),
+        ("direct_fraction", "fraction", 0.5),
+        ("hub_choice", "hub", "B3"),
+    ])
+    def test_duplicate_keyed_record_rejected(self, tmp_path, section, field, value):
+        sol = dataclasses.replace(
+            ALL_DIRECT,
+            hubs=frozenset({"B2"}),
+            direct_fraction={("B1", "S1"): 0.25},
+            hub_choice={("B1", "S1"): "B2"},
+        )
+        path = tmp_path / "sol.json"
+        save_solution(sol, path)
+        doc = json.loads(path.read_text())
+        # Same key, other value: the last record used to win silently.
+        doc[section].append({**doc[section][0], field: value})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError) as err:
+            load_solution(path)
+        assert err.value.code == "DUPLICATE_RECORD"
+        assert err.value.section == section
