@@ -310,10 +310,6 @@ class _SplitProblem:
         ]
         return fraction_candidate_set(curves[p], routed, self.vols[p], self.dests_via.get(p))
 
-    def candidates(self, p, fracs) -> list:
-        """Candidate shares for p; other variables fixed at `fracs`."""
-        return finish_fraction_candidates(self.candidate_set(p, fracs))
-
     def shared_arc(self, p, q):
         """The one arc two routed pairs can share, or None."""
         if self.hub_of[p] != self.hub_of[q]:
@@ -329,7 +325,7 @@ class _SplitProblem:
         y0 = fracs[p]
         best = self.component_cost(comp, fracs)
         best_y = y0
-        for y in self.candidates(p, fracs):
+        for y in finish_fraction_candidates(self.candidate_set(p, fracs)):
             if abs(y - y0) <= 1e-15:
                 continue
             fracs[p] = y
@@ -493,37 +489,15 @@ def _check_limits(instance: Instance, limits: OracleLimits) -> None:
 
 
 def _hub_assignments(active, hubs):
-    """Hub choices for the active pairs using every hub in `hubs`.
-
-    Branches inside the hub set are forced direct.  Generated depth-first
-    with a still-needed pruning rule so oversized hub sets die early.
-    """
-    n = len(active)
-    options = []
-    for (b, s) in active:
-        if b in hubs:
-            options.append((None,))
-        else:
-            options.append((None,) + tuple(h for h in hubs if h != b))
-    reachable = [set() for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        reachable[i] = reachable[i + 1] | {h for h in options[i] if h is not None}
-    needed = frozenset(hubs)
-    assign: list = [None] * n
-
-    def rec(i, used):
-        missing = needed - used
-        if len(missing) > n - i or not missing.issubset(reachable[i]):
-            return
-        if i == n:
-            yield {active[k]: assign[k] for k in range(n) if assign[k] is not None}
-            return
-        for h in options[i]:
-            assign[i] = h
-            yield from rec(i + 1, used | {h} if h is not None else used)
-        assign[i] = None
-
-    yield from rec(0, frozenset())
+    """Hub choices for the active pairs using every hub in `hubs`, as maps
+    from each routed pair to its hub, in ``itertools.product`` order over
+    the pairs' options: direct (None) first, then the hubs in `hubs` order.
+    Pairs of branches inside the hub set are forced direct."""
+    options = [(None,) if b in hubs else (None, *hubs) for b, _ in active]
+    needed = set(hubs)
+    for choice in itertools.product(*options):
+        if needed.issubset(choice):
+            yield {p: h for p, h in zip(active, choice) if h is not None}
 
 
 def enumerate_optimal(

@@ -277,9 +277,12 @@ def load_solution(path) -> Solution:
         raise InstanceFormatError(
             "hubs must be a list of strings", code="BAD_TYPE", section="hubs"
         )
+    listed: dict = {}
+    for h in hubs:
+        put_record(listed, h, None, "hubs")
     return Solution(
         port_choice=_records(doc, "port_choice", ("branch", "destination", "origin")),
-        hubs=frozenset(hubs),
+        hubs=frozenset(listed),
         direct_fraction=_records(doc, "direct_fraction", ("branch", "origin"), "fraction"),
         hub_choice=_records(doc, "hub_choice", ("branch", "origin", "hub")),
     )

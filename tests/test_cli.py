@@ -243,6 +243,17 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "duplicate record for ('B1', 'T1')" in err and "section 'port_choice'" in err
 
+    def test_duplicate_hub_exits_1(self, toy_file, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        save_solution(Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"}), sol)
+        doc = json.loads(sol.read_text())
+        doc["hubs"] = ["B2", "B2"]
+        sol.write_text(json.dumps(doc))
+        assert main(["evaluate", str(toy_file), str(sol)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "duplicate record for B2" in err and "section 'hubs'" in err
+
     def test_non_finite_numbers_exit_1(self, toy_file, tmp_path, capsys):
         doc = json.loads(toy_file.read_text())
         doc["setup_costs"]["B1"] = float("nan")

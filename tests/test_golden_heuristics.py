@@ -17,9 +17,9 @@ on purpose, delete its entry from the file first.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
+import golden_record
 import pytest
 
 from hublocate import evaluate_cost, generate, local_search_improve, solve_two_stage
@@ -66,38 +66,10 @@ def run_case(seed, branches, ports, dests, profile, density=0.6, hub_budget=2) -
     return out
 
 
-def _recorded() -> dict:
-    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    return {tuple(entry["case"]): entry for entry in doc}
-
-
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
 def test_answers_match_golden(case):
-    assert run_case(*case) == _recorded()[case]
-
-
-def record() -> int:
-    """Append the missing cases; refuse if a recorded answer has moved."""
-    recorded = _recorded()
-    added, moved = [], []
-    for case in CASES:
-        entry = run_case(*case)
-        if case not in recorded:
-            added.append(entry)
-        elif entry != recorded[case]:
-            moved.append(case)
-    if moved:
-        for case in moved:
-            print(f"recorded answer changed: {list(case)}", file=sys.stderr)
-        print("nothing written; delete an entry to re-record it", file=sys.stderr)
-        return 1
-    doc = list(recorded.values()) + added
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN} ({len(added)} new of {len(CASES)} cases)")
-    return 0
+    assert run_case(*case) == golden_record.recorded(GOLDEN)[case]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_golden_heuristics.py --record")
-    sys.exit(record())
+    golden_record.main(GOLDEN, CASES, run_case)

@@ -7,18 +7,22 @@ benchmark's 16x3x6 ``model`` shape).  The toy goldens
 in ``golden/toy_model.*`` show the full text of a 2-branch model; these
 hashes cover models with every constraint family at realistic sizes.  Any
 change to model order, naming or numeral formatting fails here.
-Re-record only when the emitted files are meant to change:
+Record cases added to ``CASES`` with
 
     PYTHONPATH=src python tests/test_golden_milp.py --record
+
+which writes only the cases missing from the file, and exits non-zero,
+naming each case, if a recorded hash has changed.  To re-record a case on
+purpose, delete its entry from the file first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
+import golden_record
 import pytest
 
 from hublocate import build_linearized_model, emit_lp, emit_mps, generate
@@ -49,21 +53,10 @@ def run_case(seed, branches, ports, dests, profile, fix_no_hubs) -> dict:
     }
 
 
-def _recorded() -> dict:
-    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    return {tuple(entry["case"]): entry for entry in doc}
-
-
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
 def test_emission_matches_golden(case):
-    assert run_case(*case) == _recorded()[case]
+    assert run_case(*case) == golden_record.recorded(GOLDEN)[case]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_golden_milp.py --record")
-    GOLDEN.write_text(
-        json.dumps([run_case(*c) for c in CASES], indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {GOLDEN} ({len(CASES)} cases)")
+    golden_record.main(GOLDEN, CASES, run_case)

@@ -5,17 +5,21 @@
 its count of evaluated configurations, and the ``solve_no_hubs``
 solution.  Any change to the enumeration order, the candidate fractions
 or the pricing that moves a single bit of an answer fails here.
-Re-record only when answers are meant to change:
+Record cases added to ``CASES`` with
 
     PYTHONPATH=src python tests/test_golden_oracle.py --record
+
+which writes only the cases missing from the file, and exits non-zero,
+naming each case, if a recorded answer has changed.  To re-record a case
+on purpose, delete its entry from the file first.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
+import golden_record
 import pytest
 
 from hublocate import generate
@@ -51,21 +55,10 @@ def run_case(seed, branches, ports, dests, density, profile, max_hub_set_size) -
     }
 
 
-def _recorded() -> dict:
-    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    return {tuple(entry["case"]): entry for entry in doc}
-
-
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c)))
 def test_answers_match_golden(case):
-    assert run_case(*case) == _recorded()[case]
+    assert run_case(*case) == golden_record.recorded(GOLDEN)[case]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_golden_oracle.py --record")
-    GOLDEN.write_text(
-        json.dumps([run_case(*c) for c in CASES], indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {GOLDEN} ({len(CASES)} cases)")
+    golden_record.main(GOLDEN, CASES, run_case)

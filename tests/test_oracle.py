@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import random
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from solgen import random_feasible_solution
 
 from hublocate import (
@@ -206,3 +209,35 @@ class TestHubSubsets:
         assert iter(sets) is sets
         assert next(sets) == ()
         assert next(sets) == ("B00",)
+
+
+def _brute_force_hub_choices(active, hubs) -> list:
+    """Every map from the active pairs to direct (None) or a hub, kept when
+    no pair picks its own branch, pairs of hub branches stay direct and
+    every hub is used; in lexicographic order of the choice tuple, direct
+    first, then the hubs in `hubs` order."""
+    kept = []
+    for choice in itertools.product((None, *hubs), repeat=len(active)):
+        if any(h == b for (b, _), h in zip(active, choice)):
+            continue
+        if any(b in hubs and h is not None for (b, _), h in zip(active, choice)):
+            continue
+        if not set(hubs) <= set(choice):
+            continue
+        kept.append({p: h for p, h in zip(active, choice) if h is not None})
+    return kept
+
+
+class TestHubAssignments:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        branches = [f"B{i}" for i in range(1, data.draw(st.integers(1, 5)) + 1)]
+        ports = [f"S{j}" for j in range(1, data.draw(st.integers(1, 3)) + 1)]
+        pairs = [(b, s) for b in branches for s in ports]
+        active = tuple(sorted(
+            data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5))
+        ))
+        for hubs in exact_oracle.hub_subsets(branches, 3):
+            got = list(exact_oracle._hub_assignments(active, hubs))
+            assert got == _brute_force_hub_choices(active, hubs)

@@ -196,3 +196,15 @@ class TestSolutionIO:
             load_solution(path)
         assert err.value.code == "DUPLICATE_RECORD"
         assert err.value.section == section
+
+    def test_hub_listed_twice_rejected(self, tmp_path):
+        path = tmp_path / "sol.json"
+        save_solution(dataclasses.replace(ALL_DIRECT, hubs=frozenset({"B2"})), path)
+        doc = json.loads(path.read_text())
+        # A second "B2" used to load silently as the hub set {B2}.
+        doc["hubs"].append("B2")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError) as err:
+            load_solution(path)
+        assert err.value.code == "DUPLICATE_RECORD"
+        assert err.value.section == "hubs"
