@@ -10,7 +10,7 @@ from .cost_model import (
     land_cost_exact,
     sea_cost,
 )
-from .exact_oracle import OracleLimits, OracleResult, enumerate_optimal, solve_no_hubs
+from .exact_oracle import OracleResult, enumerate_optimal, solve_no_hubs
 from .gen import generate
 from .heuristics import (
     DestinationPlan,
@@ -57,7 +57,6 @@ __all__ = [
     "LandCostTable",
     "MilpModel",
     "NodeSets",
-    "OracleLimits",
     "OracleResult",
     "SeaRate",
     "Solution",

@@ -15,8 +15,8 @@ from dataclasses import asdict
 
 from . import gen as gen_mod
 from .errors import HublocateError, InvalidInstanceError, OracleLimitError, TimeBudgetError
-from .exact_oracle import OracleLimits, enumerate_optimal, solve_no_hubs
-from .heuristics import DEFAULT_HUB_BUDGET, SearchStats, local_search_improve, solve_two_stage
+from .exact_oracle import DEFAULT_HUB_BUDGET, MAX_EVALUATIONS, enumerate_optimal, solve_no_hubs
+from .heuristics import SearchStats, local_search_improve, solve_two_stage
 from .milp import (
     build_linearized_model,
     decode_solution,
@@ -97,14 +97,11 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load_valid_instance(args.instance)
     deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
-    limits = OracleLimits(
-        max_hub_set_size=args.hub_budget, max_evaluations=args.budget
-    )
 
     extra = {}
     stats = {}
     if args.method == "oracle":
-        result = enumerate_optimal(instance, limits, deadline=deadline)
+        result = enumerate_optimal(instance, args.hub_budget, args.budget, deadline=deadline)
         solution = result.solution
         extra = {"evaluated_configurations": result.evaluated}
         stats["oracle"] = result.stats
@@ -123,12 +120,12 @@ def cmd_solve(args) -> int:
             "iterations": result.iterations,
         }
     elif args.method == "no-hub":
-        solution = solve_no_hubs(instance, limits, deadline=deadline)
+        solution = solve_no_hubs(instance, args.budget, deadline=deadline)
     else:  # local-search
         if args.start_file:
             start = load_solution(args.start_file)
         elif args.start == "no-hub":
-            start = solve_no_hubs(instance, limits, deadline=deadline)
+            start = solve_no_hubs(instance, args.budget, deadline=deadline)
         else:
             stats["two_stage"] = SearchStats()
             start = solve_two_stage(
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--hub-budget", type=_nonnegative_int, default=DEFAULT_HUB_BUDGET)
     p.add_argument("--time-budget", type=_positive_number, default=None, metavar="SECONDS")
-    p.add_argument("--budget", type=_positive_number, default=1e8,
+    p.add_argument("--budget", type=_positive_number, default=MAX_EVALUATIONS,
                    help="oracle evaluation budget (refuses above it)")
     p.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
                    help="starting point for local-search")

@@ -25,7 +25,7 @@ per-destination subset sums that merging heuristics produce), as
     exact pairwise polish over every coupled pair.
 
 The objective is the approximated cost, the same one the linearized model
-minimizes; the exact re-evaluation of the optimum is reported alongside.
+minimizes; callers price the answer with ``solution.evaluate_cost``.
 Ties are broken toward the first configuration in enumeration order.
 Each share's routing terms are priced per coupled component
 (``_SplitProblem.component_cost``) rather than through
@@ -68,7 +68,8 @@ from .cost_model import approx_breakpoint_volumes, land_breakpoints, sea_cost  #
 from .errors import InvalidInstanceError, OracleLimitError, check_deadline
 from .network_model import Instance, validate_instance
 from .pricing import price_table
-from .solution import CostBreakdown, Solution, evaluate_cost
+from .solution import Solution
+from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
 from .splits import finish_fraction_candidates, fraction_candidate_set, routed_fraction_set
 from .splits import subset_sums  # noqa: F401
 
@@ -79,12 +80,6 @@ POLISH_ROUNDS = 5
 MAX_BRANCHES = 6
 MAX_PORTS = 4
 MAX_DESTINATIONS = 4
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_hub_set_size: int = 2
-    max_evaluations: float = 1e8
 
 
 @dataclass
@@ -115,8 +110,6 @@ class OracleStats:
 @dataclass
 class OracleResult:
     solution: Solution
-    cost: CostBreakdown  # approximated objective, the enumeration target
-    exact_cost: CostBreakdown
     evaluated: int  # discrete configurations evaluated
     stats: OracleStats
 
@@ -252,10 +245,9 @@ class _SplitProblem:
             b, s = p
             h = self.hub_of[p]
             # Hub-to-port arcs carry the hub's own direct volume as a base.
-            port_base = vols.get((h, s), 0.0) if (h, s) not in self.hub_of else 0.0
             self.arcs_of[p] = entries = (
                 ((b, h), self.feeder_groups[(b, h)], 0.0),
-                ((h, s), self.port_groups[(h, s)], port_base),
+                ((h, s), self.port_groups[(h, s)], vols.get((h, s), 0.0)),
             )
             arcs = []
             for arc, riders, base in entries:
@@ -311,9 +303,7 @@ class _SplitProblem:
         return fraction_candidate_set(curves[p], routed, self.vols[p], self.dests_via.get(p))
 
     def shared_arc(self, p, q):
-        """The one arc two routed pairs can share, or None."""
-        if self.hub_of[p] != self.hub_of[q]:
-            return None
+        """The one arc two routed pairs of one component can share, or None."""
         if p[0] == q[0]:
             return (p[0], self.hub_of[p])
         if p[1] == q[1]:
@@ -449,6 +439,12 @@ def _port_vector_count(instance: Instance) -> float:
     return z_space
 
 
+# Default hub-set size limit of every solver, and the oracle's default
+# evaluation budget (it refuses above it).
+DEFAULT_HUB_BUDGET = 2
+MAX_EVALUATIONS = 1e8
+
+
 def hub_subsets(branches, max_size: int):
     """Yield every hub set of at most ``max_size`` branches, smallest
     first, each size in ``itertools.combinations`` order.  A generator, so
@@ -458,19 +454,19 @@ def hub_subsets(branches, max_size: int):
         yield from itertools.combinations(branches, k)
 
 
-def estimate_configurations(instance: Instance, limits: OracleLimits) -> float:
+def estimate_configurations(instance: Instance, hub_budget: int) -> float:
     """Upper bound on the discrete configurations the oracle would visit."""
     z_space = _port_vector_count(instance)
     n_b = len(instance.nodes.branches)
     active = {b for (b, _) in instance.positive_pairs()}
     p = min(len(active) * len(instance.nodes.origin_ports), len(instance.positive_pairs()))
     y_space = 0.0
-    for k in range(0, min(limits.max_hub_set_size, n_b) + 1):
+    for k in range(0, min(hub_budget, n_b) + 1):
         y_space += math.comb(n_b, k) * max(0.0, _valid_assignment_count(k, p))
     return z_space * max(1.0, y_space)
 
 
-def _check_limits(instance: Instance, limits: OracleLimits) -> None:
+def _check_limits(instance: Instance, hub_budget: int, max_evaluations: float) -> None:
     n_b = len(instance.nodes.branches)
     n_s = len(instance.nodes.origin_ports)
     n_t = len(instance.nodes.destination_ports)
@@ -479,11 +475,10 @@ def _check_limits(instance: Instance, limits: OracleLimits) -> None:
             f"instance size {n_b} branches / {n_s} ports / {n_t} destinations exceeds "
             f"oracle limits ({MAX_BRANCHES}/{MAX_PORTS}/{MAX_DESTINATIONS})"
         )
-    est = estimate_configurations(instance, limits)
-    if est > limits.max_evaluations:
+    est = estimate_configurations(instance, hub_budget)
+    if est > max_evaluations:
         raise OracleLimitError(
-            f"estimated {est:.3g} configurations exceed the budget of "
-            f"{limits.max_evaluations:.3g}",
+            f"estimated {est:.3g} configurations exceed the budget of {max_evaluations:.3g}",
             estimate=est,
         )
 
@@ -502,26 +497,26 @@ def _hub_assignments(active, hubs):
 
 def enumerate_optimal(
     instance: Instance,
-    limits: OracleLimits | None = None,
+    hub_budget: int = DEFAULT_HUB_BUDGET,
+    max_evaluations: float = MAX_EVALUATIONS,
     deadline: float | None = None,
 ) -> OracleResult:
     """Globally minimize the approximated cost by exhaustive enumeration.
 
-    Refuses instances larger than ``MAX_BRANCHES``/``MAX_PORTS``/
-    ``MAX_DESTINATIONS`` or whose enumeration estimate exceeds the
-    configured budget.  Ties go to the first configuration in enumeration
-    order.  ``deadline`` (a ``time.monotonic()`` value) is checked every
-    256 vectors of the all-direct pass, then before every port vector and
-    every configuration.
+    Hub sets hold at most ``hub_budget`` branches.  Refuses instances
+    larger than ``MAX_BRANCHES``/``MAX_PORTS``/``MAX_DESTINATIONS`` or whose
+    enumeration estimate exceeds ``max_evaluations``.  Ties go to the first
+    configuration in enumeration order.  ``deadline`` (a
+    ``time.monotonic()`` value) is checked every 256 vectors of the
+    all-direct pass, then before every port vector and every configuration.
     """
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    limits = limits or OracleLimits()
-    _check_limits(instance, limits)
+    _check_limits(instance, hub_budget, max_evaluations)
 
     kernel = _Kernel(instance)
-    hub_sets = list(hub_subsets(kernel.B, limits.max_hub_set_size))
+    hub_sets = list(hub_subsets(kernel.B, hub_budget))
     setup_of = {hubs: sum(kernel.e[h] for h in hubs) for hubs in hub_sets}
 
     # All-direct optimum over every port assignment.  Configurations whose
@@ -583,18 +578,12 @@ def enumerate_optimal(
         direct_fraction={p: fracs.get(p, 0.0) for p in hub_choice},
         hub_choice=hub_choice,
     )
-    return OracleResult(
-        solution=solution,
-        cost=evaluate_cost(instance, solution, "approx"),
-        exact_cost=evaluate_cost(instance, solution, "exact"),
-        evaluated=evaluated,
-        stats=stats,
-    )
+    return OracleResult(solution=solution, evaluated=evaluated, stats=stats)
 
 
 def solve_no_hubs(
     instance: Instance,
-    limits: OracleLimits | None = None,
+    max_evaluations: float = MAX_EVALUATIONS,
     deadline: float | None = None,
 ) -> Solution:
     """Optimal pure port assignment with direct transport everywhere.
@@ -607,13 +596,12 @@ def solve_no_hubs(
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    limits = limits or OracleLimits()
 
     z_space = _port_vector_count(instance)
-    if z_space > limits.max_evaluations:
+    if z_space > max_evaluations:
         raise OracleLimitError(
             f"{z_space:.3g} port assignments exceed the budget of "
-            f"{limits.max_evaluations:.3g}; emit the restricted model instead",
+            f"{max_evaluations:.3g}; emit the restricted model instead",
             estimate=z_space,
         )
     kernel = _Kernel(instance)

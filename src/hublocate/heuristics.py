@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 # attributes of this module because perfbench's tracer hooks them here.
 from .cost_model import land_breakpoints, land_cost_exact, sea_cost  # noqa: F401
 from .errors import InfeasibleSolutionError, InvalidInstanceError, check_deadline
-from .exact_oracle import hub_subsets
+from .exact_oracle import DEFAULT_HUB_BUDGET, hub_subsets
 
 # The no-hub baseline is an exact enumeration and lives in exact_oracle;
 # re-exported because callers (perfbench's workloads among them) import
@@ -84,7 +84,6 @@ from .solution import ConstraintViolation, Solution, check_feasibility
 from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
 from .splits import pair_fraction_candidates
 
-DEFAULT_HUB_BUDGET = 2
 MAX_ROUTE_SWEEPS = 10
 MAX_SEARCH_ROUNDS = 50
 # Relative margin above which a hub's all-direct deltas make it clearly
@@ -307,8 +306,6 @@ class _DestinationContext:
                 )
                 best_c = None  # full cost of best_h, once a near tie needed it
                 for h in hub_set:
-                    if h == b:
-                        continue
                     if direct is None:
                         d = self.delta(ports, routes, loads, b, ports[b], h)
                     elif (b, h) in direct:
@@ -424,7 +421,7 @@ def solve_single_destination(
             for s in ctx.ports:
                 if s == ports[b]:
                     continue
-                options = [None] if b in used else [None] + [h for h in used if h != b]
+                options = [None] if b in used else [None, *used]
                 for h in options:
                     d = ctx.delta(ports, routes, loads, b, s, h)
                     tol = TIE_RTOL * max(1.0, abs(cost) + abs(d))

@@ -337,6 +337,21 @@ def put_record(table: dict, key: tuple, value, section: str) -> None:
     table[key] = value
 
 
+def record_key(rec, fields: tuple, section: str) -> tuple:
+    """The key of one record of a file section: its two ``fields``, which
+    must be strings of an object; anything else is an InstanceFormatError."""
+    first, second = fields
+    if isinstance(rec, dict):
+        a = rec.get(first)
+        b = rec.get(second)
+        if isinstance(a, str) and isinstance(b, str):
+            return a, b
+    raise InstanceFormatError(
+        f"each {section} record needs string fields {first}, {second}",
+        code="BAD_RECORD", section=section,
+    )
+
+
 def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
     """Build an Instance from a parsed document, with precise schema errors."""
     if not isinstance(doc, dict):
@@ -360,18 +375,12 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
 
     demand = {}
     for rec in _need(doc, "demand", list):
-        if not isinstance(rec, dict):
-            raise InstanceFormatError("demand entries must be objects", code="BAD_TYPE", section="demand")
-        key = (str(rec.get("branch")), str(rec.get("destination")))
+        key = record_key(rec, ("branch", "destination"), "demand")
         put_record(demand, key, _number(rec.get("volume"), "demand", "volume"), "demand")
 
     distance = {}
     for rec in _need(doc, "distances", list):
-        if not isinstance(rec, dict):
-            raise InstanceFormatError(
-                "distance entries must be objects", code="BAD_TYPE", section="distances"
-            )
-        key = (str(rec.get("from")), str(rec.get("to")))
+        key = record_key(rec, ("from", "to"), "distances")
         put_record(distance, key, _number(rec.get("km"), "distances", "km"), "distances")
 
     table_doc = _need(doc, "land_cost_table", dict)
@@ -395,11 +404,7 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
 
     sea_rates = {}
     for rec in _need(doc, "sea_rates", list):
-        if not isinstance(rec, dict):
-            raise InstanceFormatError(
-                "sea rate entries must be objects", code="BAD_TYPE", section="sea_rates"
-            )
-        key = (str(rec.get("origin")), str(rec.get("destination")))
+        key = record_key(rec, ("origin", "destination"), "sea_rates")
         try:
             rate = SeaRate(
                 fcl_per_container=_number(
@@ -428,6 +433,7 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
         for k, v in _need(consol, "port", dict, "consolidation_costs").items()
     }
 
+    optional = ("sea_container_volume", "nvocc_cap", "dimensional_factor", "nvocc_penalty")
     return Instance(
         nodes=nodes,
         demand=demand,
@@ -440,17 +446,9 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
         land_container_volume=_number(
             params.get("land_container_volume"), "parameters", "land_container_volume"
         ),
-        sea_container_volume=_number(
-            params.get("sea_container_volume", 55.0), "parameters", "sea_container_volume"
-        ),
-        nvocc_cap=_number(params.get("nvocc_cap", 40.0), "parameters", "nvocc_cap"),
-        dimensional_factor=_number(
-            params.get("dimensional_factor", 300.0), "parameters", "dimensional_factor"
-        ),
-        nvocc_penalty=_number(
-            params.get("nvocc_penalty", DEFAULT_PENALTY), "parameters", "nvocc_penalty"
-        ),
         name=str(params.get("name", name)),
+        # An optional parameter the file leaves out takes the field default.
+        **{key: _number(params[key], "parameters", key) for key in optional if key in params},
     )
 
 

@@ -233,6 +233,20 @@ class TestBadInput:
         assert f"duplicate record for ('{first['branch']}', '{first['destination']}')" in out.err
         assert "section 'demand'" in out.err
 
+    def test_demand_record_without_its_branch_exits_1(self, toy_file, tmp_path, capsys):
+        # With B2 renamed "None", a demand record that lost its branch
+        # field must not be read as demand of branch "None".
+        doc = json.loads(toy_file.read_text().replace('"B2"', '"None"'))
+        rec = next(r for r in doc["demand"] if r["branch"] == "None")
+        del rec["branch"]
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        assert main(["validate", str(inst)]) == 1
+        out = capsys.readouterr()
+        assert "VALID" not in out.out
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+        assert "section 'demand'" in out.err
+
     def test_duplicate_port_choice_record_exits_1(self, toy_file, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         save_solution(Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"}), sol)

@@ -257,6 +257,22 @@ class TestEncodeDecode:
         expected = evaluate_cost(toy_instance, sol, "approx").total
         assert model.objective_value(values) == pytest.approx(expected, rel=1e-9)
 
+    def test_land_steps_of_a_whole_and_a_last_band_rest(self, toy_instance):
+        # B1's 160 m3 fills two containers with no rest (n); B2's 50 m3
+        # leaves a rest in the last band (40, 80], priced as one more (n + 1).
+        inst = dataclasses.replace(
+            toy_instance, demand={("B1", "T1"): 160.0, ("B2", "T1"): 50.0}
+        )
+        model = build_linearized_model(inst)
+        sol = Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
+        values = encode_solution(model, sol)
+        assert (values["nL_B1_S1"], values["nL_B2_S1"]) == (2.0, 1.0)
+        assert evaluate_cost(inst, sol, "approx").total == 3140.0
+        assert model.objective_value(values) == 3140.0
+        assert max_residual(model, values) == 0.0
+        decoded, _ = decode_solution(model, values)
+        assert decoded == sol
+
     def test_bijection_on_random_solutions(self):
         instance = generate(seed=11, n_branches=4, n_origin_ports=2,
                             n_destinations=3, demand_density=0.7)

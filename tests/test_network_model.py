@@ -7,7 +7,14 @@ import json
 
 import pytest
 
-from hublocate import NodeSets, generate, load_instance, save_instance, validate_instance
+from hublocate import (
+    Instance,
+    NodeSets,
+    generate,
+    load_instance,
+    save_instance,
+    validate_instance,
+)
 from hublocate.errors import InstanceFormatError
 from hublocate.network_model import instance_from_doc, instance_to_json
 
@@ -136,6 +143,56 @@ class TestRoundTrip:
             instance_from_doc(doc)
         assert err.value.code == "DUPLICATE_RECORD"
         assert err.value.section == section
+
+    KEYS = {"demand": "branch", "distances": "from", "sea_rates": "origin"}
+    BAD_IDS = {"missing": ..., "null": None, "integer": 1, "list": ["B1"]}
+
+    @pytest.mark.parametrize("section", KEYS)
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_record_without_a_string_id_is_a_bad_record(self, toy_instance, section, bad):
+        doc = json.loads(instance_to_json(toy_instance))
+        rec = doc[section][0]
+        if self.BAD_IDS[bad] is ...:
+            del rec[self.KEYS[section]]
+        else:
+            rec[self.KEYS[section]] = self.BAD_IDS[bad]
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_doc(doc)
+        assert (err.value.code, err.value.section) == ("BAD_RECORD", section)
+
+    @pytest.mark.parametrize("section", KEYS)
+    def test_record_that_is_not_an_object_is_a_bad_record(self, toy_instance, section):
+        doc = json.loads(instance_to_json(toy_instance))
+        doc[section][0] = list(doc[section][0].values())
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_doc(doc)
+        assert (err.value.code, err.value.section) == ("BAD_RECORD", section)
+
+    OPTIONAL = ("sea_container_volume", "nvocc_cap", "dimensional_factor", "nvocc_penalty")
+
+    def test_absent_optional_parameters_take_the_field_defaults(self, toy_instance):
+        doc = json.loads(instance_to_json(toy_instance))
+        for key in self.OPTIONAL:
+            del doc["parameters"][key]
+        inst = instance_from_doc(doc)
+        defaults = {f.name: f.default for f in dataclasses.fields(Instance)}
+        for key in self.OPTIONAL:
+            assert getattr(inst, key) == defaults[key]
+
+    def test_present_optional_parameters_keep_the_file_values(self, toy_instance):
+        doc = json.loads(instance_to_json(toy_instance))
+        values = dict(zip(self.OPTIONAL, (60.0, 35.0, 250.0, 1e7)))
+        doc["parameters"].update(values)
+        inst = instance_from_doc(doc)
+        assert {key: getattr(inst, key) for key in self.OPTIONAL} == values
+
+    def test_null_optional_parameter_is_a_type_error(self, toy_instance):
+        doc = json.loads(instance_to_json(toy_instance))
+        doc["parameters"]["nvocc_cap"] = None
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_doc(doc)
+        assert err.value.code == "BAD_TYPE"
+        assert err.value.section == "parameters"
 
     def test_node_sets_sorted_on_construction(self):
         ns = NodeSets(("B2", "B1"), ("S1",), ("T1",))

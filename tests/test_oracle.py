@@ -23,53 +23,56 @@ from hublocate import (
 )
 from hublocate import errors, exact_oracle
 from hublocate.errors import OracleLimitError, TimeBudgetError
-from hublocate.exact_oracle import OracleLimits, _Kernel, estimate_configurations
+from hublocate.exact_oracle import _Kernel, estimate_configurations
 
-WIDE_OPEN = OracleLimits(max_hub_set_size=4, max_evaluations=1e9)
+WIDE_OPEN = {"hub_budget": 4, "max_evaluations": 1e9}
 
 
 class TestExactness:
     def test_single_shipment_hand_formula(self, toy_instance):
         inst = dataclasses.replace(toy_instance, demand={("B1", "T1"): 6.0})
-        result = enumerate_optimal(inst, WIDE_OPEN)
+        result = enumerate_optimal(inst, **WIDE_OPEN)
         assert result.solution.hubs == frozenset()
         assert result.solution.port_choice == {("B1", "T1"): "S1"}
         # approx land 6/8 * 60 + port consolidation 12 + sea 120
-        assert result.cost.total == pytest.approx(177.0)
-        assert result.exact_cost.total == pytest.approx(192.0)
+        assert evaluate_cost(inst, result.solution, "approx").total == pytest.approx(177.0)
+        assert evaluate_cost(inst, result.solution, "exact").total == pytest.approx(192.0)
 
     def test_consolidation_instance_beats_no_hub(self):
         inst = generate(7, 4, 2, 2, 0.6, "consolidation_favorable")
-        result = enumerate_optimal(inst, WIDE_OPEN)
+        result = enumerate_optimal(inst, **WIDE_OPEN)
         assert len(result.solution.hubs) >= 1
         no_hub = evaluate_cost(inst, solve_no_hubs(inst), "approx").total
-        assert result.cost.total < no_hub - 1e-9
+        assert evaluate_cost(inst, result.solution, "approx").total < no_hub - 1e-9
 
     def test_output_is_feasible(self):
         for seed in (1, 7, 15):
             inst = generate(seed, 4, 2, 2, 0.5,
                             "uniform" if seed != 7 else "consolidation_favorable")
-            result = enumerate_optimal(inst, WIDE_OPEN)
+            result = enumerate_optimal(inst, **WIDE_OPEN)
             assert check_feasibility(inst, result.solution) == []
 
     def test_random_sampling_never_beats_oracle(self):
         inst = generate(7, 4, 2, 2, 0.6, "consolidation_favorable")
-        result = enumerate_optimal(inst, WIDE_OPEN)
+        result = enumerate_optimal(inst, **WIDE_OPEN)
+        best = evaluate_cost(inst, result.solution, "approx").total
         rng = random.Random(123)
-        slack = 1e-9 * max(1.0, result.cost.total)
+        slack = 1e-9 * max(1.0, best)
         for _ in range(10_000):
             sample = random_feasible_solution(inst, rng)
             cost = evaluate_cost(inst, sample, "approx").total
-            assert cost >= result.cost.total - slack
+            assert cost >= best - slack
 
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         inst = generate(12, 4, 2, 2, 0.6, "consolidation_favorable")
-        a = enumerate_optimal(inst, WIDE_OPEN)
-        b = enumerate_optimal(inst, WIDE_OPEN)
+        a = enumerate_optimal(inst, **WIDE_OPEN)
+        b = enumerate_optimal(inst, **WIDE_OPEN)
         assert a.solution == b.solution
-        assert a.cost == b.cost
+        assert evaluate_cost(inst, a.solution, "approx") == evaluate_cost(
+            inst, b.solution, "approx"
+        )
         assert a.evaluated == b.evaluated
 
 
@@ -77,36 +80,34 @@ class TestLimits:
     def test_dimension_refusal(self):
         inst = generate(1, 7, 2, 2, 0.5, "uniform")
         with pytest.raises(OracleLimitError):
-            enumerate_optimal(inst, OracleLimits())
+            enumerate_optimal(inst)
 
     @pytest.mark.parametrize("size", [(4, 5, 2), (4, 2, 5)], ids=["ports", "destinations"])
     def test_dimension_refusal_on_every_axis(self, size):
         inst = generate(1, *size, 0.5, "uniform")
         with pytest.raises(OracleLimitError, match="exceeds oracle limits") as err:
-            enumerate_optimal(inst, OracleLimits())
+            enumerate_optimal(inst)
         assert err.value.estimate is None
 
     def test_budget_refusal_reports_estimate(self):
         inst = generate(2, 4, 2, 2, 0.9, "uniform")
-        limits = OracleLimits(max_hub_set_size=4, max_evaluations=10.0)
         with pytest.raises(OracleLimitError) as err:
-            enumerate_optimal(inst, limits)
-        assert err.value.estimate == estimate_configurations(inst, limits)
+            enumerate_optimal(inst, hub_budget=4, max_evaluations=10.0)
+        assert err.value.estimate == estimate_configurations(inst, 4)
 
     def test_estimate_bounds_actual_visits(self):
         inst = generate(1, 4, 2, 2, 0.5, "uniform")
-        limits = OracleLimits(max_hub_set_size=4, max_evaluations=1e9)
-        result = enumerate_optimal(inst, limits)
-        assert result.evaluated <= estimate_configurations(inst, limits)
+        result = enumerate_optimal(inst, **WIDE_OPEN)
+        assert result.evaluated <= estimate_configurations(inst, 4)
 
     def test_deadline_aborts(self):
         inst = generate(8, 4, 2, 2, 0.5, "uniform")
         with pytest.raises(TimeBudgetError):
-            enumerate_optimal(inst, WIDE_OPEN, deadline=time.monotonic() - 1.0)
+            enumerate_optimal(inst, **WIDE_OPEN, deadline=time.monotonic() - 1.0)
 
     @pytest.mark.parametrize("solve", [
         lambda inst, deadline: enumerate_optimal(
-            inst, OracleLimits(max_hub_set_size=0), deadline=deadline),
+            inst, hub_budget=0, deadline=deadline),
         lambda inst, deadline: solve_no_hubs(inst, deadline=deadline),
     ], ids=["oracle", "no-hub"])
     def test_deadline_checked_during_all_direct_pass(self, solve, monkeypatch):
@@ -140,7 +141,7 @@ class TestLimits:
 
         monkeypatch.setattr(exact_oracle, "_SplitProblem", CountingProblem)
         with pytest.raises(TimeBudgetError, match="time budget"):
-            enumerate_optimal(inst, OracleLimits(max_hub_set_size=2), deadline=1.0)
+            enumerate_optimal(inst, hub_budget=2, deadline=1.0)
         assert len(built) == 1
 
     def test_deadline_checked_per_configuration(self, monkeypatch):
@@ -157,7 +158,7 @@ class TestLimits:
             return real_solve(problem, *args)
 
         monkeypatch.setattr(exact_oracle._SplitProblem, "solve", record)
-        enumerate_optimal(inst, OracleLimits(max_hub_set_size=2))
+        enumerate_optimal(inst, hub_budget=2)
         assert full[:4] == [
             {},
             {("B03", "S1"): "B01"},
@@ -178,7 +179,7 @@ class TestLimits:
 
         monkeypatch.setattr(exact_oracle._SplitProblem, "solve", solve_then_expire)
         with pytest.raises(TimeBudgetError, match="oracle exceeded its time budget"):
-            enumerate_optimal(inst, OracleLimits(max_hub_set_size=2), deadline=1.0)
+            enumerate_optimal(inst, hub_budget=2, deadline=1.0)
         assert solved == full[:2]
 
 
