@@ -56,6 +56,12 @@ class DistanceOutOfRangeError(HublocateError):
     """A distance falls outside the land cost table's band range."""
 
 
+class ModelNameError(HublocateError):
+    """Two model variables, or two model rows, get the same name.  Names
+    join node ids with "_", and ids may hold "_", so different ids can
+    join into one name: (A, B_C) and (A_B, C) both give ``vd_A_B_C``."""
+
+
 class ModelDecodeError(HublocateError):
     """Solver output cannot be decoded into a solution (missing variables,
     fractional binaries, or constraint residuals beyond tolerance)."""

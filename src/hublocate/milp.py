@@ -33,12 +33,19 @@ land arcs, and j the land step count:
   constraints P + 3 * nB^2 * nS + 2 * nB * nS + 2 * R + U
 
 Records.  ``Variable`` and ``Constraint`` are ``typing.NamedTuple``
-records: immutable, with named fields, and built as one tuple each (no
-per-field attribute assignment), which matters at tens of thousands of
-records per model.  ``MilpModel.variables`` and ``.constraints`` are
-plain lists in model order.  Every variable has lower bound 0 and the
-objective is minimized.  The builder formats each variable name once,
-into per-family name tables that the variable and constraint loops share.
+records: immutable, with named fields, four each.  The builder makes
+them with ``tuple.__new__`` from all four fields, which costs about a
+third of the generated keyword constructor at thousands of records per
+model; so it must pass every field, defaults included.
+``MilpModel.variables`` and ``.constraints`` are plain lists in model
+order.  Every variable has lower bound 0 and the objective is minimized.
+The builder formats each variable name once, into per-family name tables
+that the variable and constraint loops share.  Names join node ids with
+"_", and ids may hold "_", so ``MilpModel.validate`` refuses a variable
+or row name made twice (``ModelNameError``).  A loop that loads three
+or more fields of each record unpacks it; one that loads fewer reads the
+fields by name, which is faster on CPython 3.11, where unpacking is
+specialized only for exact tuples.
 
 Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
 the model: the same model gives the same bytes on every run and every
@@ -58,6 +65,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,7 +74,12 @@ from .cost_model import COST_RTOL, container_split, sea_cost
 # Not called here since the curves come from hublocate.pricing; kept as an
 # attribute of this module because perfbench's tracer hooks it here.
 from .cost_model import land_breakpoints  # noqa: F401
-from .errors import InfeasibleSolutionError, InvalidInstanceError, ModelDecodeError
+from .errors import (
+    InfeasibleSolutionError,
+    InvalidInstanceError,
+    ModelDecodeError,
+    ModelNameError,
+)
 from .network_model import Instance, validate_instance
 from .pricing import price_table, solution_flows
 from .solution import Solution, check_feasibility, evaluate_cost, port_volumes
@@ -116,20 +129,29 @@ class MilpModel:
     meta: ModelMeta
 
     def validate(self) -> None:
+        """Refuse a variable or row name given twice (``ModelNameError``)
+        and a row that names no variable of the model (``ValueError``)."""
         names = {v.name for v in self.variables}
         if len(names) != len(self.variables):
-            seen = set()
-            for v in self.variables:
-                if v.name in seen:
-                    raise ValueError(f"duplicate variable name {v.name}")
-                seen.add(v.name)
+            raise _clash("variable", [v.name for v in self.variables])
+        if len({c.name for c in self.constraints}) != len(self.constraints):
+            raise _clash("row", [c.name for c in self.constraints])
         for c in self.constraints:
             if not names.issuperset(c.coeffs):
                 n = next(n for n in c.coeffs if n not in names)
                 raise ValueError(f"constraint {c.name} references unknown variable {n}")
 
     def objective_value(self, values: dict) -> float:
-        return sum(v.obj * values[v.name] for v in self.variables if v.obj != 0.0)
+        return sum([obj * values[name] for name, _, obj, _ in self.variables if obj != 0.0])
+
+
+def _clash(what: str, names: list) -> ModelNameError:
+    """The error for a list of names that holds one name twice."""
+    name = next(n for n, count in Counter(names).items() if count > 1)
+    return ModelNameError(
+        f"duplicate {what} name {name}: node ids that hold '_' join into "
+        "the same name; rename them"
+    )
 
 
 def _zn(b, t, s):
@@ -203,60 +225,66 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     y_names = {(b, s): [_yn(b, s, h) for h in B] for b in B for s in S}
     vd_names = {(b, s): _vdn(b, s) for b in B for s in S}
     vh_names = {(b, s): [_vhn(b, s, h) for h in B] for b in B for s in S}
-    # Per arc, in arcs order: nL and the step names uL0..uL<j-1>.
-    land_names = [(_nln(b, r), [_uln(i, b, r) for i in range(j)]) for (b, r) in arcs]
+    # Per arc, in arcs order: nL and the step names uL0..uL<j-1>, formatted
+    # here as _nln and _uln format them (the largest family).
+    land_names = [(f"nL_{b}_{r}", [f"uL{i}_{b}_{r}" for i in range(j)]) for (b, r) in arcs]
     # Per relation: nS, and uS where the relation has an NVOCC rate.
     sea_names = {}
     for (s, t) in relations:
         nvocc = instance.sea_rates[(s, t)].nvocc_per_m3 is not None
         sea_names[(s, t)] = (_nsn(s, t), _usn(s, t) if nvocc else None)
 
+    # Records are made by tuple.__new__ from all four fields, which skips
+    # the keyword handling of the generated NamedTuple constructor.
+    new = tuple.__new__
     variables: list[Variable] = []
     add = variables.append
 
     for (b, t) in pairs:
         v = instance.demand[(b, t)]
         for s, name in z_names[(b, t)].items():
-            add(Variable(name, BINARY, obj=instance.port_consol_cost[s] * v))
+            add(new(Variable, (name, BINARY, instance.port_consol_cost[s] * v, None)))
     for b in B:
-        add(Variable(x_names[b], BINARY, obj=instance.setup_cost[b], upper=hub_ub))
+        add(new(Variable, (x_names[b], BINARY, instance.setup_cost[b], hub_ub)))
     for ys in y_names.values():
         for name in ys:
-            add(Variable(name, BINARY, upper=hub_ub))
+            add(new(Variable, (name, BINARY, 0.0, hub_ub)))
     for name in vd_names.values():
-        add(Variable(name, CONTINUOUS))
+        add(new(Variable, (name, CONTINUOUS, 0.0, None)))
     for vhs in vh_names.values():
         for h, name in zip(B, vhs):
-            add(Variable(name, CONTINUOUS, obj=instance.hub_consol_cost[h], upper=hub_ub))
+            add(new(Variable, (name, CONTINUOUS, instance.hub_consol_cost[h], hub_ub)))
 
     for (b, r), (nl, steps) in zip(arcs, land_names):
         values = curve(b, r).values
-        add(Variable(nl, INTEGER, obj=values[j]))
-        add(Variable(steps[0], CONTINUOUS, obj=values[0], upper=1.0))
+        add(new(Variable, (nl, INTEGER, values[j], None)))
+        add(new(Variable, (steps[0], CONTINUOUS, values[0], 1.0)))
         for i in range(1, j):
-            add(Variable(steps[i], BINARY, obj=values[i]))
+            add(new(Variable, (steps[i], BINARY, values[i], None)))
     for (s, t), (ns, us) in sea_names.items():
         rate = instance.sea_rates[(s, t)]
         fcl = rate.fcl_per_container
-        add(Variable(ns, INTEGER, obj=fcl if fcl is not None else instance.nvocc_penalty))
+        obj = fcl if fcl is not None else instance.nvocc_penalty
+        add(new(Variable, (ns, INTEGER, obj, None)))
         if us is not None:
             u_lim = rate.nvocc_limit(instance.nvocc_cap)
-            add(Variable(us, CONTINUOUS, obj=rate.nvocc_per_m3, upper=u_lim))
+            add(new(Variable, (us, CONTINUOUS, rate.nvocc_per_m3, u_lim)))
 
     constraints: list[Constraint] = []
     radd = constraints.append
 
     for (b, t) in pairs:
-        radd(Constraint(f"port_{b}_{t}", dict.fromkeys(z_names[(b, t)].values(), 1.0), EQ, 1.0))
+        coeffs = dict.fromkeys(z_names[(b, t)].values(), 1.0)
+        radd(new(Constraint, (f"port_{b}_{t}", coeffs, EQ, 1.0)))
     for (b, s), ys in y_names.items():
-        radd(Constraint(f"onehub_{b}_{s}", dict.fromkeys(ys, 1.0), LE, 1.0))
+        radd(new(Constraint, (f"onehub_{b}_{s}", dict.fromkeys(ys, 1.0), LE, 1.0)))
     for (b, s), ys in y_names.items():
         for h, y in zip(B, ys):
-            radd(Constraint(f"act_{b}_{s}_{h}", {y: 1.0, x_names[h]: -1.0}, LE, 0.0))
+            radd(new(Constraint, (f"act_{b}_{s}_{h}", {y: 1.0, x_names[h]: -1.0}, LE, 0.0)))
     for (h, s), ys in y_names.items():
         x = x_names[h]
         for c, y in zip(B, ys):
-            radd(Constraint(f"norelay_{h}_{s}_{c}", {y: 1.0, x: 1.0}, LE, 1.0))
+            radd(new(Constraint, (f"norelay_{h}_{s}_{c}", {y: 1.0, x: 1.0}, LE, 1.0)))
 
     by_branch = {}
     for (b, t) in pairs:
@@ -271,27 +299,26 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
                 zs = z_names[(b, t)]
                 if s in zs:
                     coeffs[zs[s]] = instance.demand[(b, t)]
-            radd(Constraint(f"split_{b}_{s}", coeffs, EQ, 0.0))
+            radd(new(Constraint, (f"split_{b}_{s}", coeffs, EQ, 0.0)))
             for h, vh, y in zip(B, vhs, y_names[(b, s)]):
-                radd(Constraint(f"bigm_{b}_{s}_{h}", {vh: 1.0, y: -m_b}, LE, 0.0))
+                radd(new(Constraint, (f"bigm_{b}_{s}_{h}", {vh: 1.0, y: -m_b}, LE, 0.0)))
 
     position = {b: i for i, b in enumerate(B)}
+    minus_v = [-v for v in v_pts]
     for (b, r), (nl, steps) in zip(arcs, land_names):
         if r in instance.nodes.origin_ports:
             # Arc into a port: direct volume of b plus everything hubbed via b.
             hub = position[b]
             coeffs = {vd_names[(b, r)]: 1.0}
-            for c in B:
-                coeffs[vh_names[(c, r)][hub]] = 1.0
+            coeffs.update(dict.fromkeys([vh_names[(c, r)][hub] for c in B], 1.0))
         else:
             # Arc into hub r: the feeder flow from b over every port.
             hub = position[r]
             coeffs = {vh_names[(b, s)][hub]: 1.0 for s in S}
-        coeffs[nl] = -v_pts[j]
-        for name, v in zip(steps, v_pts):
-            coeffs[name] = -v
-        radd(Constraint(f"cap_{b}_{r}", coeffs, LE, 0.0))
-        radd(Constraint(f"step_{b}_{r}", dict.fromkeys(steps, 1.0), LE, 1.0))
+        coeffs[nl] = minus_v[j]
+        coeffs.update(zip(steps, minus_v))
+        radd(new(Constraint, (f"cap_{b}_{r}", coeffs, LE, 0.0)))
+        radd(new(Constraint, (f"step_{b}_{r}", dict.fromkeys(steps, 1.0), LE, 1.0)))
 
     for (s, t), (ns, us) in sea_names.items():
         coeffs = {}
@@ -303,7 +330,7 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
         coeffs[ns] = -instance.sea_container_volume
         if us is not None:
             coeffs[us] = -1.0
-        radd(Constraint(f"sea_{s}_{t}", coeffs, LE, 0.0))
+        radd(new(Constraint, (f"sea_{s}_{t}", coeffs, LE, 0.0)))
 
     model = MilpModel(
         name=instance.name,
@@ -456,21 +483,21 @@ def decode_solution(model: MilpModel, values: dict):
         )
 
     clean = {}
-    for var in model.variables:
-        val = float(values[var.name])
+    for name, kind, _, upper in model.variables:
+        val = float(values[name])
         if not math.isfinite(val):
-            raise ModelDecodeError(f"{var.name} = {val} is not a finite number")
-        if var.kind in (BINARY, INTEGER):
+            raise ModelDecodeError(f"{name} = {val} is not a finite number")
+        if kind != CONTINUOUS:
             rounded = round(val)
             if abs(val - rounded) > BINARY_TOL:
-                raise ModelDecodeError(f"{var.name} = {val} is not integral within {BINARY_TOL}")
-            if var.kind == BINARY and rounded not in (0, 1):
-                raise ModelDecodeError(f"{var.name} = {val} is not in {{0, 1}}")
+                raise ModelDecodeError(f"{name} = {val} is not integral within {BINARY_TOL}")
+            if kind == BINARY and rounded not in (0, 1):
+                raise ModelDecodeError(f"{name} = {val} is not in {{0, 1}}")
             val = float(rounded)
-        hi = var.upper if var.upper is not None else (1.0 if var.kind == BINARY else None)
+        hi = upper if upper is not None else (1.0 if kind == BINARY else None)
         if val < -RESIDUAL_TOL or (hi is not None and val > hi + RESIDUAL_TOL):
-            raise ModelDecodeError(f"{var.name} = {val} violates bounds [0.0, {hi}]")
-        clean[var.name] = val
+            raise ModelDecodeError(f"{name} = {val} violates bounds [0.0, {hi}]")
+        clean[name] = val
 
     for c in model.constraints:
         res = constraint_residual(c, clean)
@@ -520,16 +547,18 @@ def parse_values_text(text: str) -> dict:
     """Parse solver output in plain `name value` per-line form."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # One split per line: a blank line has no token, and a comment's
+        # first token starts with "#".
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ModelDecodeError(f"line {lineno}: expected 'name value', got {raw!r}")
+        name, value = parts
         try:
-            out[parts[0]] = float(parts[1])
+            out[name] = float(value)
         except ValueError:
-            raise ModelDecodeError(f"line {lineno}: {parts[1]!r} is not a number")
+            raise ModelDecodeError(f"line {lineno}: {value!r} is not a number")
     return out
 
 
@@ -574,8 +603,6 @@ def _lp_terms(names, coeffs: dict, heads: _TermHeads) -> list:
     """Signed `+ c name` terms in the order of ``names``, wrapped into
     lines of at most six terms."""
     terms = [heads[coeffs[name]] + name for name in names]
-    if len(terms) <= 6:  # most rows
-        return [" ".join(terms)]
     return [" ".join(terms[i:i + 6]) for i in range(0, len(terms), 6)]
 
 
@@ -584,29 +611,39 @@ def emit_lp(model: MilpModel) -> str:
     num = _Numerals()
     heads = _TermHeads()
     out = [f"\\ hublocate model {model.name}", "Minimize"]
-    obj = {v.name: v.obj for v in model.variables if v.obj != 0.0}
+    obj = {name: c for name, _, c, _ in model.variables if c != 0.0}
     lines = _lp_terms(obj, obj, heads)
     out.append(" obj: " + lines[0])
     out.extend("      " + ln for ln in lines[1:])
     out.append("Subject To")
-    for c in model.constraints:
+    add = out.append
+    for row, coeffs, sense, rhs in model.constraints:
         # Names are unique, so sorting the names alone gives the order that
         # sorting (name, coefficient) pairs gives, without building pairs.
-        lines = _lp_terms(sorted(c.coeffs), c.coeffs, heads)
-        lines[-1] += f" {c.sense} {num[c.rhs]}"
-        out.append(f" {c.name}: {lines[0]}")
-        if len(lines) > 1:
-            out.extend("      " + ln for ln in lines[1:])
-    bounds = []
-    for v in model.variables:
-        if v.upper is None:
+        if len(coeffs) == 2:  # most rows: act_, norelay_, bigm_
+            a, b = coeffs
+            if b < a:
+                a, b = b, a
+            add(f" {row}: {heads[coeffs[a]]}{a} {heads[coeffs[b]]}{b} {sense} {num[rhs]}")
             continue
-        if v.kind == BINARY and v.upper >= 1.0:
-            continue
-        if v.upper == 0.0:
-            bounds.append(f" {v.name} = 0")
+        names = sorted(coeffs)
+        if len(names) <= 6:  # one line
+            add(f" {row}: {' '.join([heads[coeffs[n]] + n for n in names])} {sense} {num[rhs]}")
         else:
-            bounds.append(f" {v.name} <= {num[v.upper]}")
+            lines = _lp_terms(names, coeffs, heads)
+            add(f" {row}: {lines[0]}")
+            out.extend(["      " + ln for ln in lines[1:-1]])
+            add(f"      {lines[-1]} {sense} {num[rhs]}")
+    bounds = []
+    for name, kind, _, upper in model.variables:
+        if upper is None:
+            continue
+        if kind == BINARY and upper >= 1.0:
+            continue
+        if upper == 0.0:
+            bounds.append(f" {name} = 0")
+        else:
+            bounds.append(f" {name} <= {num[upper]}")
     if bounds:
         out.append("Bounds")
         out.extend(bounds)
@@ -629,15 +666,14 @@ def emit_mps(model: MilpModel) -> str:
     num = _Numerals()
     out = [f"NAME {model.name}", "ROWS", " N obj"]
     sense_tag = {LE: "L", GE: "G", EQ: "E"}
-    for c in model.constraints:
-        out.append(f" {sense_tag[c.sense]} {c.name}")
+    out.extend([f" {sense_tag[c.sense]} {c.name}" for c in model.constraints])
 
     # Each column's entry lines, rendered once, objective row first and
     # then the constraint rows in model order.  A row holds at most one
     # entry per column, so the order of a row's coefficients never shows.
     entries: dict = {
-        v.name: [f"    {v.name} obj {num[v.obj]}"] if v.obj != 0.0 else []
-        for v in model.variables
+        name: [f"    {name} obj {num[c]}"] if c != 0.0 else []
+        for name, _, c, _ in model.variables
     }
     for c in model.constraints:
         row = c.name
@@ -656,26 +692,25 @@ def emit_mps(model: MilpModel) -> str:
         out.append("    MARKER_INT_END 'MARKER' 'INTEND'")
 
     out.append("RHS")
-    for c in model.constraints:
-        if c.rhs != 0.0:
-            out.append(f"    RHS {c.name} {num[c.rhs]}")
+    out.extend([f"    RHS {c.name} {num[c.rhs]}" for c in model.constraints if c.rhs != 0.0])
 
     out.append("BOUNDS")
-    for v in model.variables:
-        if v.kind == BINARY:
-            if v.upper == 0.0:
-                out.append(f" FX BND {v.name} 0")
+    add = out.append
+    for name, kind, _, upper in model.variables:
+        if kind == BINARY:
+            if upper == 0.0:
+                add(f" FX BND {name} 0")
             else:
-                out.append(f" BV BND {v.name}")
-        elif v.kind == INTEGER:
-            if v.upper is None:
-                out.append(f" PL BND {v.name}")
+                add(f" BV BND {name}")
+        elif kind == INTEGER:
+            if upper is None:
+                add(f" PL BND {name}")
             else:
-                out.append(f" UP BND {v.name} {num[v.upper]}")
-        elif v.upper is not None:
-            if v.upper == 0.0:
-                out.append(f" FX BND {v.name} 0")
+                add(f" UP BND {name} {num[upper]}")
+        elif upper is not None:
+            if upper == 0.0:
+                add(f" FX BND {name} 0")
             else:
-                out.append(f" UP BND {v.name} {num[v.upper]}")
+                add(f" UP BND {name} {num[upper]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"

@@ -313,6 +313,21 @@ def _number(value, where: str, field_name: str, allow_none: bool = False):
     return number
 
 
+def _instance_name(value) -> str:
+    """The name goes into the header line of the LP and MPS texts, so it
+    must be a string without control characters or line breaks."""
+    if not isinstance(value, str):
+        raise InstanceFormatError(
+            f"field 'name' must be a string, got {value!r}", code="BAD_TYPE", section="parameters"
+        )
+    if not value.isprintable():
+        raise InstanceFormatError(
+            f"field 'name' must be printable text, got {value!r}",
+            code="CONTROL_CHARACTER", section="parameters",
+        )
+    return value
+
+
 def _id_list(raw, set_name: str) -> list[str]:
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise InstanceFormatError(
@@ -446,7 +461,7 @@ def instance_from_doc(doc: dict, name: str = "instance") -> Instance:
         land_container_volume=_number(
             params.get("land_container_volume"), "parameters", "land_container_volume"
         ),
-        name=str(params.get("name", name)),
+        name=_instance_name(params.get("name", name)),
         # An optional parameter the file leaves out takes the field default.
         **{key: _number(params[key], "parameters", key) for key in optional if key in params},
     )

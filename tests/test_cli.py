@@ -542,6 +542,84 @@ class TestModelJob:
         assert model.objective_value(values) > total + 1.0
 
 
+def renamed_instance(tmp_path, dests, renames, keep_rates=None):
+    """A generated 2x2 instance at density 1.0 with its node ids renamed;
+    ``keep_rates`` keeps only the listed (origin, destination) sea rates."""
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "1", "--branches", "2", "--ports", "2",
+                 "--dests", str(dests), "--density", "1.0", "-o", str(path)]) == 0
+    text = path.read_text()
+    for old, new in renames.items():
+        text = text.replace(f'"{old}"', f'"{new}"')
+    doc = json.loads(text)
+    if keep_rates is not None:
+        doc["sea_rates"] = [
+            r for r in doc["sea_rates"] if (r["origin"], r["destination"]) in keep_rates
+        ]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestModelNames:
+    """Node ids may hold "_", so two different id tuples can join into the
+    same model name; the build must refuse that, never emit it."""
+
+    @pytest.mark.parametrize("ext", ["lp", "mps"])
+    def test_clashing_variable_names_exit_1(self, tmp_path, capsys, ext):
+        # y_A_B_C_A is y for (A, B_C, hub A) and for (A_B, C, hub A).
+        inst = renamed_instance(
+            tmp_path, 1, {"B01": "A", "B02": "A_B", "S1": "B_C", "S2": "C"}
+        )
+        assert main(["validate", str(inst)]) == 0
+        capsys.readouterr()
+        out = tmp_path / f"m.{ext}"
+        assert main(["build-milp", str(inst), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate variable name ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ext", ["lp", "mps"])
+    def test_clashing_row_names_exit_1(self, tmp_path, capsys, ext):
+        # port_A_B_C is the port row of (A, B_C) and of (A_B, C).
+        inst = renamed_instance(
+            tmp_path, 2, {"B01": "A", "B02": "A_B", "T1": "B_C", "T2": "C"},
+            keep_rates={("S1", "B_C"), ("S2", "C")},
+        )
+        assert main(["validate", str(inst)]) == 0
+        capsys.readouterr()
+        out = tmp_path / f"m.{ext}"
+        assert main(["build-milp", str(inst), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate row name port_A_B_C")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,message", [
+        ("x\nENDATA", "must be printable text"),
+        ("x\r", "must be printable text"),
+        ("a\tb", "must be printable text"),
+        ("x\u2028y", "must be printable text"),
+        (None, "must be a string"),
+        (7, "must be a string"),
+        (["x"], "must be a string"),
+    ], ids=["newline", "return", "tab", "line-separator", "null", "number", "list"])
+    def test_instance_name_must_be_printable_text(self, toy_file, tmp_path, capsys, name,
+                                                  message):
+        doc = json.loads(toy_file.read_text())
+        doc["parameters"]["name"] = name
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        out = tmp_path / "m.mps"
+        for argv in (["validate", str(inst)], ["build-milp", str(inst), "-o", str(out)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "VALID" not in captured.out
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+            assert f"field 'name' {message}" in captured.err
+            assert "section 'parameters'" in captured.err
+        assert not out.exists()
+
+
 class TestEvaluateFormats:
     def test_csv_output(self, toy_file, tmp_path, capsys):
         sol = tmp_path / "sol.json"

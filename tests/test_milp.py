@@ -28,7 +28,10 @@ from hublocate import (
     solve_two_stage,
 )
 from hublocate.errors import InfeasibleSolutionError, ModelDecodeError
+from hublocate.gen import PROFILES
 from hublocate.milp import (
+    Constraint,
+    Variable,
     constraint_counts,
     format_values_text,
     max_residual,
@@ -127,6 +130,24 @@ class TestModelSize:
         c3 = variable_counts(build_linearized_model(full_demand_instance(3, 2, 2)))
         c6 = variable_counts(build_linearized_model(full_demand_instance(6, 2, 2)))
         assert c6["vh"] == 4 * c3["vh"]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("fix_no_hubs", [False, True])
+    @pytest.mark.parametrize(
+        "seed,n_b,n_s,n_t",
+        [(seed, 8, 3, 4) for seed in range(3)] + [(seed, 16, 3, 6) for seed in range(3, 6)],
+    )
+    def test_every_record_is_whole(self, seed, n_b, n_s, n_t, fix_no_hubs):
+        """Each record has its exact type and all four fields, and equals the
+        record its own fields make through the constructor."""
+        inst = generate(seed, n_b, n_s, n_t, 0.6, PROFILES[seed % 3])
+        model = build_linearized_model(inst, fix_no_hubs=fix_no_hubs)
+        for records, cls in ((model.variables, Variable), (model.constraints, Constraint)):
+            for r in records:
+                assert type(r) is cls
+                assert len(r) == 4
+                assert r == cls(*r)
 
 
 class TestCoefficients:
@@ -381,3 +402,32 @@ class TestEncodeDecode:
             model, Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         )
         assert parse_values_text(format_values_text(values)) == values
+
+
+class TestParseValues:
+    def test_skips_blank_whitespace_and_comment_lines(self):
+        text = "\n   \n# a comment\n   # indented comment\nx_B1 1\n\t\n  y 0.5  \n"
+        assert parse_values_text(text) == {"x_B1": 1.0, "y": 0.5}
+
+    def test_tabs_and_crlf_line_endings(self):
+        assert parse_values_text("a\t1\r\nb \t -2.5\r\n\r\n") == {"a": 1.0, "b": -2.5}
+
+    def test_nan_and_inf_parse_as_floats(self):
+        out = parse_values_text("a nan\nb inf\nc -inf\n")
+        assert math.isnan(out["a"])
+        assert out["b"] == math.inf and out["c"] == -math.inf
+
+    def test_later_line_wins(self):
+        assert parse_values_text("a 1\na 2\n") == {"a": 2.0}
+
+    def test_three_tokens_name_their_line(self):
+        with pytest.raises(ModelDecodeError, match=r"^line 3: expected 'name value', got 'b 2 3'$"):
+            parse_values_text("a 1\n\nb 2 3\n")
+
+    def test_single_token_names_its_line(self):
+        with pytest.raises(ModelDecodeError, match=r"^line 2: expected 'name value', got '  b'$"):
+            parse_values_text("# head\n  b\n")
+
+    def test_non_number_names_its_line(self):
+        with pytest.raises(ModelDecodeError, match=r"^line 4: 'one' is not a number$"):
+            parse_values_text("a 1\n# c\n\t\nb one\n")

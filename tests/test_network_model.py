@@ -194,6 +194,32 @@ class TestRoundTrip:
         assert err.value.code == "BAD_TYPE"
         assert err.value.section == "parameters"
 
+    @pytest.mark.parametrize("name,code", [
+        ("x\nENDATA", "CONTROL_CHARACTER"),
+        ("\x00", "CONTROL_CHARACTER"),
+        ("x\u2029", "CONTROL_CHARACTER"),
+        (None, "BAD_TYPE"),
+        (1.5, "BAD_TYPE"),
+        ({"a": 1}, "BAD_TYPE"),
+    ])
+    def test_name_must_be_printable_text(self, toy_instance, name, code):
+        doc = json.loads(instance_to_json(toy_instance))
+        doc["parameters"]["name"] = name
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_doc(doc)
+        assert err.value.code == code
+        assert err.value.section == "parameters"
+
+    def test_name_from_the_document_or_the_default(self, toy_instance):
+        doc = json.loads(instance_to_json(toy_instance))
+        doc["parameters"]["name"] = "Hub plan 2024 (draft) — v2"
+        assert instance_from_doc(doc).name == "Hub plan 2024 (draft) — v2"
+        del doc["parameters"]["name"]
+        assert instance_from_doc(doc, name="stem").name == "stem"
+        with pytest.raises(InstanceFormatError) as err:
+            instance_from_doc(doc, name="a\nb")
+        assert err.value.code == "CONTROL_CHARACTER"
+
     def test_node_sets_sorted_on_construction(self):
         ns = NodeSets(("B2", "B1"), ("S1",), ("T1",))
         assert ns.branches == ("B1", "B2")
