@@ -274,19 +274,12 @@ _density = _checked(float, lambda x: 0.0 < x <= 1.0, "must be in (0, 1]")
 _positive_number = _checked(float, lambda x: x > 0.0, "must be a number > 0")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hublocate",
-        description="Hub-location and port-assignment toolkit for LCL ocean freight",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check an instance file against the model invariants")
+def _validate_arguments(p) -> None:
     p.add_argument("instance")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("gen", help="generate a random instance")
+
+def _gen_arguments(p) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--branches", type=_positive_int, required=True)
     p.add_argument("--ports", type=_positive_int, required=True)
@@ -295,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=gen_mod.PROFILES, default="uniform")
     p.add_argument("--volume-bands", type=_positive_int, default=gen_mod.DEFAULT_VOLUME_BANDS)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="run one of the solvers on an instance")
+
+def _solve_arguments(p) -> None:
     p.add_argument("--method", choices=("two-stage", "no-hub", "local-search", "oracle"),
                    required=True)
     p.add_argument("--hub-budget", type=_nonnegative_int, default=DEFAULT_HUB_BUDGET)
@@ -311,42 +304,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("build-milp", help="emit the linearized model as .lp or .mps")
+
+def _build_milp_arguments(p) -> None:
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--no-hubs", action="store_true",
                    help="fix all hub variables to zero (restricted model)")
-    p.set_defaults(func=cmd_build_milp)
 
-    p = sub.add_parser("decode", help="decode solver output values into a solution file")
+
+def _decode_arguments(p) -> None:
     p.add_argument("instance")
     p.add_argument("model", help="the emitted .lp/.mps file (verified against the instance)")
     p.add_argument("values", help="plain 'name value' per-line solver output")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("evaluate", help="cost breakdown of a solution")
+
+def _evaluate_arguments(p) -> None:
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("instance")
     p.add_argument("solution")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="per-term comparison of two solutions")
+
+def _compare_arguments(p) -> None:
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("instance")
     p.add_argument("solution_a")
     p.add_argument("solution_b")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compare)
+
+
+# Subcommand -> (help, arguments, handler), in the order help lists them.
+COMMANDS = {
+    "validate": ("check an instance file against the model invariants",
+                 _validate_arguments, cmd_validate),
+    "gen": ("generate a random instance", _gen_arguments, cmd_gen),
+    "solve": ("run one of the solvers on an instance", _solve_arguments, cmd_solve),
+    "build-milp": ("emit the linearized model as .lp or .mps",
+                   _build_milp_arguments, cmd_build_milp),
+    "decode": ("decode solver output values into a solution file",
+               _decode_arguments, cmd_decode),
+    "evaluate": ("cost breakdown of a solution", _evaluate_arguments, cmd_evaluate),
+    "compare": ("per-term comparison of two solutions", _compare_arguments, cmd_compare),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When `command` names a subcommand, only that
+    subcommand's parser is built, since a process parses one command line;
+    otherwise all are, for help and for a missing or unknown command.  The
+    usage line lists every subcommand either way."""
+    parser = argparse.ArgumentParser(
+        prog="hublocate",
+        description="Hub-location and port-assignment toolkit for LCL ocean freight",
+    )
+    if command in COMMANDS:
+        metavar = "{" + ",".join(COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = tuple(COMMANDS)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (OracleLimitError, TimeBudgetError) as exc:

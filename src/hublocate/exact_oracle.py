@@ -32,7 +32,7 @@ Each share's routing terms are priced per coupled component
 ``pricing.cost_terms``, which would price whole solutions in the
 innermost loop.
 
-Three shortcuts leave every answer bit-identical:
+Four shortcuts leave every answer bit-identical:
 
   * a configuration is cut when its constant part (port and sea cost,
     set-up, direct arcs no routed share touches) exceeds the all-direct
@@ -42,6 +42,20 @@ Three shortcuts leave every answer bit-identical:
     and could not have replaced it.  The port-vector and set-up cuts use
     the threshold alone, so the count of evaluated configurations does
     not depend on the incumbent;
+  * a configuration is also cut when its constant part plus a lower bound
+    on its routing terms (``_SplitProblem.routing_bound``) exceeds that
+    limit by more than ``TIE_RTOL`` times the limit (at least 1).  The
+    bound prices each routed m3 of pair p via hub h at the cheaper of
+    rate(p, v_p) and f[h] + rate((b, h), F) + rate((h, s), P), and the
+    hub's own direct volume on (h, s) at rate((h, s), P), where F and P
+    are the arcs' loads with every rider routed and rate(arc, X) is the
+    least approximated price per m3 over loads in (0, X]
+    (``_Kernel.rate``).  On the curve approx(x) >= x * rate(X) for every
+    0 < x <= X, and no load of the configuration exceeds its all-routed
+    value, so the routing cost is at least the bound.  The margin covers
+    float rounding, which is far below it, so a cut configuration's total
+    lies strictly above the incumbent or the threshold: it could neither
+    replace the incumbent nor tie it;
   * a component's cost is memoized per tuple of its members' shares
     within one configuration.  The cost is a function of those shares
     alone, and it is summed term by term in one fixed order (member
@@ -57,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cost_model import land_cost_approx
@@ -67,7 +82,7 @@ from .cost_model import land_cost_approx
 from .cost_model import approx_breakpoint_volumes, land_breakpoints, sea_cost  # noqa: F401
 from .errors import InvalidInstanceError, OracleLimitError, check_deadline
 from .network_model import Instance, validate_instance
-from .pricing import price_table
+from .pricing import TIE_RTOL, price_table
 from .solution import Solution
 from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
 from .splits import finish_fraction_candidates, fraction_candidate_set, routed_fraction_set
@@ -92,10 +107,13 @@ class OracleStats:
     Every evaluated configuration is either cut by its lower bound
     (``threshold_cuts`` above the all-direct threshold, ``incumbent_cuts``
     above the best total found so far but not the threshold) or solved
-    (``solved_configurations``).  ``component_solves`` counts the coupled
-    components whose shares were optimized rather than taken from the
-    per-port-assignment cache, and ``cost_memo_hits`` the component costs
-    answered from the memo of share vectors already priced.
+    (``solved_configurations``).  ``bound_cuts`` counts the cut
+    configurations whose constant part alone did not reach the limit, so
+    only the routing bound cut them; it is a part of the two cut counts.
+    ``component_solves`` counts the coupled components whose shares were
+    optimized rather than taken from the per-port-assignment cache, and
+    ``cost_memo_hits`` the component costs answered from the memo of share
+    vectors already priced.
     """
 
     port_vectors_cut: int = 0
@@ -105,6 +123,7 @@ class OracleStats:
     solved_configurations: int = 0
     component_solves: int = 0
     cost_memo_hits: int = 0
+    bound_cuts: int = 0
 
 
 @dataclass
@@ -112,6 +131,17 @@ class OracleResult:
     solution: Solution
     evaluated: int  # discrete configurations evaluated
     stats: OracleStats
+
+
+def _rate_table(curve) -> tuple:
+    """(breakpoints, running minima of value / breakpoint) of one curve:
+    entry i is the cheapest per-m3 price over the breakpoints up to i."""
+    mins = []
+    low = math.inf
+    for w, value in zip(curve.breakpoints, curve.values):
+        low = min(low, value / w)
+        mins.append(low)
+    return curve.breakpoints, tuple(mins)
 
 
 class _Kernel:
@@ -126,8 +156,22 @@ class _Kernel:
         self.g = instance.port_consol_cost
         self.prices = price_table(instance)
         self.curves = {(b, r): self.prices.curve(b, r) for b in self.B for r in self.B + self.S}
+        self.rate_tables = {arc: _rate_table(curve) for arc, curve in self.curves.items()}
         self.pairs = instance.positive_pairs()
         self.options = [instance.usable_ports(t) for (_, t) in self.pairs]
+
+    def rate(self, arc, X: float) -> float:
+        """Cheapest per-m3 approximated price of `arc` over loads in (0, X].
+
+        Within a constant piece the price per m3 falls toward the piece's
+        right end, on the ramp it is constant, and a load of n containers
+        plus a rest is priced at a weighted mean of the full-container rate
+        and the rest's rate.  So the minimum lies at a breakpoint of the
+        first container at or below X, or at X itself."""
+        breakpoints, mins = self.rate_tables[arc]
+        at_x = land_cost_approx(self.curves[arc], X) / X
+        i = bisect_right(breakpoints, X)
+        return min(mins[i - 1], at_x) if i else at_x
 
     def fixed_cost(self, zvec) -> tuple[float, dict]:
         """Port consolidation plus sea cost of one port assignment, and the
@@ -149,16 +193,26 @@ class _Kernel:
         """Approximated land price of each arc in ``vols`` shipped all direct."""
         return {arc: land_cost_approx(self.curves[arc], v) for arc, v in vols.items()}
 
-    def best_all_direct(self, deadline: float | None, what: str) -> tuple[float, tuple]:
+    def best_all_direct(
+        self, deadline: float | None, what: str, kept: list | None = None
+    ) -> tuple[float, tuple]:
         """Cheapest port assignment with every volume shipped direct, as
         (cost, port vector); the first minimum wins ties.  The deadline is
-        checked every 256 vectors; `what` names the solver in the error."""
+        checked every 256 vectors; `what` names the solver in the error.
+
+        With a `kept` list, appends ``(port vector, fixed cost, vols, direct
+        land prices)`` of each vector whose fixed cost is at most the
+        minimum found before it.  Every vector whose fixed cost is at most
+        the final minimum is among them, and no other vector is stored."""
         best = None
         for i, zvec in enumerate(itertools.product(*self.options)):
             if i % 256 == 0:
                 check_deadline(deadline, what)
             fixed, vols = self.fixed_cost(zvec)
-            total = fixed + sum(self.direct_land(vols).values())
+            direct_land = self.direct_land(vols)
+            if kept is not None and (best is None or fixed <= best[0]):
+                kept.append((zvec, fixed, vols, direct_land))
+            total = fixed + sum(direct_land.values())
             if best is None or total < best[0]:
                 best = (total, zvec)
         return best
@@ -213,6 +267,31 @@ class _SplitProblem:
         self.const = const
         self.feeder_groups = feeder_groups
         self.port_groups = port_groups
+
+    def routing_bound(self) -> float:
+        """Lower bound on the routing cost beyond ``const``: each routed m3
+        at the cheapest per-m3 price its arcs offer over the loads they can
+        carry in this configuration (at most all routed), and each hub's own
+        direct volume on a hub-to-port arc at that arc's rate."""
+        kernel = self.kernel
+        rate = kernel.rate
+        vols = self.vols
+        feeder_rate = {
+            arc: rate(arc, sum(vols[q] for q in riders))
+            for arc, riders in self.feeder_groups.items()
+        }
+        port_rate = {}
+        bound = 0.0
+        for arc, riders in self.port_groups.items():
+            base = vols.get(arc, 0.0)
+            port_rate[arc] = r = rate(arc, base + sum(vols[q] for q in riders))
+            bound += base * r
+        for p in self.vars:
+            b, s = p
+            h = self.hub_of[p]
+            v = vols[p]
+            bound += v * min(rate(p, v), kernel.f[h] + feeder_rate[(b, h)] + port_rate[(h, s)])
+        return bound
 
     def _component_members(self) -> list[tuple]:
         """Coupled components: variables sharing a feeder or port arc."""
@@ -508,7 +587,8 @@ def enumerate_optimal(
     enumeration estimate exceeds ``max_evaluations``.  Ties go to the first
     configuration in enumeration order.  ``deadline`` (a
     ``time.monotonic()`` value) is checked every 256 vectors of the
-    all-direct pass, then before every port vector and every configuration.
+    all-direct pass, then before every port vector that survives its fixed
+    cost and every configuration.
     """
     violations = validate_instance(instance)
     if violations:
@@ -521,21 +601,18 @@ def enumerate_optimal(
 
     # All-direct optimum over every port assignment.  Configurations whose
     # lower bound strictly exceeds it cannot be optimal.
-    threshold, _ = kernel.best_all_direct(deadline, "oracle")
+    kept: list = []
+    threshold, _ = kernel.best_all_direct(deadline, "oracle", kept)
+    survivors = [entry for entry in kept if entry[1] <= threshold]
 
-    stats = OracleStats()
+    stats = OracleStats(port_vectors_cut=math.prod(map(len, kernel.options)) - len(survivors))
     best = None  # (cost, payload)
     limit = threshold  # min(threshold, best total): a larger lower bound cuts
     evaluated = 0
     assignments: dict = {}  # (active pairs, hubs) -> hub choices
-    for zvec in itertools.product(*kernel.options):
+    for zvec, fixed, vols, direct_land in survivors:
         check_deadline(deadline, "oracle")
-        fixed, vols = kernel.fixed_cost(zvec)
-        if fixed > threshold:
-            stats.port_vectors_cut += 1
-            continue
         active = tuple(sorted(vols))
-        direct_land = kernel.direct_land(vols)
         dests_via: dict = {}
         for (b, t), s in zip(kernel.pairs, zvec):
             dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
@@ -552,19 +629,24 @@ def enumerate_optimal(
                 check_deadline(deadline, "oracle")
                 evaluated += 1
                 problem = _SplitProblem(kernel, vols, setup, assign, dests_via, direct_land)
+                # Cut when the constant part alone, or with the routing
+                # bound, exceeds the limit; otherwise solve.
                 lower = fixed + problem.const
-                if lower > limit:
-                    if lower > threshold:
-                        stats.threshold_cuts += 1
-                    else:
-                        stats.incumbent_cuts += 1
-                    continue
-                stats.solved_configurations += 1
-                fracs, routing = problem.solve(comp_cache, stats)
-                total = fixed + routing
-                if best is None or total < best[0]:
-                    best = (total, (zvec, hubs, assign, fracs))
-                    limit = min(threshold, total)
+                if lower <= limit:
+                    lower += problem.routing_bound()
+                    if lower - limit <= TIE_RTOL * max(1.0, limit):
+                        stats.solved_configurations += 1
+                        fracs, routing = problem.solve(comp_cache, stats)
+                        total = fixed + routing
+                        if best is None or total < best[0]:
+                            best = (total, (zvec, hubs, assign, fracs))
+                            limit = min(threshold, total)
+                        continue
+                    stats.bound_cuts += 1
+                if lower > threshold:
+                    stats.threshold_cuts += 1
+                else:
+                    stats.incumbent_cuts += 1
 
     if best is None:
         raise OracleLimitError("nothing to enumerate")

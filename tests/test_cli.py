@@ -16,7 +16,7 @@ from hublocate import (
     load_instance,
     solve_two_stage,
 )
-from hublocate.cli import main
+from hublocate.cli import COMMANDS, build_parser, main
 from hublocate.cost_model import COST_RTOL
 from hublocate.milp import format_values_text
 from hublocate.network_model import save_instance
@@ -83,6 +83,45 @@ class TestValidateAndGen:
         assert json.loads(capsys.readouterr().out)["mode"] == "approx"
         assert main(["evaluate", str(toy_file), str(sol)]) == 0
         assert capsys.readouterr().out.startswith("cost breakdown (exact mode):\n")
+
+
+class TestParser:
+    """``main`` builds only the parser of the subcommand its first argument
+    names; that parser must read every command line like the full one."""
+
+    ARGV = {
+        "validate": ["validate", "inst.json", "--json"],
+        "gen": ["gen", "--seed", "3", "--branches", "2", "--ports", "2", "--dests", "1",
+                "--density", "0.5", "--profile", "nvocc_only_mix", "-o", "out.json"],
+        "solve": ["solve", "--method", "oracle", "--hub-budget", "1", "--time-budget", "5",
+                  "inst.json", "-o", "sol.json", "--json"],
+        "build-milp": ["build-milp", "inst.json", "-o", "model.lp", "--no-hubs"],
+        "decode": ["decode", "inst.json", "model.mps", "values.txt", "-o", "sol.json"],
+        "evaluate": ["evaluate", "--mode", "approx", "--format", "csv", "inst.json", "sol.json"],
+        "compare": ["compare", "inst.json", "a.json", "b.json", "--json"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_command_parses_like_all(self, command):
+        argv = self.ARGV[command]
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "-h"],
+        ["solve", "--method", "warp-drive", "inst.json", "-o", "sol.json"],
+        ["solve", "--method", "oracle", "inst.json", "-o", "sol.json", "extra"],
+        ["gen", "--seed", "1"],
+        ["-h"],
+        ["warp-drive"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_help_and_usage_errors_print_the_same_text(self, argv, capsys):
+        printed = []
+        for parser in (build_parser(argv[0]), build_parser()):
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args(argv)
+            printed.append((err.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][1].out or printed[0][1].err
 
 
 class TestSolve:
@@ -171,7 +210,7 @@ class TestSolve:
         counters = reports[0]["stats"]["oracle"]
         assert set(counters) == {
             "port_vectors_cut", "hub_sets_cut", "threshold_cuts", "incumbent_cuts",
-            "solved_configurations", "component_solves", "cost_memo_hits",
+            "solved_configurations", "component_solves", "cost_memo_hits", "bound_cuts",
         }
         assert reports[0]["evaluated_configurations"] == (
             counters["threshold_cuts"] + counters["incumbent_cuts"]
