@@ -50,12 +50,12 @@ Four shortcuts leave every answer bit-identical:
     hub's own direct volume on (h, s) at rate((h, s), P), where F and P
     are the arcs' loads with every rider routed and rate(arc, X) is the
     least approximated price per m3 over loads in (0, X]
-    (``_Kernel.rate``).  On the curve approx(x) >= x * rate(X) for every
-    0 < x <= X, and no load of the configuration exceeds its all-routed
-    value, so the routing cost is at least the bound.  The margin covers
-    float rounding, which is far below it, so a cut configuration's total
-    lies strictly above the incumbent or the threshold: it could neither
-    replace the incumbent nor tie it;
+    (``pricing.ArcPrices.rate``).  On the curve approx(x) >= x * rate(X)
+    for every 0 < x <= X, and no load of the configuration exceeds its
+    all-routed value, so the routing cost is at least the bound.  The
+    margin covers float rounding, which is far below it, so a cut
+    configuration's total lies strictly above the incumbent or the
+    threshold: it could neither replace the incumbent nor tie it;
   * a component's cost is memoized per tuple of its members' shares
     within one configuration.  The cost is a function of those shares
     alone, and it is summed term by term in one fixed order (member
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cost_model import land_cost_approx
@@ -133,17 +132,6 @@ class OracleResult:
     stats: OracleStats
 
 
-def _rate_table(curve) -> tuple:
-    """(breakpoints, running minima of value / breakpoint) of one curve:
-    entry i is the cheapest per-m3 price over the breakpoints up to i."""
-    mins = []
-    low = math.inf
-    for w, value in zip(curve.breakpoints, curve.values):
-        low = min(low, value / w)
-        mins.append(low)
-    return curve.breakpoints, tuple(mins)
-
-
 class _Kernel:
     """Pre-resolved instance data for fast repeated configuration costing."""
 
@@ -156,22 +144,12 @@ class _Kernel:
         self.g = instance.port_consol_cost
         self.prices = price_table(instance)
         self.curves = {(b, r): self.prices.curve(b, r) for b in self.B for r in self.B + self.S}
-        self.rate_tables = {arc: _rate_table(curve) for arc, curve in self.curves.items()}
         self.pairs = instance.positive_pairs()
         self.options = [instance.usable_ports(t) for (_, t) in self.pairs]
 
     def rate(self, arc, X: float) -> float:
-        """Cheapest per-m3 approximated price of `arc` over loads in (0, X].
-
-        Within a constant piece the price per m3 falls toward the piece's
-        right end, on the ramp it is constant, and a load of n containers
-        plus a rest is priced at a weighted mean of the full-container rate
-        and the rest's rate.  So the minimum lies at a breakpoint of the
-        first container at or below X, or at X itself."""
-        breakpoints, mins = self.rate_tables[arc]
-        at_x = land_cost_approx(self.curves[arc], X) / X
-        i = bisect_right(breakpoints, X)
-        return min(mins[i - 1], at_x) if i else at_x
+        """``ArcPrices.rate`` of `arc` up to X."""
+        return self.prices.rate(*arc, X)
 
     def fixed_cost(self, zvec) -> tuple[float, dict]:
         """Port consolidation plus sea cost of one port assignment, and the
@@ -274,23 +252,23 @@ class _SplitProblem:
         carry in this configuration (at most all routed), and each hub's own
         direct volume on a hub-to-port arc at that arc's rate."""
         kernel = self.kernel
-        rate = kernel.rate
+        rate = kernel.prices.rate
         vols = self.vols
         feeder_rate = {
-            arc: rate(arc, sum(vols[q] for q in riders))
+            arc: rate(*arc, sum(vols[q] for q in riders))
             for arc, riders in self.feeder_groups.items()
         }
         port_rate = {}
         bound = 0.0
         for arc, riders in self.port_groups.items():
             base = vols.get(arc, 0.0)
-            port_rate[arc] = r = rate(arc, base + sum(vols[q] for q in riders))
+            port_rate[arc] = r = rate(*arc, base + sum(vols[q] for q in riders))
             bound += base * r
         for p in self.vars:
             b, s = p
             h = self.hub_of[p]
             v = vols[p]
-            bound += v * min(rate(p, v), kernel.f[h] + feeder_rate[(b, h)] + port_rate[(h, s)])
+            bound += v * min(rate(b, s, v), kernel.f[h] + feeder_rate[(b, h)] + port_rate[(h, s)])
         return bound
 
     def _component_members(self) -> list[tuple]:

@@ -60,12 +60,34 @@ knows, by two more rules:
    lies at least the margin (1e-6 relative) above the direct option, a
    thousand times the ``TIE_RTOL`` band, and is never taken or tied.
 
+Local search also rejects two kinds of move without pricing them, by a
+sixth rule:
+
+6. a hub opening or a port move is cut when a lower bound on the cost of
+   every state it can leave exceeds the acceptance limit by more than
+   ``TIE_RTOL`` times the limit (at least 1).  The opening's bound
+   (``_opening_bound``) covers every state its greedy can reach, the port
+   move's (``_port_bound``) the one state it leaves.  A load x that an
+   arc carries at most X of costs at least x * rate(X), the arc's least
+   price per m3 over (0, X] (``ArcPrices.rate``, on which the oracle's
+   routing bound rests too), and a saving is counted at the most the
+   arc's price can fall.  Both rest on ``validate_instance``: it refuses
+   negative costs and tariff rows that fall with volume (``NEGATIVE_COST``,
+   ``NONMONOTONE_COST_TABLE``), so no cost term falls when its load
+   grows.  The opening's bound starts from the delta-based cost of the
+   state after the hub opens, and both add their terms in another order
+   than the full sum; those roundings stay below 1e-13 of the total, far
+   inside the ``TIE_RTOL`` margin.  So the state a cut move would leave
+   costs more than the limit, its full evaluation would have rejected it,
+   and the search takes the same path.
+
 Feasibility is checked once per accepted local-search move, not per
 candidate; every move keeps the constraints by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # Not called here since pricing goes through hublocate.pricing; kept as
@@ -129,7 +151,9 @@ class SearchStats:
     all-direct cache instead of priced; neither adds to the two counts of
     evaluations, which count only work done.  Local search only:
     ``moves_tried`` and ``moves_accepted`` count candidate moves per move
-    type.
+    type, and ``bound_cuts`` the hub openings and port moves rejected by
+    a lower bound (rule 6) without pricing the state they would leave;
+    they count in ``moves_tried`` but not in the evaluations.
     """
 
     full_evaluations: int = 0
@@ -140,6 +164,7 @@ class SearchStats:
     direct_delta_hits: int = 0
     moves_tried: dict = field(default_factory=dict)  # move type -> count
     moves_accepted: dict = field(default_factory=dict)
+    bound_cuts: int = 0
 
 
 class _DestinationContext:
@@ -511,13 +536,17 @@ def solve_two_stage(
 class _SearchState:
     """Mutable working copy of a solution for the local search.
 
-    Besides the decisions it keeps the solution's ``Flows``.  Moves change
+    Besides the decisions it keeps the solution's ``Flows`` and ``via``,
+    each hub's sorted tuple of the pairs routed via it.  Moves change
     decisions through ``set_port``, ``set_route``, ``set_fraction``,
     ``open_hub`` and ``close_hub``, which mark what they touch;
     ``refresh`` re-sums just those loads from their members (in the order
     ``solution_flows`` uses, so the flows stay equal to a fresh build) and
-    returns the change of the approximated cost they cause.  ``save`` and
-    ``restore`` roll a rejected move back through a copy of the whole state.
+    returns the change of the approximated cost they cause.  A hub's port
+    arcs, feeder arcs and inflow are re-summed from its ``via`` members,
+    so nothing scans every branch or sorts every choice.  ``save`` and
+    ``restore`` roll a rejected move back through a copy of the whole
+    state; ``via``'s tuples are shared, since ``set_route`` replaces them.
     """
 
     def __init__(self, instance: Instance, solution: Solution, stats: SearchStats):
@@ -528,9 +557,11 @@ class _SearchState:
         self.hubs = set(solution.hubs)
         self.choices = dict(solution.hub_choice)
         self.fracs = {k: solution.fraction(*k) for k in self.choices}
+        self.via: dict = {}  # hub -> sorted tuple of the pairs routed via it
+        for pair, h in sorted(self.choices.items()):
+            self.via[h] = self.via.get(h, ()) + (pair,)
         self.flows = solution_flows(instance, self.ports, self.fraction, self.choices)
         self.branches = instance.nodes.branches
-        self.origin_ports = instance.nodes.origin_ports
         self.demand_of: dict = {}  # b -> [(t, v)] in demand order
         self.shippers_to: dict = {}  # t -> [(b, v)] in demand order
         for (b, t), v in instance.demand.items():
@@ -571,7 +602,13 @@ class _SearchState:
 
     def set_route(self, pair, hub, y: float | None = None) -> None:
         """Route pair via hub (None: all direct); y, if given, is its direct share."""
-        self._pairs.setdefault(pair, self.choices.get(pair))
+        old = self.choices.get(pair)
+        self._pairs.setdefault(pair, old)
+        if old != hub:
+            if old is not None:
+                self.via[old] = tuple(p for p in self.via[old] if p != pair)
+            if hub is not None:
+                self.via[hub] = tuple(sorted((*self.via.get(hub, ()), pair)))
         if hub is None:
             self.choices.pop(pair, None)
             self.fracs.pop(pair, None)
@@ -646,37 +683,45 @@ class _SearchState:
                     hub_arcs[(b, h)] = None
                     port_arcs[(h, s)] = None
                     inflows[h] = None
-        choices = self.choices
         fracs = self.fracs
+        vols = fl.vols
+        via = self.via
         for (a, s) in port_arcs:
+            # a's own direct share and the shares routed via a, in branch order.
             load = 0.0
-            for b in self.branches:
-                v = fl.vols.get((b, s))
-                if v is None:
+            own = vols.get((a, s))
+            for pair in via.get(a, ()):
+                if pair[1] != s:
                     continue
-                if b == a:
-                    direct = fracs.get((b, s), 1.0) * v
+                if own is not None and pair[0] > a:
+                    direct = fracs.get((a, s), 1.0) * own
                     if direct > 0.0:
                         load += direct
-                elif choices.get((b, s)) == a:
-                    routed = (1.0 - fracs.get((b, s), 1.0)) * v
+                    own = None
+                v = vols.get(pair)
+                if v is not None:
+                    routed = (1.0 - fracs.get(pair, 1.0)) * v
                     if routed > 0.0:
                         load += routed
+            if own is not None:
+                direct = fracs.get((a, s), 1.0) * own
+                if direct > 0.0:
+                    load += direct
             old = self._set(fl.port_arc, (a, s), load)
             d += prices.land_approx(a, s, load) - prices.land_approx(a, s, old)
         for (b, h) in hub_arcs:
             load = 0.0
-            for s in self.origin_ports:
-                if choices.get((b, s)) == h:
-                    routed = (1.0 - fracs.get((b, s), 1.0)) * fl.vols.get((b, s), 0.0)
+            for pair in via.get(h, ()):
+                if pair[0] == b:
+                    routed = (1.0 - fracs.get(pair, 1.0)) * vols.get(pair, 0.0)
                     if routed > 0.0:
                         load += routed
             old = self._set(fl.hub_arc, (b, h), load)
             d += prices.land_approx(b, h, load) - prices.land_approx(b, h, old)
         for h in inflows:
             load = 0.0
-            for pair in sorted(p for p, hub in choices.items() if hub == h):
-                routed = (1.0 - fracs.get(pair, 1.0)) * fl.vols.get(pair, 0.0)
+            for pair in via.get(h, ()):
+                routed = (1.0 - fracs.get(pair, 1.0)) * vols.get(pair, 0.0)
                 if routed > 0.0:
                     load += routed
             old = self._set(fl.hub_inflow, h, load)
@@ -696,15 +741,15 @@ class _SearchState:
         fl = self.flows
         return (
             self.delta, dict(self.ports), set(self.hubs), dict(self.choices), dict(self.fracs),
-            dict(fl.vols), dict(fl.port_arc), dict(fl.hub_arc), dict(fl.hub_inflow),
-            dict(fl.port_totals), dict(fl.sea_vol),
+            dict(self.via), dict(fl.vols), dict(fl.port_arc), dict(fl.hub_arc),
+            dict(fl.hub_inflow), dict(fl.port_totals), dict(fl.sea_vol),
         )
 
     def restore(self, token) -> None:
         """Return to the state of ``token``, taking over its maps (so restore a token once)."""
         fl = self.flows
-        (self.delta, self.ports, self.hubs, self.choices, self.fracs, fl.vols, fl.port_arc,
-         fl.hub_arc, fl.hub_inflow, fl.port_totals, fl.sea_vol) = token
+        (self.delta, self.ports, self.hubs, self.choices, self.fracs, self.via, fl.vols,
+         fl.port_arc, fl.hub_arc, fl.hub_inflow, fl.port_totals, fl.sea_vol) = token
         self._clear_touched()
 
     def below(self, estimate: float, limit: float) -> float | None:
@@ -724,21 +769,39 @@ class _SearchState:
         return c if c < limit else None
 
 
+def _acceptance_limit(current: float) -> float:
+    """The cost a move must get below to be accepted from ``current``."""
+    return current - 1e-12 * max(1.0, abs(current))
+
+
+def _bound_cuts(bound: float, limit: float) -> bool:
+    """Whether a lower bound proves every state it covers misses ``limit``
+    (rule 6): it must exceed the limit by more than ``TIE_RTOL`` times
+    the limit (at least 1)."""
+    return bound - limit > TIE_RTOL * max(1.0, abs(limit))
+
+
 def _try(
-    state: _SearchState, kind: str, mutate, current: float, deadline: float | None
+    state: _SearchState, kind: str, mutate, current: float, deadline: float | None,
+    bound=None,
 ) -> float | None:
     """Apply mutate(), a move of type ``kind``; return the new cost if
     strictly better, else roll back.
 
     mutate returns the exact cost of the state it leaves, or None to have
-    it judged from its delta.  ``deadline`` is checked first.
+    it judged from its delta.  ``bound``, when given, returns a lower bound
+    on the cost of that state before anything changes; a move it cuts is
+    rejected untried.  ``deadline`` is checked first.
     """
     check_deadline(deadline, "local search")
     tried = state.stats.moves_tried
     tried[kind] = tried.get(kind, 0) + 1
+    limit = _acceptance_limit(current)
+    if bound is not None and _bound_cuts(bound(), limit):
+        state.stats.bound_cuts += 1
+        return None
     token = state.save()
     exact = mutate()
-    limit = current - 1e-12 * max(1.0, abs(current))
     if exact is None:
         state.refresh()
         c = state.below(current + state.delta, limit)
@@ -757,12 +820,17 @@ def _try(
     return c
 
 
-def _open_hub(state: _SearchState, h: str) -> float:
-    """Open hub h and greedily route pairs through it; returns the exact cost."""
+def _open_hub(state: _SearchState, h: str, current: float) -> float:
+    """Open hub h and greedily route pairs through it; returns the exact
+    cost, or inf when ``_opening_bound`` shows that no state the greedy can
+    reach gets below the acceptance limit from ``current``."""
     state.open_hub(h)
     for key in [k for k in state.choices if k[0] == h]:
         state.set_route(key, None)
-    state.refresh()
+    estimate = current + state.refresh()
+    if _bound_cuts(_opening_bound(state, h, estimate), _acceptance_limit(current)):
+        state.stats.bound_cuts += 1
+        return math.inf
     base = state.total()
     for (b, s) in sorted(state.flows.vols):
         if b in state.hubs or b == h or state.flows.vols[(b, s)] <= 0.0:
@@ -775,6 +843,125 @@ def _open_hub(state: _SearchState, h: str) -> float:
         else:
             state.restore(token)
     return base
+
+
+def _opening_bound(state: _SearchState, h: str, estimate: float) -> float:
+    """Lower bound on the cost of every state ``_open_hub``'s greedy can
+    reach: the state now (h open, its own routes detached, costing
+    ``estimate``) with some eligible pairs p = (b, s) routed whole via h.
+
+    Routing p via h adds at least coef_p = v_p * (f[h] + rate((b, h), F_b)
+    + rate((h, s), base_s + P_s)), where F_b and P_s are the volumes of
+    every eligible pair of b and to s and base_s is h's own load on (h, s);
+    it saves the whole price of p's direct share, the only load on the port
+    arc of a branch that is not a hub, and at most r_p * (f[h'] +
+    rate((b, h'), L) + rate((h', s), L)) of the share r_p it routed via
+    hub h' until now, at each arc's load L.  Each arc's slack, price(L) -
+    L * rate, bounds the rest, so the cost is at least the estimate plus
+    the negative coefficients minus the slacks (rule 6).
+    """
+    prices = state.prices
+    fl = state.flows
+    f = state.instance.hub_consol_cost
+    eligible = [(p, v) for p, v in sorted(fl.vols.items()) if p[0] not in state.hubs]
+    feeder: dict = {}  # b -> volume of b's eligible pairs
+    port: dict = {}  # s -> volume of the eligible pairs to s
+    for (b, s), v in eligible:
+        feeder[b] = feeder.get(b, 0.0) + v
+        port[s] = port.get(s, 0.0) + v
+    bound = estimate
+    feeder_rate = {b: prices.rate(b, h, F) for b, F in feeder.items()}
+    port_rate = {}
+    for s, P in port.items():
+        base = fl.port_arc.get((h, s), 0.0)
+        port_rate[s] = r = prices.rate(h, s, base + P)
+        if base > 0.0:
+            bound -= prices.land_approx(h, s, base) - base * r
+    old_rates: dict = {}  # old hub arc -> (its load, its rate there)
+
+    def old_rate(a, r, table):
+        entry = old_rates.get((a, r))
+        if entry is None:
+            load = table[(a, r)]
+            entry = old_rates[(a, r)] = (load, prices.rate(a, r, load))
+        return entry[1]
+
+    for p, v in eligible:
+        b, s = p
+        coef = v * (f[h] + feeder_rate[b] + port_rate[s])
+        direct = fl.port_arc.get(p, 0.0)
+        if direct > 0.0:
+            coef -= prices.land_approx(b, s, direct)
+        h2 = state.choices.get(p)
+        if h2 is not None:
+            routed = (1.0 - state.fracs.get(p, 1.0)) * v
+            if routed > 0.0:
+                coef -= routed * (
+                    f[h2] + old_rate(b, h2, fl.hub_arc) + old_rate(h2, s, fl.port_arc)
+                )
+        if coef < 0.0:
+            bound += coef
+    for (a, r), (load, rate) in old_rates.items():
+        bound -= prices.land_approx(a, r, load) - load * rate
+    return bound
+
+
+def _repoint(state: _SearchState, b: str, t: str, s2: str) -> None:
+    """Move shipment (b, t) to origin port s2; a pair left without volume
+    loses its route."""
+    old = state.ports[(b, t)]
+    state.set_port(b, t, s2)
+    state.refresh()
+    vols = state.flows.vols
+    for key in ((b, old), (b, s2)):
+        if key in state.choices and vols.get(key, 0.0) <= 0.0:
+            state.set_route(key, None)
+
+
+def _port_bound(state: _SearchState, b: str, t: str, s2: str, current: float) -> float:
+    """Lower bound on the cost after ``_repoint(state, b, t, s2)``.
+
+    The sea prices of (s, t) and (s2, t) are re-summed as ``refresh`` would
+    and port consolidation moves g[s2] * v - g[s] * v.  Pair (b, s2) only
+    gains load, which never lowers a price, so only pair (b, s) can save:
+    on its direct arc at most price(L) when b is a hub, else exactly
+    price(L) - price(y * rest) since the arc carries only b's direct share;
+    and, when routed via h, at most the whole prices of its feeder and
+    hub-to-port arcs plus f[h] * (1 - y) * v, whose rounding the cut's
+    ``TIE_RTOL`` margin covers (rule 6).
+    """
+    inst = state.instance
+    prices = state.prices
+    fl = state.flows
+    ports = state.ports
+    s = ports[(b, t)]
+    v = inst.demand[(b, t)]
+    w_s = w_s2 = 0.0
+    for x, vx in state.shippers_to[t]:
+        px = s2 if x == b else ports.get((x, t))
+        if px == s:
+            w_s += vx
+        elif px == s2:
+            w_s2 += vx
+    sea_vol = fl.sea_vol
+    bound = current + (prices.sea(s, t, w_s) - prices.sea(s, t, sea_vol.get((s, t), 0.0)))
+    bound += prices.sea(s2, t, w_s2) - prices.sea(s2, t, sea_vol.get((s2, t), 0.0))
+    bound += inst.port_consol_cost[s2] * v - inst.port_consol_cost[s] * v
+    pair = (b, s)
+    y = state.fracs.get(pair, 1.0)
+    saving = prices.land_approx(b, s, fl.port_arc.get(pair, 0.0))
+    if b not in state.hubs:
+        rest = 0.0
+        for tt, vt in state.demand_of[b]:
+            if tt != t and ports.get((b, tt)) == s:
+                rest += vt
+        saving -= prices.land_approx(b, s, y * rest)
+    h = state.choices.get(pair)
+    if h is not None:
+        saving += prices.land_approx(b, h, fl.hub_arc.get((b, h), 0.0))
+        saving += prices.land_approx(h, s, fl.port_arc.get((h, s), 0.0))
+        saving += inst.hub_consol_cost[h] * (1.0 - y) * v
+    return bound - saving
 
 
 def _fraction_candidates(state: _SearchState, pair) -> list:
@@ -820,8 +1007,10 @@ def local_search_improve(
     approximated cost and keeps every intermediate solution feasible;
     stops after a full round without improvement or after
     ``MAX_SEARCH_ROUNDS`` rounds.  Candidates are priced by move-local
-    deltas (exactness rules in ``hublocate.pricing``), so the result is
-    the one full re-evaluation of every candidate gives.
+    deltas (exactness rules in ``hublocate.pricing``), and hub openings
+    and port moves that a lower bound proves lose are rejected unpriced
+    (rule 6 in the module docstring), so the result is the one full
+    re-evaluation of every candidate gives.
     ``deadline`` (a ``time.monotonic()`` value) is checked before every
     round and every candidate move.  ``stats``, when given, accumulates
     the search counters.
@@ -847,7 +1036,10 @@ def local_search_improve(
                         state.set_route(key, None)
                 c = _try(state, "hub_toggle", close, current, deadline)
             else:
-                c = _try(state, "hub_toggle", lambda h=h: _open_hub(state, h), current, deadline)
+                c = _try(
+                    state, "hub_toggle", lambda h=h: _open_hub(state, h, current),
+                    current, deadline,
+                )
             if c is not None:
                 current, improved = c, True
 
@@ -856,16 +1048,11 @@ def local_search_improve(
                 if s2 == state.ports[(b, t)]:
                     continue
 
-                def repoint(b=b, t=t, s2=s2):
-                    old = state.ports[(b, t)]
-                    state.set_port(b, t, s2)
-                    state.refresh()
-                    vols = state.flows.vols
-                    for key in ((b, old), (b, s2)):
-                        if key in state.choices and vols.get(key, 0.0) <= 0.0:
-                            state.set_route(key, None)
-
-                c = _try(state, "port", repoint, current, deadline)
+                c = _try(
+                    state, "port", lambda b=b, t=t, s2=s2: _repoint(state, b, t, s2),
+                    current, deadline,
+                    bound=lambda b=b, t=t, s2=s2: _port_bound(state, b, t, s2, current),
+                )
                 if c is not None:
                     current, improved = c, True
 

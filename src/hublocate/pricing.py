@@ -4,7 +4,9 @@
 arc the tariff row of its distance band (whose last entry is the
 full-container price) and the band's shared approximated curve, each
 resolved once, plus memos of exact and of approximated land prices per
-(arc, load) and of sea prices per (relation, volume).  The table is cached
+(arc, load), of sea prices per (relation, volume), and of each arc's
+least approximated price per m3 up to a load (``rate``, the unit price of
+the oracle's and the local search's lower bounds).  The table is cached
 on the instance object, so every solver working on one instance shares it
 and nothing outlives the instance.
 
@@ -38,6 +40,8 @@ full evaluation, because they keep three rules:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cost_model import (
@@ -76,6 +80,8 @@ class ArcPrices:
         self._exact: dict = {}  # (a, r, volume) -> exact land price
         self._approx: dict = {}  # (a, r, volume) -> approximated land price
         self._sea: dict = {}  # (s, t, volume) -> sea price
+        self._rate_tables: dict = {}  # (a, r) -> (breakpoints, running minima per m3)
+        self._rates: dict = {}  # (a, r, X) -> least price per m3 over (0, X]
 
     def _row(self, a: str, r: str) -> tuple:
         row = self._rows.get((a, r))
@@ -113,6 +119,37 @@ class ArcPrices:
                 return 0.0
             price = self._approx[key] = land_cost_approx(self.curve(a, r), v)
         return price
+
+    def rate(self, a: str, r: str, X: float) -> float:
+        """Least approximated price per m3 of arc (a, r) over loads in (0, X], X > 0.
+
+        Within a constant piece the price per m3 falls toward the piece's
+        right end, on the ramp it is constant, and a load of n containers
+        plus a rest is priced at a weighted mean of the full-container rate
+        and the rest's rate.  So the minimum lies at a breakpoint of the
+        first container at or below X, or at X itself: the rate is the
+        running minimum of ``values[i] / breakpoints[i]`` up to X, or the
+        price at X over X if lower.  So ``land_approx(a, r, x) >= x *
+        rate(a, r, X)`` for every 0 < x <= X, which the lower bounds of the
+        oracle and the local search rest on.
+        """
+        key = (a, r, X)
+        rate = self._rates.get(key)
+        if rate is None:
+            table = self._rate_tables.get((a, r))
+            if table is None:
+                curve = self.curve(a, r)
+                mins = []
+                low = math.inf
+                for w, value in zip(curve.breakpoints, curve.values):
+                    low = min(low, value / w)
+                    mins.append(low)
+                table = self._rate_tables[(a, r)] = (curve.breakpoints, mins)
+            breakpoints, mins = table
+            at_x = self.land_approx(a, r, X) / X
+            i = bisect_right(breakpoints, X)
+            rate = self._rates[key] = min(mins[i - 1], at_x) if i else at_x
+        return rate
 
     def land(self, mode: str):
         """The land price function for "exact" or "approx" mode."""

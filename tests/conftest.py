@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hublocate import Instance, LandCostTable, NodeSets, SeaRate, Solution, generate
@@ -32,6 +34,28 @@ def make_toy_instance() -> Instance:
         },
         land_container_volume=80.0,
         name="toy",
+    )
+
+
+def doubled_costs(inst: Instance) -> Instance:
+    """The instance with every cost parameter multiplied by 2."""
+    land = inst.land_costs
+    return dataclasses.replace(
+        inst,
+        land_costs=dataclasses.replace(
+            land, cost=tuple(tuple(2.0 * c for c in row) for row in land.cost)
+        ),
+        sea_rates={
+            rel: SeaRate(
+                None if r.fcl_per_container is None else 2.0 * r.fcl_per_container,
+                None if r.nvocc_per_m3 is None else 2.0 * r.nvocc_per_m3,
+            )
+            for rel, r in inst.sea_rates.items()
+        },
+        setup_cost={b: 2.0 * c for b, c in inst.setup_cost.items()},
+        hub_consol_cost={b: 2.0 * c for b, c in inst.hub_consol_cost.items()},
+        port_consol_cost={s: 2.0 * c for s, c in inst.port_consol_cost.items()},
+        nvocc_penalty=2.0 * inst.nvocc_penalty,
     )
 
 

@@ -188,7 +188,7 @@ class TestSolve:
                 "full_evaluations", "delta_evaluations",
                 "near_tie_fallbacks", "accepted_moves",
                 "inert_hub_hits", "direct_delta_hits",
-                "moves_tried", "moves_accepted",
+                "moves_tried", "moves_accepted", "bound_cuts",
             }
             assert counters["full_evaluations"] > 0
         ts, ls = reports[0]["two_stage"], reports[0]["local_search"]

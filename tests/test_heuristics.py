@@ -6,8 +6,11 @@ import dataclasses
 import itertools
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hublocate import (
     Instance,
@@ -31,6 +34,8 @@ from hublocate.gen import PROFILES
 from hublocate.heuristics import MAX_ROUTE_SWEEPS, SearchStats, _DestinationContext
 from hublocate.pricing import TIE_RTOL
 from hublocate.solution import Solution
+
+from conftest import doubled_costs
 
 
 def consolidation_cluster_instance() -> Instance:
@@ -516,3 +521,126 @@ class TestLocalSearch:
         with pytest.raises(TimeBudgetError, match="local search exceeded its time budget"):
             local_search_improve(inst, start, deadline=1.0)
         assert len(tried) == 1
+
+
+def _search(inst, cuts: bool = True) -> tuple:
+    """Two-stage then local search; (answer, local-search counters)."""
+    stats = SearchStats()
+    start = solve_two_stage(inst).merged
+    if cuts:
+        return local_search_improve(inst, start, stats=stats), stats
+    with mock.patch.object(heuristics, "_bound_cuts", lambda bound, limit: False):
+        return local_search_improve(inst, start, stats=stats), stats
+
+
+# Random valid generator instances up to the benchmark's 8x3x4.
+SEARCH_INSTANCES = st.builds(
+    generate,
+    st.integers(1, 10_000),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([0.4, 0.6, 0.9]),
+    st.sampled_from(PROFILES),
+)
+
+
+def _near_or_below(bound: float, value: float) -> bool:
+    return bound <= value + 1e-12 * max(1.0, abs(value))
+
+
+class TestBoundCuts:
+    """The lower bounds local search cuts hub openings and port moves by
+    (exactness rule 6) never exceed what the uncut move reaches."""
+
+    # Dropping the slack of the arcs a pair leaves fails on the example.
+    @settings(max_examples=40, deadline=None)
+    @given(SEARCH_INSTANCES)
+    @example(generate(4, 4, 2, 1, 0.9, "consolidation_favorable"))
+    def test_opening_bound_is_below_the_greedy(self, inst):
+        real_open, real_bound = heuristics._open_hub, heuristics._opening_bound
+        seen = []
+
+        def record_bound(*args):
+            seen.append([real_bound(*args), None])
+            return seen[-1][0]
+
+        def open_and_record(*args):
+            seen[-1][1] = cost = real_open(*args)
+            return cost
+
+        with mock.patch.object(heuristics, "_opening_bound", record_bound), \
+                mock.patch.object(heuristics, "_open_hub", open_and_record):
+            _search(inst, cuts=False)
+        for bound, cost in seen:
+            assert _near_or_below(bound, cost)
+
+    # Dropping the hub consolidation a routed pair saves fails on the example.
+    @settings(max_examples=40, deadline=None)
+    @given(SEARCH_INSTANCES)
+    @example(generate(2, 2, 3, 4, 0.6, "consolidation_favorable"))
+    def test_port_bound_is_below_the_resummed_cost(self, inst):
+        real_repoint, real_bound = heuristics._repoint, heuristics._port_bound
+        pending = []
+        seen = []
+
+        def record_bound(state, b, t, s2, current):
+            pending.append((real_bound(state, b, t, s2, current), current))
+            return pending[-1][0]
+
+        def repoint_and_record(state, *move):
+            real_repoint(state, *move)
+            state.refresh()  # what _try does next; a second refresh is a no-op
+            bound, current = pending.pop()
+            seen.append((bound, current + state.delta))
+
+        with mock.patch.object(heuristics, "_port_bound", record_bound), \
+                mock.patch.object(heuristics, "_repoint", repoint_and_record):
+            _search(inst, cuts=False)
+        assert not pending
+        for bound, estimate in seen:
+            assert _near_or_below(bound, estimate)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEARCH_INSTANCES)
+    def test_cuts_leave_the_answer_and_the_moves_alone(self, inst):
+        cut, with_cuts = _search(inst)
+        uncut, without = _search(inst, cuts=False)
+        assert cut == uncut
+        for name in ("moves_tried", "moves_accepted", "accepted_moves"):
+            assert getattr(with_cuts, name) == getattr(without, name)
+        assert without.bound_cuts == 0
+
+    def test_cuts_skip_openings_and_port_moves(self):
+        inst = generate(100, 8, 3, 4, 0.6, "uniform")
+        kinds = []
+        real_try = heuristics._try
+
+        def count_cuts(state, kind, *args, **kwargs):
+            before = state.stats.bound_cuts
+            result = real_try(state, kind, *args, **kwargs)
+            if state.stats.bound_cuts > before:
+                kinds.append(kind)
+            return result
+
+        with mock.patch.object(heuristics, "_try", count_cuts):
+            _, stats = _search(inst)
+        assert stats.bound_cuts == len(kinds)
+        assert {"hub_toggle", "port"} == set(kinds)
+
+
+class TestMetamorphic:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 10_000), st.sampled_from(PROFILES))
+    def test_doubled_costs_double_the_answer(self, seed, profile):
+        # Every margin of the searches is relative, so scaling every cost by
+        # 2 (exact in floating point) scales every comparison alike.
+        inst = generate(seed, 8, 3, 4, 0.6, profile)
+        doubled = doubled_costs(inst)
+        base, _ = _search(inst)
+        twice, _ = _search(doubled)
+        assert twice == base
+        for mode in ("approx", "exact"):
+            assert evaluate_cost(doubled, twice, mode).total == (
+                2.0 * evaluate_cost(inst, base, mode).total
+            )

@@ -23,13 +23,13 @@ from hublocate import (
     generate,
     solve_no_hubs,
 )
-from hublocate import LandCostTable, SeaRate, errors, exact_oracle
+from hublocate import LandCostTable, errors, exact_oracle
 from hublocate.cost_model import land_cost_approx
 from hublocate.errors import OracleLimitError, TimeBudgetError
 from hublocate.exact_oracle import _Kernel, estimate_configurations
 from hublocate.gen import PROFILES
 
-from conftest import make_toy_instance
+from conftest import doubled_costs, make_toy_instance
 
 WIDE_OPEN = {"hub_budget": 4, "max_evaluations": 1e9}
 
@@ -207,28 +207,6 @@ class TestStats:
         assert 0 < stats.bound_cuts <= stats.threshold_cuts + stats.incumbent_cuts
 
 
-def _doubled_costs(inst):
-    """The instance with every cost parameter multiplied by 2."""
-    land = inst.land_costs
-    return dataclasses.replace(
-        inst,
-        land_costs=dataclasses.replace(
-            land, cost=tuple(tuple(2.0 * c for c in row) for row in land.cost)
-        ),
-        sea_rates={
-            rel: SeaRate(
-                None if r.fcl_per_container is None else 2.0 * r.fcl_per_container,
-                None if r.nvocc_per_m3 is None else 2.0 * r.nvocc_per_m3,
-            )
-            for rel, r in inst.sea_rates.items()
-        },
-        setup_cost={b: 2.0 * c for b, c in inst.setup_cost.items()},
-        hub_consol_cost={b: 2.0 * c for b, c in inst.hub_consol_cost.items()},
-        port_consol_cost={s: 2.0 * c for s, c in inst.port_consol_cost.items()},
-        nvocc_penalty=2.0 * inst.nvocc_penalty,
-    )
-
-
 def _reversed_branch_names(inst):
     """The instance with its branches renamed so their sort order reverses."""
     branches = inst.nodes.branches
@@ -263,7 +241,7 @@ class TestMetamorphic:
     def test_doubled_costs_double_the_optimum(self, seed, profile, shape):
         size, budget = shape
         inst = generate(seed, *size, profile)
-        doubled = _doubled_costs(inst)
+        doubled = doubled_costs(inst)
         base = enumerate_optimal(inst, hub_budget=budget).solution
         twice = enumerate_optimal(doubled, hub_budget=budget).solution
         assert twice == base

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from hublocate import (
     sea_cost,
 )
 from hublocate.heuristics import SearchStats, _SearchState
+from hublocate.network_model import validate_instance
 from hublocate.pricing import price_table, solution_flows
 from hublocate.solution import Solution
 
@@ -126,6 +128,37 @@ def test_move_delta_matches_full_evaluation(volumes, seed):
         state.delta = 0.0  # what local search does on accepting a move
 
 
+def _via_from_choices(state) -> dict:
+    via: dict = {}
+    for pair, h in sorted(state.choices.items()):
+        via.setdefault(h, []).append(pair)
+    return via
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    volumes=st.lists(st.sampled_from(VOLUMES), min_size=len(PAIRS), max_size=len(PAIRS)),
+    seed=st.integers(0, 2**16),
+)
+def test_member_lists_follow_the_routes(volumes, seed):
+    # refresh re-sums hub loads from state.via, so it must list the pairs
+    # routed via each hub, in sorted order, after moves and rollbacks.
+    inst = break_instance(volumes)
+    if not inst.positive_pairs():
+        return
+    rng = random.Random(seed)
+    state = _SearchState(inst, random_feasible_solution(inst, rng), SearchStats())
+    for _ in range(6):
+        token = state.save()
+        apply_random_move(state, rng)
+        state.refresh()
+        if rng.random() < 0.5:
+            state.restore(token)
+        kept = {h: list(pairs) for h, pairs in state.via.items() if pairs}
+        assert kept == _via_from_choices(state)
+        assert all(list(pairs) == sorted(pairs) for pairs in state.via.values())
+
+
 def test_load_back_on_a_break_is_resummed():
     inst = break_instance([3.3, 0.0, 6.7, 0.0, 0.0, 0.0, 6.1, 0.0])
     start = Solution(
@@ -214,3 +247,34 @@ def test_table_prices_equal_cost_model():
                              inst.nvocc_penalty)[0]
             assert table.sea(s, t, w) == price
             assert table.sea(s, t, w) == price  # memoized value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rate_is_the_least_price_per_m3_up_to_the_load(data):
+    container = data.draw(st.floats(1.0, 100.0))
+    inner = data.draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+    breaks = tuple(sorted({round(container * u, 6) for u in inner})) + (container,)
+    rows = tuple(
+        tuple(sorted(data.draw(st.floats(0.5, 500.0)) for _ in breaks)) for _ in range(2)
+    )
+    inst = dataclasses.replace(
+        break_instance([5.0] * len(PAIRS)),
+        land_costs=LandCostTable((100.0, 1000.0), breaks, rows),
+        land_container_volume=container,
+    )
+    assert not validate_instance(inst)  # non-negative, monotone rows
+    table = price_table(inst)
+    a, r = data.draw(st.sampled_from(sorted(inst.distance)))
+    X = data.draw(st.floats(1e-3, 3.0 * container))
+    rate = table.rate(a, r, X)
+    assert table.rate(a, r, X) == rate  # read from the memo
+
+    curve = table.curve(a, r)
+    xs = data.draw(st.lists(st.floats(1e-6, 1.0), max_size=10))
+    loads = [
+        n * container + w for n in range(3) for w in curve.breakpoints
+        if n * container + w <= X
+    ]
+    for x in loads + [X] + [X * u for u in xs]:
+        assert rate <= table.land_approx(a, r, x) / x * (1.0 + 1e-12)
