@@ -32,7 +32,7 @@ Each share's routing terms are priced per coupled component
 ``pricing.cost_terms``, which would price whole solutions in the
 innermost loop.
 
-Four shortcuts leave every answer bit-identical:
+Two cuts leave every answer bit-identical:
 
   * a configuration is cut when its constant part (port and sea cost,
     set-up, direct arcs no routed share touches) exceeds the all-direct
@@ -44,9 +44,10 @@ Four shortcuts leave every answer bit-identical:
     not depend on the incumbent;
   * a configuration is also cut when its constant part plus a lower bound
     on its routing terms (``_SplitProblem.routing_bound``) exceeds that
-    limit by more than ``TIE_RTOL`` times the limit (at least 1).  The
-    bound prices each routed m3 of pair p via hub h at the cheaper of
-    rate(p, v_p) and f[h] + rate((b, h), F) + rate((h, s), P), and the
+    limit by more than ``TIE_RTOL`` times the limit (at least 1;
+    ``pricing.bound_excludes``).  The bound prices each routed m3 of pair
+    p via hub h at the cheaper of rate(p, v_p) and f[h] + rate((b, h), F)
+    + rate((h, s), P), and the
     hub's own direct volume on (h, s) at rate((h, s), P), where F and P
     are the arcs' loads with every rider routed and rate(arc, X) is the
     least approximated price per m3 over loads in (0, X]
@@ -55,16 +56,13 @@ Four shortcuts leave every answer bit-identical:
     all-routed value, so the routing cost is at least the bound.  The
     margin covers float rounding, which is far below it, so a cut
     configuration's total lies strictly above the incumbent or the
-    threshold: it could neither replace the incumbent nor tie it;
-  * a component's cost is memoized per tuple of its members' shares
-    within one configuration.  The cost is a function of those shares
-    alone, and it is summed term by term in one fixed order (member
-    order, each member's direct arc, consolidation, then its feeder and
-    port arcs not already summed), so a recomputation would give the same
-    float;
-  * whole component solves are cached per port assignment by their
-    members and hubs, and hub choices per set of active pairs and hub set,
-    within one call.
+    threshold: it could neither replace the incumbent nor tie it.
+
+The cuts leave few configurations to solve (343 of 30,854 on the 2x3x2
+generator instances at density 1.0, seeds 1-50, every profile), so each
+solved configuration's components are solved and priced afresh.  Only the
+hub choices are memoized, per set of active pairs and hub set within one
+call; about half the lookups hit on those instances.
 """
 
 from __future__ import annotations
@@ -81,10 +79,10 @@ from .cost_model import land_cost_approx
 from .cost_model import approx_breakpoint_volumes, land_breakpoints, sea_cost  # noqa: F401
 from .errors import InvalidInstanceError, OracleLimitError, check_deadline
 from .network_model import Instance, validate_instance
-from .pricing import TIE_RTOL, price_table
+from .pricing import acceptance_limit, bound_excludes, price_table
 from .solution import Solution
 from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
-from .splits import finish_fraction_candidates, fraction_candidate_set, routed_fraction_set
+from .splits import finish_fraction_candidates, fraction_candidate_set
 from .splits import subset_sums  # noqa: F401
 
 DESCENT_ROUNDS = 25
@@ -109,10 +107,8 @@ class OracleStats:
     (``solved_configurations``).  ``bound_cuts`` counts the cut
     configurations whose constant part alone did not reach the limit, so
     only the routing bound cut them; it is a part of the two cut counts.
-    ``component_solves`` counts the coupled components whose shares were
-    optimized rather than taken from the per-port-assignment cache, and
-    ``cost_memo_hits`` the component costs answered from the memo of share
-    vectors already priced.
+    ``component_solves`` counts the coupled components of the solved
+    configurations, each of which is optimized.
     """
 
     port_vectors_cut: int = 0
@@ -121,7 +117,6 @@ class OracleStats:
     incumbent_cuts: int = 0
     solved_configurations: int = 0
     component_solves: int = 0
-    cost_memo_hits: int = 0
     bound_cuts: int = 0
 
 
@@ -138,18 +133,12 @@ class _Kernel:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.B = list(instance.nodes.branches)
-        self.S = list(instance.nodes.origin_ports)
         self.e = instance.setup_cost
         self.f = instance.hub_consol_cost
         self.g = instance.port_consol_cost
         self.prices = price_table(instance)
-        self.curves = {(b, r): self.prices.curve(b, r) for b in self.B for r in self.B + self.S}
         self.pairs = instance.positive_pairs()
         self.options = [instance.usable_ports(t) for (_, t) in self.pairs]
-
-    def rate(self, arc, X: float) -> float:
-        """``ArcPrices.rate`` of `arc` up to X."""
-        return self.prices.rate(*arc, X)
 
     def fixed_cost(self, zvec) -> tuple[float, dict]:
         """Port consolidation plus sea cost of one port assignment, and the
@@ -167,10 +156,6 @@ class _Kernel:
             total += self.prices.sea(s, t, w)
         return total, vols
 
-    def direct_land(self, vols: dict) -> dict:
-        """Approximated land price of each arc in ``vols`` shipped all direct."""
-        return {arc: land_cost_approx(self.curves[arc], v) for arc, v in vols.items()}
-
     def best_all_direct(
         self, deadline: float | None, what: str, kept: list | None = None
     ) -> tuple[float, tuple]:
@@ -182,12 +167,13 @@ class _Kernel:
         land prices)`` of each vector whose fixed cost is at most the
         minimum found before it.  Every vector whose fixed cost is at most
         the final minimum is among them, and no other vector is stored."""
+        land_approx = self.prices.land_approx
         best = None
         for i, zvec in enumerate(itertools.product(*self.options)):
             if i % 256 == 0:
                 check_deadline(deadline, what)
             fixed, vols = self.fixed_cost(zvec)
-            direct_land = self.direct_land(vols)
+            direct_land = {arc: land_approx(*arc, v) for arc, v in vols.items()}
             if kept is not None and (best is None or fixed <= best[0]):
                 kept.append((zvec, fixed, vols, direct_land))
             total = fixed + sum(direct_land.values())
@@ -203,15 +189,13 @@ class _Component:
     ``(index, direct curve, volume, f[hub], arcs)``, where ``arcs`` holds
     the member's feeder and port arcs not already listed by an earlier
     member, each as ``(curve, base, ((rider index, rider volume), ...))``.
-    ``memo`` maps a tuple of member shares to the cost already priced.
     """
 
-    __slots__ = ("members", "plan", "memo")
+    __slots__ = ("members", "plan")
 
     def __init__(self, members: tuple, plan: tuple):
         self.members = members
         self.plan = plan
-        self.memo: dict = {}
 
 
 class _SplitProblem:
@@ -293,7 +277,7 @@ class _SplitProblem:
         """The pricing plan of one component; records each member's two
         arcs as (arc, riders, base) in ``arcs_of`` for the candidates."""
         kernel = self.kernel
-        curves = kernel.curves
+        curve = kernel.prices.curve
         vols = self.vols
         index = {p: i for i, p in enumerate(members)}
         seen_arcs = set()
@@ -311,18 +295,14 @@ class _SplitProblem:
                 if arc in seen_arcs:
                     continue
                 seen_arcs.add(arc)
-                arcs.append((curves[arc], base, tuple((index[q], vols[q]) for q in riders)))
-            plan.append((i, curves[p], vols[p], kernel.f[h], tuple(arcs)))
+                arcs.append((curve(*arc), base, tuple((index[q], vols[q]) for q in riders)))
+            plan.append((i, curve(*p), vols[p], kernel.f[h], tuple(arcs)))
         return _Component(members, tuple(plan))
 
     def component_cost(self, comp: _Component, fracs) -> float:
         """Cost of the terms touched by one component's variables, summed
-        in member order; each share vector is priced once."""
-        ys = tuple([fracs[p] for p in comp.members])
-        total = comp.memo.get(ys)
-        if total is not None:
-            self.stats.cost_memo_hits += 1
-            return total
+        in member order."""
+        ys = [fracs[p] for p in comp.members]
         total = 0.0
         for i, curve, v, f_h, arcs in comp.plan:
             direct = ys[i] * v
@@ -336,7 +316,6 @@ class _SplitProblem:
                 load = base + routed
                 if load > 0.0:
                     total += land_cost_approx(arc_curve, load)
-        comp.memo[ys] = total
         return total
 
     def _base(self, p, entry, fracs) -> float:
@@ -351,13 +330,13 @@ class _SplitProblem:
     def candidate_set(self, p, fracs, skip_arc=None) -> set:
         """Unfinished candidate shares for p, other variables at `fracs`;
         `skip_arc`, when given, contributes no boundaries."""
-        curves = self.kernel.curves
+        curve = self.kernel.prices.curve
         routed = [
-            (curves[entry[0]], self._base(p, entry, fracs))
+            (curve(*entry[0]), self._base(p, entry, fracs))
             for entry in self.arcs_of[p]
             if entry[0] != skip_arc
         ]
-        return fraction_candidate_set(curves[p], routed, self.vols[p], self.dests_via.get(p))
+        return fraction_candidate_set(curve(*p), routed, self.vols[p], self.dests_via.get(p))
 
     def shared_arc(self, p, q):
         """The one arc two routed pairs of one component can share, or None."""
@@ -377,7 +356,7 @@ class _SplitProblem:
                 continue
             fracs[p] = y
             c = self.component_cost(comp, fracs)
-            if c < best - 1e-12 * max(1.0, abs(best)):
+            if c < acceptance_limit(best):
                 best, best_y = c, y
         fracs[p] = best_y
         return best_y != y0
@@ -387,32 +366,22 @@ class _SplitProblem:
         boundary intersection has one variable on its own boundary.
 
         With `context` the pair is re-optimized inside a larger component
-        whose other shares stay at their context values.  The inner
-        share's candidates from everything but the shared arc do not
-        depend on the outer share, so they are built once per order.
+        whose other shares stay at their context values.
         """
         p, q = pair
         arc = self.shared_arc(p, q)
-        arc_curve = self.kernel.curves[arc]
         fracs = dict(context) if context else {}
         best = None  # (cost, outer, y_out, inner, y_in)
         for outer, inner in ((p, q), (q, p)):
             outer_cands = finish_fraction_candidates(
                 self.candidate_set(outer, fracs, skip_arc=arc)
             )
-            fixed = self.candidate_set(inner, fracs, skip_arc=arc)
-            shared = next(entry for entry in self.arcs_of[inner] if entry[0] == arc)
-            volume = self.vols[inner]
             for y_out in outer_cands:
                 fracs[outer] = y_out
-                base = self._base(inner, shared, fracs)
-                inner_cands = finish_fraction_candidates(
-                    fixed | routed_fraction_set(((arc_curve, base),), volume)
-                )
-                for y_in in inner_cands:
+                for y_in in finish_fraction_candidates(self.candidate_set(inner, fracs)):
                     fracs[inner] = y_in
                     c = self.component_cost(comp, fracs)
-                    if best is None or c < best[0] - 1e-12 * max(1.0, abs(best[0])):
+                    if best is None or c < acceptance_limit(best[0]):
                         best = (c, outer, y_out, inner, y_in)
         _, outer, y_out, inner, y_in = best
         out = dict(context) if context else {}
@@ -443,7 +412,7 @@ class _SplitProblem:
                 trial = self._solve_pair((p, q), comp, context=fracs)
                 cur = self.component_cost(comp, fracs)
                 c = self.component_cost(comp, trial)
-                if c < cur - 1e-12 * max(1.0, abs(cur)):
+                if c < acceptance_limit(cur):
                     fracs, improved = trial, True
             if not improved:
                 break
@@ -463,21 +432,14 @@ class _SplitProblem:
             sub = self._solve_group(comp)
         return sub, self.component_cost(comp, sub)
 
-    def solve(self, cache: dict, stats: OracleStats) -> tuple[dict, float]:
-        """Optimal shares and routing cost; component results are memoized
-        in `cache` per port assignment (they do not depend on the rest of
-        the configuration)."""
-        self.stats = stats
+    def solve(self, stats: OracleStats) -> tuple[dict, float]:
+        """Optimal shares and routing cost, solving each component."""
         self.arcs_of: dict = {}
         fracs = {}
         total = self.const
         for members in self._component_members():
-            key = tuple((p, self.hub_of[p]) for p in members)
-            hit = cache.get(key)
-            if hit is None:
-                stats.component_solves += 1
-                hit = cache[key] = self._solve_component(self._component(members))
-            sub, cost = hit
+            stats.component_solves += 1
+            sub, cost = self._solve_component(self._component(members))
             fracs.update(sub)
             total += cost
         return fracs, total
@@ -594,7 +556,6 @@ def enumerate_optimal(
         dests_via: dict = {}
         for (b, t), s in zip(kernel.pairs, zvec):
             dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
-        comp_cache: dict = {}
         for hubs in hub_sets:
             setup = setup_of[hubs]
             if fixed + setup > threshold:
@@ -612,9 +573,9 @@ def enumerate_optimal(
                 lower = fixed + problem.const
                 if lower <= limit:
                     lower += problem.routing_bound()
-                    if lower - limit <= TIE_RTOL * max(1.0, limit):
+                    if not bound_excludes(lower, limit):
                         stats.solved_configurations += 1
-                        fracs, routing = problem.solve(comp_cache, stats)
+                        fracs, routing = problem.solve(stats)
                         total = fixed + routing
                         if best is None or total < best[0]:
                             best = (total, (zvec, hubs, assign, fracs))

@@ -65,7 +65,8 @@ sixth rule:
 
 6. a hub opening or a port move is cut when a lower bound on the cost of
    every state it can leave exceeds the acceptance limit by more than
-   ``TIE_RTOL`` times the limit (at least 1).  The opening's bound
+   ``TIE_RTOL`` times the limit (at least 1; ``pricing.bound_excludes``,
+   the oracle's cut rule too).  The opening's bound
    (``_opening_bound``) covers every state its greedy can reach, the port
    move's (``_port_bound``) the one state it leaves.  A load x that an
    arc carries at most X of costs at least x * rate(X), the arc's least
@@ -101,7 +102,14 @@ from .exact_oracle import DEFAULT_HUB_BUDGET, hub_subsets
 # it from here.
 from .exact_oracle import solve_no_hubs  # noqa: F401
 from .network_model import Instance, validate_instance
-from .pricing import TIE_RTOL, cost_terms, price_table, solution_flows
+from .pricing import (
+    TIE_RTOL,
+    acceptance_limit,
+    bound_excludes,
+    cost_terms,
+    price_table,
+    solution_flows,
+)
 from .solution import ConstraintViolation, Solution, check_feasibility
 from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
 from .splits import pair_fraction_candidates
@@ -769,18 +777,6 @@ class _SearchState:
         return c if c < limit else None
 
 
-def _acceptance_limit(current: float) -> float:
-    """The cost a move must get below to be accepted from ``current``."""
-    return current - 1e-12 * max(1.0, abs(current))
-
-
-def _bound_cuts(bound: float, limit: float) -> bool:
-    """Whether a lower bound proves every state it covers misses ``limit``
-    (rule 6): it must exceed the limit by more than ``TIE_RTOL`` times
-    the limit (at least 1)."""
-    return bound - limit > TIE_RTOL * max(1.0, abs(limit))
-
-
 def _try(
     state: _SearchState, kind: str, mutate, current: float, deadline: float | None,
     bound=None,
@@ -796,8 +792,8 @@ def _try(
     check_deadline(deadline, "local search")
     tried = state.stats.moves_tried
     tried[kind] = tried.get(kind, 0) + 1
-    limit = _acceptance_limit(current)
-    if bound is not None and _bound_cuts(bound(), limit):
+    limit = acceptance_limit(current)
+    if bound is not None and bound_excludes(bound(), limit):
         state.stats.bound_cuts += 1
         return None
     token = state.save()
@@ -828,7 +824,7 @@ def _open_hub(state: _SearchState, h: str, current: float) -> float:
     for key in [k for k in state.choices if k[0] == h]:
         state.set_route(key, None)
     estimate = current + state.refresh()
-    if _bound_cuts(_opening_bound(state, h, estimate), _acceptance_limit(current)):
+    if bound_excludes(_opening_bound(state, h, estimate), acceptance_limit(current)):
         state.stats.bound_cuts += 1
         return math.inf
     base = state.total()

@@ -36,6 +36,14 @@ full evaluation, because they keep three rules:
    candidates only when it lies more than ``TIE_RTOL`` times the total
    away from a tie or from an acceptance threshold.  Closer cases, and
    the cost of every accepted state, use the full-order sum.
+
+The oracle and the local search decide with the same two rules.  A
+candidate replaces the current best only below ``acceptance_limit(best)``,
+1e-12 relative under it, so a float tie keeps the earlier candidate.  A
+candidate is rejected unpriced when a lower bound on its cost lies
+clearly above the limit it must beat (``bound_excludes``): so the oracle
+cuts configurations and the local search cuts hub openings and port
+moves.
 """
 
 from __future__ import annotations
@@ -55,6 +63,18 @@ from .cost_model import (
 # Relative distance from a tie or threshold below which a delta does not
 # decide; summation error of the totals is below 1e-13 relative.
 TIE_RTOL = 1e-9
+
+
+def acceptance_limit(current: float) -> float:
+    """The cost a candidate must get below to replace ``current``."""
+    return current - 1e-12 * max(1.0, abs(current))
+
+
+def bound_excludes(bound: float, limit: float) -> bool:
+    """Whether a lower bound proves that every state it covers misses
+    ``limit``: it must exceed the limit by more than ``TIE_RTOL`` times the
+    limit (at least 1), a margin far above the bound's rounding."""
+    return bound - limit > TIE_RTOL * max(1.0, abs(limit))
 
 
 class ArcPrices:

@@ -13,8 +13,7 @@ boundaries count as (curve, base) pairs.  ``pair_fraction_candidates`` is
 the composition of a set builder (``fraction_candidate_set``, whose
 routed-arc part is ``routed_fraction_set``) and a finisher
 (``finish_fraction_candidates``) that clamps, sorts and deduplicates; the
-oracle's pair solver builds the set of everything but one shared arc once
-and adds that arc's boundaries per base.
+oracle builds the set and finishes it per conditional solve.
 """
 
 from __future__ import annotations
@@ -69,8 +68,9 @@ def routed_fraction_set(
 ) -> set[float]:
     """The fractions that put a routed arc's load on a piece boundary.
 
-    A caller that varies one arc's base keeps the rest of
-    ``fraction_candidate_set`` and unites it with this set per base.
+    The set over several arcs is the union of each arc's set, so
+    ``fraction_candidate_set`` over some arcs united with this set over
+    the others is the candidate set over all of them.
     """
     out: set[float] = set()
     if volume <= 0.0:

@@ -83,3 +83,25 @@ def test_unused_imports_are_benchmark_shims(perfbench):
             if "# noqa: F401" not in lines[node.lineno - 1] or (path.stem, name) not in wanted:
                 stray.append(f"{path.name}:{node.lineno} {name}")
     assert stray == []
+
+
+def test_private_definitions_have_callers():
+    # A private function, method or class that nothing in the package
+    # names is dead code (a test or the benchmark may still reach it, but
+    # the program does not), so a deletion that leaves a helper without
+    # callers fails here.
+    defined = {}
+    referenced = set()
+    for path in sorted((ROOT / "src" / "hublocate").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.setdefault(name, f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(where for name, where in defined.items() if name not in referenced) == []

@@ -529,7 +529,7 @@ def _search(inst, cuts: bool = True) -> tuple:
     start = solve_two_stage(inst).merged
     if cuts:
         return local_search_improve(inst, start, stats=stats), stats
-    with mock.patch.object(heuristics, "_bound_cuts", lambda bound, limit: False):
+    with mock.patch.object(heuristics, "bound_excludes", lambda bound, limit: False):
         return local_search_improve(inst, start, stats=stats), stats
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import itertools
-import math
 import random
 import time
 from types import SimpleNamespace
@@ -28,6 +27,7 @@ from hublocate.cost_model import land_cost_approx
 from hublocate.errors import OracleLimitError, TimeBudgetError
 from hublocate.exact_oracle import _Kernel, estimate_configurations
 from hublocate.gen import PROFILES
+from hublocate.pricing import price_table
 
 from conftest import doubled_costs, make_toy_instance
 
@@ -206,6 +206,23 @@ class TestStats:
         stats = enumerate_optimal(generate(seed, 3, 3, 2, 0.8, "nvocc_only_mix")).stats
         assert 0 < stats.bound_cuts <= stats.threshold_cuts + stats.incumbent_cuts
 
+    def test_component_solves_count_every_component_solved(self):
+        # Two solved configurations of one port assignment here share a
+        # component; each is counted.
+        inst = generate(2, 3, 2, 2, 0.6, "consolidation_favorable")
+        real_members = exact_oracle._SplitProblem._component_members
+        components = []
+
+        def record(problem):
+            members = real_members(problem)
+            components.extend(members)
+            return members
+
+        with mock.patch.object(exact_oracle._SplitProblem, "_component_members", record):
+            stats = enumerate_optimal(inst, hub_budget=2).stats
+        assert components
+        assert stats.component_solves == len(components)
+
 
 def _reversed_branch_names(inst):
     """The instance with its branches renamed so their sort order reverses."""
@@ -290,7 +307,7 @@ class TestRoutingBound:
         # Without the cut every configuration the constant part does not cut
         # is solved, so the bound is checked on all of them, and the answer
         # must be the one the cut finds.
-        with mock.patch.object(exact_oracle, "TIE_RTOL", math.inf), \
+        with mock.patch.object(exact_oracle, "bound_excludes", lambda bound, limit: False), \
                 mock.patch.object(exact_oracle._SplitProblem, "solve", record):
             uncut = enumerate_optimal(inst, hub_budget=budget)
         assert seen
@@ -308,11 +325,12 @@ class TestRoutingBound:
             tuple(data.draw(st.floats(0.5, 500.0)) for _ in breaks) for _ in range(2)
         )
         table = LandCostTable(distance_breaks=(100.0, 1000.0), volume_breaks=breaks, cost=rows)
-        kernel = _Kernel(dataclasses.replace(make_toy_instance(), land_costs=table))
-        arc = data.draw(st.sampled_from(sorted(kernel.curves)))
-        curve = kernel.curves[arc]
+        inst = dataclasses.replace(make_toy_instance(), land_costs=table)
+        prices = price_table(inst)
+        arc = data.draw(st.sampled_from(sorted(inst.distance)))
+        curve = prices.curve(*arc)
         X = data.draw(st.floats(1e-3, 3.0 * container))
-        rate = kernel.rate(arc, X)
+        rate = prices.rate(*arc, X)
 
         def price(x):
             return land_cost_approx(curve, x) / x
