@@ -28,9 +28,9 @@ The objective is the approximated cost, the same one the linearized model
 minimizes; callers price the answer with ``solution.evaluate_cost``.
 Ties are broken toward the first configuration in enumeration order.
 Each share's routing terms are priced per coupled component
-(``_SplitProblem.component_cost``) rather than through
-``pricing.cost_terms``, which would price whole solutions in the
-innermost loop.
+(``_SplitProblem.component_cost``, straight from each share's arcs)
+rather than through ``pricing.cost_terms``, which would price whole
+solutions in the innermost loop.
 
 Two cuts leave every answer bit-identical:
 
@@ -82,7 +82,7 @@ from .network_model import Instance, validate_instance
 from .pricing import acceptance_limit, bound_excludes, price_table
 from .solution import Solution
 from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
-from .splits import finish_fraction_candidates, fraction_candidate_set
+from .splits import pair_fraction_candidates
 from .splits import subset_sums  # noqa: F401
 
 DESCENT_ROUNDS = 25
@@ -182,22 +182,6 @@ class _Kernel:
         return best
 
 
-class _Component:
-    """One coupled group of routed pairs.
-
-    ``plan`` prices the terms its members touch: one entry per member,
-    ``(index, direct curve, volume, f[hub], arcs)``, where ``arcs`` holds
-    the member's feeder and port arcs not already listed by an earlier
-    member, each as ``(curve, base, ((rider index, rider volume), ...))``.
-    """
-
-    __slots__ = ("members", "plan")
-
-    def __init__(self, members: tuple, plan: tuple):
-        self.members = members
-        self.plan = plan
-
-
 class _SplitProblem:
     """Continuous share optimization for one discrete configuration.
 
@@ -205,7 +189,9 @@ class _SplitProblem:
     a per-variable part (direct arc plus consolidation), and per-arc terms
     for feeder and hub-to-port arcs, each depending on the subset of
     variables riding that arc.  The constructor computes only what the
-    bound needs (the constant); ``solve`` builds the components.
+    bound needs (the constant); ``solve`` fills ``arcs_of`` (each
+    variable's two arcs with their riders and base) and solves the
+    components, which price and build candidates from it.
     """
 
     def __init__(self, kernel: _Kernel, vols, setup, assign, dests_via, direct_land):
@@ -273,49 +259,31 @@ class _SplitProblem:
             comps.setdefault(find(p), []).append(p)
         return [tuple(sorted(c)) for c in sorted(comps.values())]
 
-    def _component(self, members: tuple) -> _Component:
-        """The pricing plan of one component; records each member's two
-        arcs as (arc, riders, base) in ``arcs_of`` for the candidates."""
-        kernel = self.kernel
-        curve = kernel.prices.curve
+    def component_cost(self, members: tuple, fracs) -> float:
+        """Cost of the terms touched by one component's shares, summed in
+        member order: each member's direct arc and hub consolidation, then
+        its feeder and hub-to-port arcs not priced for an earlier member."""
+        curve = self.kernel.prices.curve
+        f = self.kernel.f
         vols = self.vols
-        index = {p: i for i, p in enumerate(members)}
-        seen_arcs = set()
-        plan = []
-        for i, p in enumerate(members):
-            b, s = p
-            h = self.hub_of[p]
-            # Hub-to-port arcs carry the hub's own direct volume as a base.
-            self.arcs_of[p] = entries = (
-                ((b, h), self.feeder_groups[(b, h)], 0.0),
-                ((h, s), self.port_groups[(h, s)], vols.get((h, s), 0.0)),
-            )
-            arcs = []
-            for arc, riders, base in entries:
-                if arc in seen_arcs:
-                    continue
-                seen_arcs.add(arc)
-                arcs.append((curve(*arc), base, tuple((index[q], vols[q]) for q in riders)))
-            plan.append((i, curve(*p), vols[p], kernel.f[h], tuple(arcs)))
-        return _Component(members, tuple(plan))
-
-    def component_cost(self, comp: _Component, fracs) -> float:
-        """Cost of the terms touched by one component's variables, summed
-        in member order."""
-        ys = [fracs[p] for p in comp.members]
+        seen = set()
         total = 0.0
-        for i, curve, v, f_h, arcs in comp.plan:
-            direct = ys[i] * v
+        for p in members:
+            v = vols[p]
+            direct = fracs[p] * v
             if direct > 0.0:
-                total += land_cost_approx(curve, direct)
-            total += f_h * (v - direct)
-            for arc_curve, base, riders in arcs:
+                total += land_cost_approx(curve(*p), direct)
+            total += f[self.hub_of[p]] * (v - direct)
+            for arc, riders, base in self.arcs_of[p]:
+                if arc in seen:
+                    continue
+                seen.add(arc)
                 routed = 0.0
-                for j, vol in riders:
-                    routed += (1.0 - ys[j]) * vol
+                for q in riders:
+                    routed += (1.0 - fracs[q]) * vols[q]
                 load = base + routed
                 if load > 0.0:
-                    total += land_cost_approx(arc_curve, load)
+                    total += land_cost_approx(curve(*arc), load)
         return total
 
     def _base(self, p, entry, fracs) -> float:
@@ -327,16 +295,16 @@ class _SplitProblem:
                 base += (1.0 - fracs.get(q, 0.0)) * self.vols[q]
         return base
 
-    def candidate_set(self, p, fracs, skip_arc=None) -> set:
-        """Unfinished candidate shares for p, other variables at `fracs`;
-        `skip_arc`, when given, contributes no boundaries."""
+    def candidates(self, p, fracs, skip_arc=None) -> list:
+        """Candidate shares for p, other variables at `fracs`; `skip_arc`,
+        when given, contributes no boundaries."""
         curve = self.kernel.prices.curve
         routed = [
             (curve(*entry[0]), self._base(p, entry, fracs))
             for entry in self.arcs_of[p]
             if entry[0] != skip_arc
         ]
-        return fraction_candidate_set(curve(*p), routed, self.vols[p], self.dests_via.get(p))
+        return pair_fraction_candidates(curve(*p), routed, self.vols[p], self.dests_via.get(p))
 
     def shared_arc(self, p, q):
         """The one arc two routed pairs of one component can share, or None."""
@@ -346,22 +314,22 @@ class _SplitProblem:
             return (self.hub_of[p], p[1])
         return None
 
-    def _minimize_one(self, comp, fracs, p) -> bool:
+    def _minimize_one(self, members, fracs, p) -> bool:
         """Exact conditional minimization of one share; True on improvement."""
         y0 = fracs[p]
-        best = self.component_cost(comp, fracs)
+        best = self.component_cost(members, fracs)
         best_y = y0
-        for y in finish_fraction_candidates(self.candidate_set(p, fracs)):
+        for y in self.candidates(p, fracs):
             if abs(y - y0) <= 1e-15:
                 continue
             fracs[p] = y
-            c = self.component_cost(comp, fracs)
+            c = self.component_cost(members, fracs)
             if c < acceptance_limit(best):
                 best, best_y = c, y
         fracs[p] = best_y
         return best_y != y0
 
-    def _solve_pair(self, pair, comp, context=None) -> dict:
+    def _solve_pair(self, pair, members, context=None) -> dict:
         """Exact two-variable solve: a pair shares at most one arc, so every
         boundary intersection has one variable on its own boundary.
 
@@ -373,14 +341,11 @@ class _SplitProblem:
         fracs = dict(context) if context else {}
         best = None  # (cost, outer, y_out, inner, y_in)
         for outer, inner in ((p, q), (q, p)):
-            outer_cands = finish_fraction_candidates(
-                self.candidate_set(outer, fracs, skip_arc=arc)
-            )
-            for y_out in outer_cands:
+            for y_out in self.candidates(outer, fracs, skip_arc=arc):
                 fracs[outer] = y_out
-                for y_in in finish_fraction_candidates(self.candidate_set(inner, fracs)):
+                for y_in in self.candidates(inner, fracs):
                     fracs[inner] = y_in
-                    c = self.component_cost(comp, fracs)
+                    c = self.component_cost(members, fracs)
                     if best is None or c < acceptance_limit(best[0]):
                         best = (c, outer, y_out, inner, y_in)
         _, outer, y_out, inner, y_in = best
@@ -389,7 +354,7 @@ class _SplitProblem:
         out[inner] = y_in
         return out
 
-    def _solve_group(self, comp) -> dict:
+    def _solve_group(self, members) -> dict:
         """Conditional descent plus pairwise polish for 3+ coupled shares.
 
         The descent handles each share exactly given the others; the
@@ -397,49 +362,58 @@ class _SplitProblem:
         only optima needing three simultaneously off-boundary shares on
         three interlocking arcs could be missed.
         """
-        fracs = {p: 0.0 for p in comp.members}
+        fracs = {p: 0.0 for p in members}
         for _ in range(DESCENT_ROUNDS):
             improved = False
-            for p in comp.members:
-                improved |= self._minimize_one(comp, fracs, p)
+            for p in members:
+                improved |= self._minimize_one(members, fracs, p)
             if not improved:
                 break
         for _ in range(POLISH_ROUNDS):
             improved = False
-            for p, q in itertools.combinations(comp.members, 2):
+            for p, q in itertools.combinations(members, 2):
                 if self.shared_arc(p, q) is None:
                     continue
-                trial = self._solve_pair((p, q), comp, context=fracs)
-                cur = self.component_cost(comp, fracs)
-                c = self.component_cost(comp, trial)
+                trial = self._solve_pair((p, q), members, context=fracs)
+                cur = self.component_cost(members, fracs)
+                c = self.component_cost(members, trial)
                 if c < acceptance_limit(cur):
                     fracs, improved = trial, True
             if not improved:
                 break
         return fracs
 
-    def _solve_component(self, comp) -> tuple[dict, float]:
+    def _solve_component(self, members) -> tuple[dict, float]:
         """Optimal shares of one component from all routed (share 0), and
         their cost: exact for one and two members, descent and polish for
         more."""
-        members = comp.members
         if len(members) == 1:
             sub = {members[0]: 0.0}
-            self._minimize_one(comp, sub, members[0])
+            self._minimize_one(members, sub, members[0])
         elif len(members) == 2:
-            sub = self._solve_pair(members, comp)
+            sub = self._solve_pair(members, members)
         else:
-            sub = self._solve_group(comp)
-        return sub, self.component_cost(comp, sub)
+            sub = self._solve_group(members)
+        return sub, self.component_cost(members, sub)
 
     def solve(self, stats: OracleStats) -> tuple[dict, float]:
         """Optimal shares and routing cost, solving each component."""
-        self.arcs_of: dict = {}
+        vols = self.vols
+        # Each share's feeder and hub-to-port arcs as (arc, riders, base);
+        # hub-to-port arcs carry the hub's own direct volume as a base.
+        self.arcs_of = {}
+        for p in self.vars:
+            b, s = p
+            h = self.hub_of[p]
+            self.arcs_of[p] = (
+                ((b, h), self.feeder_groups[(b, h)], 0.0),
+                ((h, s), self.port_groups[(h, s)], vols.get((h, s), 0.0)),
+            )
         fracs = {}
         total = self.const
         for members in self._component_members():
             stats.component_solves += 1
-            sub, cost = self._solve_component(self._component(members))
+            sub, cost = self._solve_component(members)
             fracs.update(sub)
             total += cost
         return fracs, total

@@ -353,16 +353,19 @@ def put_record(table: dict, key: tuple, value, section: str) -> None:
 
 
 def record_key(rec, fields: tuple, section: str) -> tuple:
-    """The key of one record of a file section: its two ``fields``, which
+    """The values of ``fields`` in one record of a file section, which
     must be strings of an object; anything else is an InstanceFormatError."""
-    first, second = fields
     if isinstance(rec, dict):
-        a = rec.get(first)
-        b = rec.get(second)
-        if isinstance(a, str) and isinstance(b, str):
-            return a, b
+        key = []
+        for k in fields:
+            v = rec.get(k)
+            if not isinstance(v, str):
+                break
+            key.append(v)
+        else:
+            return tuple(key)
     raise InstanceFormatError(
-        f"each {section} record needs string fields {first}, {second}",
+        f"each {section} record needs string fields {', '.join(fields)}",
         code="BAD_RECORD", section=section,
     )
 

@@ -32,7 +32,7 @@ from .cost_model import (  # noqa: F401
     sea_cost,
 )
 from .errors import InfeasibleSolutionError, InstanceFormatError, UnknownNodeError
-from .network_model import Instance, put_record, read_json
+from .network_model import Instance, put_record, read_json, record_key
 from .pricing import cost_terms, demand_volumes, solution_flows
 
 SOLUTION_SCHEMA = "hublocate-solution-1"
@@ -245,12 +245,7 @@ def _records(doc: dict, section: str, ids: tuple, number: str | None = None) -> 
         )
     out: dict = {}
     for rec in recs:
-        if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in ids):
-            raise InstanceFormatError(
-                f"each {section} record needs string fields {', '.join(ids)}",
-                code="BAD_RECORD", section=section,
-            )
-        row = tuple(rec[k] for k in ids)
+        row = record_key(rec, ids, section)
         if number is not None:
             y = rec.get(number)
             if isinstance(y, bool) or not isinstance(y, (int, float)) or not 0.0 <= y <= 1.0:

@@ -8,12 +8,9 @@ The continuous optimum is therefore searched over the finite set of
 fractions that place an arc volume exactly on such a boundary, plus the
 extremes 0 and 1, plus the per-destination subset sums that alternating
 per-destination methods can produce.  The oracle and the local search
-both take their candidates from here and pass the routed arcs whose
-boundaries count as (curve, base) pairs.  ``pair_fraction_candidates`` is
-the composition of a set builder (``fraction_candidate_set``, whose
-routed-arc part is ``routed_fraction_set``) and a finisher
-(``finish_fraction_candidates``) that clamps, sorts and deduplicates; the
-oracle builds the set and finishes it per conditional solve.
+both take their candidates from ``pair_fraction_candidates``, the one
+builder, and pass the routed arcs whose boundaries count as (curve, base)
+pairs.
 """
 
 from __future__ import annotations
@@ -37,55 +34,33 @@ def subset_sums(volumes: list[float]) -> list[float]:
     return sorted(out)
 
 
-def fraction_candidate_set(
+def pair_fraction_candidates(
     curve_direct: ApproxLandCurve,
     routed: Iterable[tuple[ApproxLandCurve, float]],
     volume: float,
     dest_volumes: list[float] | None = None,
-) -> set[float]:
-    """Unsorted, unclamped candidate direct fractions for one routed pair.
+) -> list[float]:
+    """Sorted candidate direct fractions in [0, 1] for one routed pair.
 
     `routed` holds one (curve, base) pair per arc the routed remainder
     (1 - y) * volume rides (branch-to-hub, hub-to-port); base is the volume
     already on that arc from other connections, and the remainder stacks
-    on top of it.
+    on top of it.  The fractions are clamped to [0, 1] and sorted, and any
+    within 1e-12 of the previous one kept is dropped.  The largest is never
+    dropped: it replaces the last one kept when it lies that close to it,
+    so the list always ends with 1.
     """
     cands = {0.0, 1.0}
-    if volume <= 0.0:
-        return cands
-    for w in approx_breakpoint_volumes(curve_direct, 0.0, volume):
-        cands.add(w / volume)
-    cands |= routed_fraction_set(routed, volume)
-    if dest_volumes:
-        for ss in subset_sums(dest_volumes):
-            if 0.0 < ss < volume:
-                cands.add(ss / volume)
-    return cands
-
-
-def routed_fraction_set(
-    routed: Iterable[tuple[ApproxLandCurve, float]], volume: float
-) -> set[float]:
-    """The fractions that put a routed arc's load on a piece boundary.
-
-    The set over several arcs is the union of each arc's set, so
-    ``fraction_candidate_set`` over some arcs united with this set over
-    the others is the candidate set over all of them.
-    """
-    out: set[float] = set()
-    if volume <= 0.0:
-        return out
-    for curve, base in routed:
-        for w in approx_breakpoint_volumes(curve, base, base + volume):
-            out.add(1.0 - (w - base) / volume)
-    return out
-
-
-def finish_fraction_candidates(cands: Iterable[float]) -> list[float]:
-    """Clamp candidate fractions to [0, 1], sort them and drop any within
-    1e-12 of the previous one kept.  The largest is never dropped: it
-    replaces the last one kept when it lies that close to it, so a set
-    holding 1 always ends with 1."""
+    if volume > 0.0:
+        for w in approx_breakpoint_volumes(curve_direct, 0.0, volume):
+            cands.add(w / volume)
+        for curve, base in routed:
+            for w in approx_breakpoint_volumes(curve, base, base + volume):
+                cands.add(1.0 - (w - base) / volume)
+        if dest_volumes:
+            for ss in subset_sums(dest_volumes):
+                if 0.0 < ss < volume:
+                    cands.add(ss / volume)
     out = sorted(min(1.0, max(0.0, y)) for y in cands)
     dedup = [out[0]]
     for y in out[1:]:
@@ -93,16 +68,3 @@ def finish_fraction_candidates(cands: Iterable[float]) -> list[float]:
             dedup.append(y)
     dedup[-1] = out[-1]
     return dedup
-
-
-def pair_fraction_candidates(
-    curve_direct: ApproxLandCurve,
-    routed: Iterable[tuple[ApproxLandCurve, float]],
-    volume: float,
-    dest_volumes: list[float] | None = None,
-) -> list[float]:
-    """Sorted candidate direct fractions in [0, 1] for one routed pair
-    (arguments as for ``fraction_candidate_set``)."""
-    return finish_fraction_candidates(
-        fraction_candidate_set(curve_direct, routed, volume, dest_volumes)
-    )

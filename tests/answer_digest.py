@@ -1,0 +1,121 @@
+"""Digests of the oracle's and the heuristics' answers on fixed instance sets.
+
+A refactor that must keep every answer bit for bit prints the same two
+lines before and after it.  Run from the repo root with
+
+    PYTHONPATH=src python tests/answer_digest.py
+
+It prints one sha256 over the oracle answers and one over the heuristic
+answers, each with its instance count and CPU time.  Floats enter the
+digest in hex, so a change in the last bit shows.
+
+* oracle: ``enumerate_optimal`` on 405 instances (2x3x2 density 1.0
+  seeds 1-50 at hub budget 2; 3x3x2, 2x2x3 and 3x2x2 density 0.6 seeds
+  1-25 at hub budget 2; 4x2x2 density 0.6 seeds 1-10 at hub budget 3;
+  every profile): the solution, its approximated and exact totals,
+  ``evaluated`` and every ``OracleStats`` field;
+* heuristics: ``solve_two_stage`` then ``local_search_improve`` at hub
+  budget 2 on 216 instances (8x3x4 density 0.6 seeds 100-159; 12x3x6
+  density 0.6 and 8x3x4 density 0.9 seeds 1-5; 24x3x4 density 0.9 seeds
+  3-4; every profile): both solutions, both solutions' approximated and
+  exact totals, and both searches' ``SearchStats``.
+
+Not a test module (pytest collects only ``test_*.py``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import time
+
+from hublocate import evaluate_cost, generate, local_search_improve, solve_two_stage
+from hublocate.exact_oracle import enumerate_optimal
+from hublocate.gen import PROFILES
+from hublocate.heuristics import SearchStats
+from hublocate.solution import solution_to_json
+
+# (branches, ports, destinations, density, seeds, hub budget)
+ORACLE_SHAPES = (
+    (2, 3, 2, 1.0, range(1, 51), 2),
+    (3, 3, 2, 0.6, range(1, 26), 2),
+    (2, 2, 3, 0.6, range(1, 26), 2),
+    (3, 2, 2, 0.6, range(1, 26), 2),
+    (4, 2, 2, 0.6, range(1, 11), 3),
+)
+HEURISTIC_SHAPES = (
+    (8, 3, 4, 0.6, range(100, 160)),
+    (12, 3, 6, 0.6, range(1, 6)),
+    (8, 3, 4, 0.9, range(1, 6)),
+    (24, 3, 4, 0.9, range(3, 5)),
+)
+
+
+def _hexed(value):
+    """`value` with every float replaced by its hex string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hexed(item) for item in value]
+    return value
+
+
+def _answer(inst, solution) -> dict:
+    return {
+        "solution": json.loads(solution_to_json(solution)),
+        "approx": evaluate_cost(inst, solution, "approx").total,
+        "exact": evaluate_cost(inst, solution, "exact").total,
+    }
+
+
+def oracle_answers():
+    for branches, ports, dests, density, seeds, hub_budget in ORACLE_SHAPES:
+        for seed in seeds:
+            for profile in PROFILES:
+                inst = generate(seed, branches, ports, dests, density, profile)
+                result = enumerate_optimal(inst, hub_budget)
+                yield {
+                    **_answer(inst, result.solution),
+                    "evaluated": result.evaluated,
+                    "stats": dataclasses.asdict(result.stats),
+                }
+
+
+def heuristic_answers():
+    for branches, ports, dests, density, seeds in HEURISTIC_SHAPES:
+        for seed in seeds:
+            for profile in PROFILES:
+                inst = generate(seed, branches, ports, dests, density, profile)
+                two_stats, search_stats = SearchStats(), SearchStats()
+                merged = solve_two_stage(inst, 2, stats=two_stats).merged
+                improved = local_search_improve(inst, merged, stats=search_stats)
+                yield {
+                    "two_stage": _answer(inst, merged),
+                    "local_search": _answer(inst, improved),
+                    "two_stage_stats": dataclasses.asdict(two_stats),
+                    "search_stats": dataclasses.asdict(search_stats),
+                }
+
+
+def digest(answers) -> tuple[str, int, float]:
+    """sha256 over the answers in order, their count and the CPU seconds."""
+    sha = hashlib.sha256()
+    count = 0
+    start = time.process_time()
+    for answer in answers:
+        sha.update(json.dumps(_hexed(answer), sort_keys=True).encode("utf-8"))
+        count += 1
+    return sha.hexdigest(), count, time.process_time() - start
+
+
+def main() -> None:
+    for label, answers in (("oracle", oracle_answers()), ("heuristics", heuristic_answers())):
+        sha, count, cpu = digest(answers)
+        print(f"{label:<10} {sha}  {count} instances  {cpu:.2f} s CPU")
+
+
+if __name__ == "__main__":
+    main()

@@ -32,10 +32,11 @@ GOLDEN = Path(__file__).parent / "golden" / "oracle.json"
 
 # (seed, branches, ports, destinations, density, profile, hub_budget).
 # The 2x3x2 cases are the benchmark's oracle shape; the larger ones reach
-# hub sets of three and four members and fractional direct shares.
+# hub sets of three and four members and fractional direct shares, and
+# 4x2x2 seeds 1 and 5 solve coupled components of four and five shares.
 CASES = (
     [(seed, 2, 3, 2, 1.0, PROFILES[seed % 3], 2) for seed in range(30)]
-    + [(seed, 4, 2, 2, 0.6, PROFILES[seed % 3], 4) for seed in (7, 10, 12, 13, 15)]
+    + [(seed, 4, 2, 2, 0.6, PROFILES[seed % 3], 4) for seed in (1, 5, 7, 10, 12, 13, 15)]
     + [(seed, 3, 3, 2, 0.6, PROFILES[seed % 3], 2) for seed in (5, 10)]
 )
 

@@ -197,6 +197,31 @@ class TestSolutionIO:
         assert err.value.code == "DUPLICATE_RECORD"
         assert err.value.section == section
 
+    @pytest.mark.parametrize("section, fields", [
+        ("port_choice", "branch, destination, origin"),
+        ("direct_fraction", "branch, origin"),
+        ("hub_choice", "branch, origin, hub"),
+    ])
+    def test_record_with_a_numeric_id_is_a_bad_record(self, tmp_path, section, fields):
+        sol = dataclasses.replace(
+            ALL_DIRECT,
+            hubs=frozenset({"B2"}),
+            direct_fraction={("B1", "S1"): 0.25},
+            hub_choice={("B1", "S1"): "B2"},
+        )
+        path = tmp_path / "sol.json"
+        save_solution(sol, path)
+        doc = json.loads(path.read_text())
+        # The last id field, so a check of the first two alone would miss it.
+        doc[section][0][fields.split(", ")[-1]] = 7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError) as err:
+            load_solution(path)
+        assert (err.value.code, err.value.section) == ("BAD_RECORD", section)
+        assert str(err.value) == (
+            f"each {section} record needs string fields {fields} (section {section!r})"
+        )
+
     def test_hub_listed_twice_rejected(self, tmp_path):
         path = tmp_path / "sol.json"
         save_solution(dataclasses.replace(ALL_DIRECT, hubs=frozenset({"B2"})), path)
