@@ -185,11 +185,15 @@ def cmd_build_milp(args) -> int:
 
 def cmd_decode(args) -> int:
     instance = load_instance(args.instance)
-    model = build_linearized_model(instance)
     model_path = str(args.model)
     on_disk = read_text(model_path)
-    expected = emit_mps(model) if model_path.endswith(".mps") else emit_lp(model)
-    if on_disk != expected:
+    emit = emit_mps if model_path.endswith(".mps") else emit_lp
+    # The full model first, then the one `build-milp --no-hubs` writes.
+    for fix_no_hubs in (False, True):
+        model = build_linearized_model(instance, fix_no_hubs=fix_no_hubs)
+        if emit(model) == on_disk:
+            break
+    else:
         print(
             f"{model_path} does not match the model built from {args.instance}; "
             "rebuild it with build-milp",

@@ -60,27 +60,25 @@ knows, by two more rules:
    lies at least the margin (1e-6 relative) above the direct option, a
    thousand times the ``TIE_RTOL`` band, and is never taken or tied.
 
-Local search also rejects two kinds of move without pricing them, by a
+Local search also rejects hub openings without pricing them, by a
 sixth rule:
 
-6. a hub opening or a port move is cut when a lower bound on the cost of
-   every state it can leave exceeds the acceptance limit by more than
-   ``TIE_RTOL`` times the limit (at least 1; ``pricing.bound_excludes``,
-   the oracle's cut rule too).  The opening's bound
-   (``_opening_bound``) covers every state its greedy can reach, the port
-   move's (``_port_bound``) the one state it leaves.  A load x that an
-   arc carries at most X of costs at least x * rate(X), the arc's least
-   price per m3 over (0, X] (``ArcPrices.rate``, on which the oracle's
-   routing bound rests too), and a saving is counted at the most the
-   arc's price can fall.  Both rest on ``validate_instance``: it refuses
-   negative costs and tariff rows that fall with volume (``NEGATIVE_COST``,
-   ``NONMONOTONE_COST_TABLE``), so no cost term falls when its load
-   grows.  The opening's bound starts from the delta-based cost of the
-   state after the hub opens, and both add their terms in another order
-   than the full sum; those roundings stay below 1e-13 of the total, far
-   inside the ``TIE_RTOL`` margin.  So the state a cut move would leave
-   costs more than the limit, its full evaluation would have rejected it,
-   and the search takes the same path.
+6. a hub opening is cut when a lower bound on the cost of every state its
+   greedy can reach (``_opening_bound``) exceeds the acceptance limit by
+   more than ``TIE_RTOL`` times the limit (at least 1;
+   ``pricing.bound_excludes``, the oracle's cut rule too).  A load x that
+   an arc carries at most X of costs at least x * rate(X), the arc's
+   least price per m3 over (0, X] (``ArcPrices.rate``, on which the
+   oracle's routing bound rests too), and a saving is counted at the most
+   the arc's price can fall.  The bound rests on ``validate_instance``: it
+   refuses negative costs and tariff rows that fall with volume
+   (``NEGATIVE_COST``, ``NONMONOTONE_COST_TABLE``), so no cost term falls
+   when its load grows.  It starts from the delta-based cost of the state
+   after the hub opens and adds its terms in another order than the full
+   sum; those roundings stay below 1e-13 of the total, far inside the
+   ``TIE_RTOL`` margin.  So every state a cut opening could reach costs
+   more than the limit, its full evaluation would have rejected it, and
+   the search takes the same path.  Every other move is priced.
 
 Feasibility is checked once per accepted local-search move, not per
 candidate; every move keeps the constraints by construction.
@@ -159,9 +157,9 @@ class SearchStats:
     all-direct cache instead of priced; neither adds to the two counts of
     evaluations, which count only work done.  Local search only:
     ``moves_tried`` and ``moves_accepted`` count candidate moves per move
-    type, and ``bound_cuts`` the hub openings and port moves rejected by
-    a lower bound (rule 6) without pricing the state they would leave;
-    they count in ``moves_tried`` but not in the evaluations.
+    type, and ``bound_cuts`` the hub openings rejected by a lower bound
+    (rule 6) without pricing the states they could reach; they count in
+    ``moves_tried`` but not in the evaluations.
     """
 
     full_evaluations: int = 0
@@ -778,24 +776,18 @@ class _SearchState:
 
 
 def _try(
-    state: _SearchState, kind: str, mutate, current: float, deadline: float | None,
-    bound=None,
+    state: _SearchState, kind: str, mutate, current: float, deadline: float | None
 ) -> float | None:
     """Apply mutate(), a move of type ``kind``; return the new cost if
     strictly better, else roll back.
 
     mutate returns the exact cost of the state it leaves, or None to have
-    it judged from its delta.  ``bound``, when given, returns a lower bound
-    on the cost of that state before anything changes; a move it cuts is
-    rejected untried.  ``deadline`` is checked first.
+    it judged from its delta.  ``deadline`` is checked first.
     """
     check_deadline(deadline, "local search")
     tried = state.stats.moves_tried
     tried[kind] = tried.get(kind, 0) + 1
     limit = acceptance_limit(current)
-    if bound is not None and bound_excludes(bound(), limit):
-        state.stats.bound_cuts += 1
-        return None
     token = state.save()
     exact = mutate()
     if exact is None:
@@ -914,52 +906,6 @@ def _repoint(state: _SearchState, b: str, t: str, s2: str) -> None:
             state.set_route(key, None)
 
 
-def _port_bound(state: _SearchState, b: str, t: str, s2: str, current: float) -> float:
-    """Lower bound on the cost after ``_repoint(state, b, t, s2)``.
-
-    The sea prices of (s, t) and (s2, t) are re-summed as ``refresh`` would
-    and port consolidation moves g[s2] * v - g[s] * v.  Pair (b, s2) only
-    gains load, which never lowers a price, so only pair (b, s) can save:
-    on its direct arc at most price(L) when b is a hub, else exactly
-    price(L) - price(y * rest) since the arc carries only b's direct share;
-    and, when routed via h, at most the whole prices of its feeder and
-    hub-to-port arcs plus f[h] * (1 - y) * v, whose rounding the cut's
-    ``TIE_RTOL`` margin covers (rule 6).
-    """
-    inst = state.instance
-    prices = state.prices
-    fl = state.flows
-    ports = state.ports
-    s = ports[(b, t)]
-    v = inst.demand[(b, t)]
-    w_s = w_s2 = 0.0
-    for x, vx in state.shippers_to[t]:
-        px = s2 if x == b else ports.get((x, t))
-        if px == s:
-            w_s += vx
-        elif px == s2:
-            w_s2 += vx
-    sea_vol = fl.sea_vol
-    bound = current + (prices.sea(s, t, w_s) - prices.sea(s, t, sea_vol.get((s, t), 0.0)))
-    bound += prices.sea(s2, t, w_s2) - prices.sea(s2, t, sea_vol.get((s2, t), 0.0))
-    bound += inst.port_consol_cost[s2] * v - inst.port_consol_cost[s] * v
-    pair = (b, s)
-    y = state.fracs.get(pair, 1.0)
-    saving = prices.land_approx(b, s, fl.port_arc.get(pair, 0.0))
-    if b not in state.hubs:
-        rest = 0.0
-        for tt, vt in state.demand_of[b]:
-            if tt != t and ports.get((b, tt)) == s:
-                rest += vt
-        saving -= prices.land_approx(b, s, y * rest)
-    h = state.choices.get(pair)
-    if h is not None:
-        saving += prices.land_approx(b, h, fl.hub_arc.get((b, h), 0.0))
-        saving += prices.land_approx(h, s, fl.port_arc.get((h, s), 0.0))
-        saving += inst.hub_consol_cost[h] * (1.0 - y) * v
-    return bound - saving
-
-
 def _fraction_candidates(state: _SearchState, pair) -> list:
     """Piece-boundary fractions for one routed pair in the current state."""
     inst = state.instance
@@ -1004,9 +950,9 @@ def local_search_improve(
     stops after a full round without improvement or after
     ``MAX_SEARCH_ROUNDS`` rounds.  Candidates are priced by move-local
     deltas (exactness rules in ``hublocate.pricing``), and hub openings
-    and port moves that a lower bound proves lose are rejected unpriced
-    (rule 6 in the module docstring), so the result is the one full
-    re-evaluation of every candidate gives.
+    that a lower bound proves lose are rejected unpriced (rule 6 in the
+    module docstring), so the result is the one full re-evaluation of
+    every candidate gives.
     ``deadline`` (a ``time.monotonic()`` value) is checked before every
     round and every candidate move.  ``stats``, when given, accumulates
     the search counters.
@@ -1047,7 +993,6 @@ def local_search_improve(
                 c = _try(
                     state, "port", lambda b=b, t=t, s2=s2: _repoint(state, b, t, s2),
                     current, deadline,
-                    bound=lambda b=b, t=t, s2=s2: _port_bound(state, b, t, s2, current),
                 )
                 if c is not None:
                     current, improved = c, True

@@ -42,8 +42,7 @@ candidate replaces the current best only below ``acceptance_limit(best)``,
 1e-12 relative under it, so a float tie keeps the earlier candidate.  A
 candidate is rejected unpriced when a lower bound on its cost lies
 clearly above the limit it must beat (``bound_excludes``): so the oracle
-cuts configurations and the local search cuts hub openings and port
-moves.
+cuts configurations and the local search cuts hub openings.
 """
 
 from __future__ import annotations

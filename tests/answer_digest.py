@@ -7,7 +7,11 @@ lines before and after it.  Run from the repo root with
 
 It prints one sha256 over the oracle answers and one over the heuristic
 answers, each with its instance count and CPU time.  Floats enter the
-digest in hex, so a change in the last bit shows.
+digest in hex, so a change in the last bit shows.  A third sha256,
+``heuristic-answers``, covers the heuristic answers without the work
+counters, and a last line sums those counters over the local searches.
+So a change that moves work but no answer changes the ``heuristics``
+line and the work sums while ``heuristic-answers`` stays put.
 
 * oracle: ``enumerate_optimal`` on 405 instances (2x3x2 density 1.0
   seeds 1-50 at hub budget 2; 3x3x2, 2x2x3 and 3x2x2 density 0.6 seeds
@@ -18,7 +22,11 @@ digest in hex, so a change in the last bit shows.
   budget 2 on 216 instances (8x3x4 density 0.6 seeds 100-159; 12x3x6
   density 0.6 and 8x3x4 density 0.9 seeds 1-5; 24x3x4 density 0.9 seeds
   3-4; every profile): both solutions, both solutions' approximated and
-  exact totals, and both searches' ``SearchStats``.
+  exact totals, and both searches' ``SearchStats``;
+* heuristic answers: the same solutions and totals with only the local
+  search's ``moves_tried``, ``moves_accepted`` and ``accepted_moves``;
+* local-search work: its ``full_evaluations``, ``delta_evaluations``,
+  ``near_tie_fallbacks`` and ``bound_cuts``, summed over the instances.
 
 Not a test module (pytest collects only ``test_*.py``).
 """
@@ -100,21 +108,46 @@ def heuristic_answers():
                 }
 
 
-def digest(answers) -> tuple[str, int, float]:
-    """sha256 over the answers in order, their count and the CPU seconds."""
-    sha = hashlib.sha256()
-    count = 0
+# Local-search counters that are part of the answer (which moves were
+# taken) and those that only measure work.
+MOVE_COUNTERS = ("moves_tried", "moves_accepted", "accepted_moves")
+WORK_COUNTERS = ("full_evaluations", "delta_evaluations", "near_tie_fallbacks", "bound_cuts")
+
+
+def timed(answers) -> tuple[list, float]:
+    """The answers as a list and the CPU seconds they took."""
     start = time.process_time()
+    answers = list(answers)
+    return answers, time.process_time() - start
+
+
+def sha256_of(answers) -> str:
+    """sha256 over the answers in order."""
+    sha = hashlib.sha256()
     for answer in answers:
         sha.update(json.dumps(_hexed(answer), sort_keys=True).encode("utf-8"))
-        count += 1
-    return sha.hexdigest(), count, time.process_time() - start
+    return sha.hexdigest()
 
 
 def main() -> None:
-    for label, answers in (("oracle", oracle_answers()), ("heuristics", heuristic_answers())):
-        sha, count, cpu = digest(answers)
-        print(f"{label:<10} {sha}  {count} instances  {cpu:.2f} s CPU")
+    oracle, cpu = timed(oracle_answers())
+    print(f"oracle     {sha256_of(oracle)}  {len(oracle)} instances  {cpu:.2f} s CPU")
+    heuristic, cpu = timed(heuristic_answers())
+    print(f"heuristics {sha256_of(heuristic)}  {len(heuristic)} instances  {cpu:.2f} s CPU")
+    moves_only = [
+        {
+            "two_stage": answer["two_stage"],
+            "local_search": answer["local_search"],
+            **{name: answer["search_stats"][name] for name in MOVE_COUNTERS},
+        }
+        for answer in heuristic
+    ]
+    print(f"heuristic-answers {sha256_of(moves_only)}  {len(moves_only)} instances")
+    work = (
+        f"{name}={sum(answer['search_stats'][name] for answer in heuristic)}"
+        for name in WORK_COUNTERS
+    )
+    print("local-search work  " + "  ".join(work))
 
 
 if __name__ == "__main__":

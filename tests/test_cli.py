@@ -14,6 +14,7 @@ from hublocate import (
     encode_solution,
     generate,
     load_instance,
+    solve_no_hubs,
     solve_two_stage,
 )
 from hublocate.cli import COMMANDS, build_parser, main
@@ -493,6 +494,32 @@ class TestMilpRoundTrip:
         ])
         assert rc == 0
         assert load_solution(out) == sol
+
+    @pytest.mark.parametrize("suffix", [".lp", ".mps"])
+    def test_decode_reads_a_no_hub_model(self, tmp_path, capsys, suffix):
+        instance = generate(3, 3, 2, 2, 0.9, "uniform")
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        model_path = tmp_path / f"m{suffix}"
+        assert main(["build-milp", "--no-hubs", str(inst), "-o", str(model_path)]) == 0
+        direct = solve_no_hubs(instance)
+        values = encode_solution(build_linearized_model(instance), direct)
+        values_path = tmp_path / "values.txt"
+        values_path.write_text(format_values_text(values))
+        out = tmp_path / "decoded.json"
+        argv = ["decode", str(inst), str(model_path), str(values_path), "-o", str(out)]
+        assert main(argv) == 0
+        assert load_solution(out).approx_equal(direct)
+
+        # The restricted model fixes every hub variable at 0.
+        values["x_B01"] = 1.0
+        values_path.write_text(format_values_text(values))
+        out.unlink()
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "x_B01 = 1.0 violates bounds [0.0, 0.0]" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_decode_rejects_stale_model_file(self, toy_file, tmp_path):
         model_path = tmp_path / "toy.lp"
