@@ -300,7 +300,8 @@ def _solve_arguments(p) -> None:
     p.add_argument("--hub-budget", type=_nonnegative_int, default=DEFAULT_HUB_BUDGET)
     p.add_argument("--time-budget", type=_positive_number, default=None, metavar="SECONDS")
     p.add_argument("--budget", type=_positive_number, default=MAX_EVALUATIONS,
-                   help="oracle evaluation budget (refuses above it)")
+                   help="oracle evaluation budget, also the no-hub solver's limit on port "
+                        "assignments (--method no-hub, --start no-hub); refuses above it")
     p.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
                    help="starting point for local-search")
     p.add_argument("--start-file", default=None,

@@ -147,12 +147,7 @@ def land_cost_approx(curve: ApproxLandCurve, v: float) -> float:
         return 0.0
     pts = curve.breakpoints
     values = curve.values
-    u_cont = pts[-1]
-    n = int(v // u_cont)
-    u = v - n * u_cont
-    if u >= u_cont:
-        n += 1
-        u -= u_cont
+    n, u = container_split(v, pts[-1])
     base = n * values[-1]
     if u <= 0.0:
         return base

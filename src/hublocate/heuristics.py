@@ -34,7 +34,7 @@ the answers a full evaluation of every candidate gives, by three rules
    order, never patched with += or -=;
 3. a delta decides only when it is more than ``TIE_RTOL`` times the total
    away from a tie or acceptance threshold; nearer cases, and every
-   accepted state, are costed with the full-order sum.
+   accepted state, are costed with the full-order sum (``cost_terms``).
 
 Two-stage also caches prices and routings, and skips routings it already
 knows, by two more rules:
@@ -102,6 +102,7 @@ from .exact_oracle import solve_no_hubs  # noqa: F401
 from .network_model import Instance, validate_instance
 from .pricing import (
     TIE_RTOL,
+    Flows,
     acceptance_limit,
     bound_excludes,
     cost_terms,
@@ -176,8 +177,8 @@ class SearchStats:
 class _DestinationContext:
     """Exact-cost evaluator for one destination's shipments.
 
-    ``cost`` sums every term of a (ports, routes) configuration; ``delta``
-    prices the move of one branch from the terms it touches: its feeder
+    ``cost`` is the evaluator's sum for a (ports, routes) configuration;
+    ``delta`` prices the move of one branch from the terms it touches: its feeder
     leg and hub consolidation, at most two port arcs and two sea
     relations, and the set-up of a hub it starts or stops using.
 
@@ -201,25 +202,24 @@ class _DestinationContext:
         self.ports = instance.usable_ports(t)
 
     def cost(self, ports: dict, routes: dict) -> float:
-        """Set-up over the sorted hubs, then each branch's hub terms in
-        branch order, the sorted port arcs and the sorted ports."""
+        """``cost_terms`` summed over a configuration's flows.  Loads are
+        summed in branch order, ``solution_flows``'s order for one destination
+        when demand is listed by branch (as generated and saved instances are)."""
         self.stats.full_evaluations += 1
-        inst = self.instance
-        land = self.prices.land_exact
         port_arc, port_vol, uses = self.loads(ports, routes)
-        total = sum(inst.setup_cost[h] for h in sorted(uses))
+        vols: dict = {}
+        hub_arc: dict = {}
+        hub_inflow: dict = {}
         for b in self.branches:
+            v = self.ship[b]
+            vols[(b, ports[b])] = v
             h = routes[b]
             if h is not None:
-                v = self.ship[b]
-                total += inst.hub_consol_cost[h] * v
-                total += land(b, h, v)
-        for (a, s), v in sorted(port_arc.items()):
-            total += land(a, s, v)
-        for s, v in sorted(port_vol.items()):
-            total += inst.port_consol_cost[s] * v
-            total += self.prices.sea(s, self.t, v)
-        return total
+                hub_arc[(b, h)] = v
+                hub_inflow[h] = hub_inflow.get(h, 0.0) + v
+        sea_vol = {(s, self.t): v for s, v in port_vol.items()}
+        flows = Flows(vols, port_arc, hub_arc, hub_inflow, port_vol, sea_vol)
+        return sum(cost_terms(self.instance, flows, uses, "exact"))
 
     def loads(self, ports: dict, routes: dict) -> tuple:
         """(port arc loads, port volumes, branches per used hub) of a

@@ -35,7 +35,8 @@ full evaluation, because they keep three rules:
    changes of the arcs, sea relations and hub terms it touches) may rank
    candidates only when it lies more than ``TIE_RTOL`` times the total
    away from a tie or from an acceptance threshold.  Closer cases, and
-   the cost of every accepted state, use the full-order sum.
+   the cost of every accepted state, use the full-order sum, ``cost_terms``,
+   in the evaluator, two-stage and the local search alike.
 
 The oracle and the local search decide with the same two rules.  A
 candidate replaces the current best only below ``acceptance_limit(best)``,

@@ -7,17 +7,19 @@ lines before and after it.  Run from the repo root with
 
 It prints one sha256 over the oracle answers and one over the heuristic
 answers, each with its instance count and CPU time.  Floats enter the
-digest in hex, so a change in the last bit shows.  A third sha256,
-``heuristic-answers``, covers the heuristic answers without the work
-counters, and a last line sums those counters over the local searches.
-So a change that moves work but no answer changes the ``heuristics``
-line and the work sums while ``heuristic-answers`` stays put.
+digest in hex, so a change in the last bit shows.  Two more sha256,
+``oracle-answers`` and ``heuristic-answers``, cover the same answers
+without the work counters, and a last line sums those counters over the
+local searches.  So a change that moves work but no answer changes the
+``oracle`` or ``heuristics`` line (and the work sums) while the matching
+answers line stays put.
 
 * oracle: ``enumerate_optimal`` on 405 instances (2x3x2 density 1.0
   seeds 1-50 at hub budget 2; 3x3x2, 2x2x3 and 3x2x2 density 0.6 seeds
   1-25 at hub budget 2; 4x2x2 density 0.6 seeds 1-10 at hub budget 3;
   every profile): the solution, its approximated and exact totals,
   ``evaluated`` and every ``OracleStats`` field;
+* oracle answers: the same solutions and totals alone;
 * heuristics: ``solve_two_stage`` then ``local_search_improve`` at hub
   budget 2 on 216 instances (8x3x4 density 0.6 seeds 100-159; 12x3x6
   density 0.6 and 8x3x4 density 0.9 seeds 1-5; 24x3x4 density 0.9 seeds
@@ -132,6 +134,11 @@ def sha256_of(answers) -> str:
 def main() -> None:
     oracle, cpu = timed(oracle_answers())
     print(f"oracle     {sha256_of(oracle)}  {len(oracle)} instances  {cpu:.2f} s CPU")
+    answers_only = [
+        {key: item for key, item in answer.items() if key not in ("evaluated", "stats")}
+        for answer in oracle
+    ]
+    print(f"oracle-answers {sha256_of(answers_only)}  {len(answers_only)} instances")
     heuristic, cpu = timed(heuristic_answers())
     print(f"heuristics {sha256_of(heuristic)}  {len(heuristic)} instances  {cpu:.2f} s CPU")
     moves_only = [

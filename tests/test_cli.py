@@ -225,6 +225,16 @@ class TestSolve:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("method", [
+        ["--method", "no-hub"], ["--method", "local-search", "--start", "no-hub"],
+    ])
+    def test_budget_limits_no_hub_port_assignments(self, cons_file, tmp_path, capsys, method):
+        rc = main([
+            "solve", *method, "--budget", "1", str(cons_file), "-o", str(tmp_path / "x.json"),
+        ])
+        assert rc == 3
+        assert "port assignments exceed the budget" in capsys.readouterr().err
+
     def test_compare_shows_improvement(self, cons_file, tmp_path, capsys):
         nohub = tmp_path / "nohub.json"
         oracle = tmp_path / "oracle.json"

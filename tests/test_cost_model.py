@@ -19,7 +19,7 @@ from hublocate import (
     land_cost_exact,
     sea_cost,
 )
-from hublocate.cost_model import approx_breakpoint_volumes, container_split
+from hublocate.cost_model import approx_breakpoint_volumes, container_split, land_cost_row
 from hublocate.errors import DistanceOutOfRangeError
 from hublocate.gen import PROFILES
 
@@ -141,6 +141,27 @@ class TestLandApprox:
             assert land_cost_approx(curve, w) == pytest.approx(
                 land_cost_exact(table, 50.0, w), rel=1e-12
             )
+
+    def test_equals_tariff_price_above_the_ramp(self):
+        # Above the ramp the approximated curve is the tariff, to the bit,
+        # so both must split a load into containers alike: 7 * 73.6 rounds
+        # to 515.1999999999999, which is 7 containers and no rest, not 6
+        # plus a full rest (6 * 188.66 + 188.66 == 1320.6200000000001).
+        table = LandCostTable((100.0,), (7.36, 36.8, 73.6), ((60.0, 120.0, 188.66),))
+        assert land_cost_approx(land_breakpoints(table, 10.0), 7 * 73.6) == 1320.62
+        rng = random.Random(3)
+        for _ in range(300):
+            u_cont = round(rng.uniform(10.0, 100.0), rng.choice((1, 2, 3)))
+            fracs = sorted(rng.sample(range(1, 100), rng.randint(0, 4)))
+            breaks = tuple(round(f * u_cont / 100.0, 6) for f in fracs) + (u_cont,)
+            row = tuple(sorted(round(rng.uniform(1.0, 500.0), 2) for _ in breaks))
+            table = LandCostTable((100.0,), breaks, (row,))
+            curve = land_breakpoints(table, 10.0)
+            for n in range(1, 21):
+                for v in (n * u_cont, n * u_cont + rng.uniform(0.0, u_cont)):
+                    if 0.0 < container_split(v, u_cont)[1] <= curve.breakpoints[0]:
+                        continue  # on the ramp
+                    assert land_cost_approx(curve, v) == land_cost_row(row, breaks, v)
 
     def test_breakpoint_volume_enumeration(self, toy_instance):
         curve = near_curve(toy_instance)
