@@ -176,10 +176,7 @@ def cmd_build_milp(args) -> int:
     text = emit_mps(model) if out.endswith(".mps") else emit_lp(model)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(
-        f"wrote {out} ({len(model.variables)} variables, "
-        f"{len(model.constraints)} constraints)"
-    )
+    print(f"wrote {out} ({len(model.names)} variables, {len(model.row_names)} constraints)")
     return 0
 
 
@@ -189,11 +186,12 @@ def cmd_decode(args) -> int:
     on_disk = read_text(model_path)
     emit = emit_mps if model_path.endswith(".mps") else emit_lp
     # The full model first, then the one `build-milp --no-hubs` writes.
-    for fix_no_hubs in (False, True):
-        model = build_linearized_model(instance, fix_no_hubs=fix_no_hubs)
-        if emit(model) == on_disk:
-            break
-    else:
+    model = build_linearized_model(instance)
+    matches = emit(model) == on_disk
+    if not matches:
+        model.fix_no_hubs()
+        matches = emit(model) == on_disk
+    if not matches:
         print(
             f"{model_path} does not match the model built from {args.instance}; "
             "rebuild it with build-milp",

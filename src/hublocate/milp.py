@@ -32,20 +32,26 @@ land arcs, and j the land step count:
   variables   A + nB + 2 * nB^2 * nS + nB * nS + R * (j + 1) + U + Un
   constraints P + 3 * nB^2 * nS + 2 * nB * nS + 2 * R + U
 
-Records.  ``Variable`` and ``Constraint`` are ``typing.NamedTuple``
-records: immutable, with named fields, four each.  The builder makes
-them with ``tuple.__new__`` from all four fields, which costs about a
-third of the generated keyword constructor at thousands of records per
-model; so it must pass every field, defaults included.
-``MilpModel.variables`` and ``.constraints`` are plain lists in model
-order.  Every variable has lower bound 0 and the objective is minimized.
-The builder formats each variable name once, into per-family name tables
-that the variable and constraint loops share.  Names join node ids with
-"_", and ids may hold "_", so ``MilpModel.validate`` refuses a variable
-or row name made twice (``ModelNameError``).  A loop that loads three
-or more fields of each record unpacks it; one that loads fewer reads the
-fields by name, which is faster on CPython 3.11, where unpacking is
-specialized only for exact tuples.
+Store and records.  ``MilpModel`` keeps its columns as parallel lists
+``names``, ``kinds``, ``obj`` and ``upper`` (``None`` for the kind's
+default bound: 1 for a binary, +inf else), and its rows as parallel
+lists ``row_names``, ``senses`` and ``rhs``.  The matrix is kept once,
+in CSR form: row ``i`` holds the entries ``row_start[i]:row_start[i +
+1]`` of ``col`` (column indices) and ``coef``, with at most one entry
+per column, so ``scipy.sparse.csr_array((coef, col, row_start))`` is
+the matrix.  Every variable has lower bound 0 and the objective is
+minimized.  The builder formats every name once and fills the rows by
+column index, so a row can only name a column of the model; names join
+node ids with "_", and ids may hold "_", so ``MilpModel.validate``
+refuses a variable or row name made twice (``ModelNameError``).  The
+entries of a row stay in the order the builder appends them, and that
+is the order ``row_residuals`` sums a row's activity in, so residuals
+and decode's answers depend on it; the emitted texts do not.
+``MilpModel.fix_no_hubs`` is one pass over the bounds of the hub
+columns, which ``ModelMeta.hub_columns`` lists.  ``model.variables``
+and ``model.constraints`` are read-only sequences of ``Variable`` and
+``Constraint`` records, each made when it is read (a constraint's
+``coeffs`` dict in entry order); no code of this module reads them.
 
 Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
 the model: the same model gives the same bytes on every run and every
@@ -53,8 +59,8 @@ release, and numerals are ``_num`` (at most 12 significant digits).  LP
 rows list their terms in sorted variable-name order.  MPS columns come
 in variable order, each with its objective entry and then its row
 entries in model row order; a row holds at most one entry per column,
-so ``emit_mps`` sorts nothing and the order of a row's coefficient dict
-never reaches either text.  ``decode`` compares a
+so ``emit_mps`` sorts nothing and the entry order of a row never
+reaches either text.  ``decode`` compares a
 model file on disk with a fresh emission byte for byte, so any change to
 the emitted text is a format change.  The text is pinned by the toy
 goldens (``tests/golden/toy_model.*``) and by the sha256 hashes of
@@ -66,7 +72,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .cost_model import COST_RTOL, container_split, sea_cost
@@ -112,37 +120,102 @@ class Constraint(NamedTuple):
 
 @dataclass
 class ModelMeta:
-    """Build context kept alongside the model: what ``encode_solution``
-    and ``decode_solution`` read besides the records."""
+    """Build context kept alongside the model: what ``encode_solution``,
+    ``decode_solution`` and ``MilpModel.fix_no_hubs`` read besides the
+    arrays."""
 
     instance: Instance
     breakpoints: tuple  # v(0) .. v(j), shared by every distance band
     step_count: int  # j
     land_arcs: list  # (b, r) pairs in model order
+    hub_columns: list  # indices of the x, y and vh columns
 
 
 @dataclass
 class MilpModel:
+    """The linearized model as flat arrays (see "Store" in the module
+    docstring)."""
+
     name: str
-    variables: list
-    constraints: list
+    names: list  # column j: names[j], kinds[j], obj[j], upper[j]
+    kinds: list
+    obj: list
+    upper: list  # None = kind default (1 for binary, +inf else)
+    row_names: list  # row i: row_names[i], senses[i], rhs[i]
+    senses: list
+    rhs: list
+    row_start: list  # row i's entries are row_start[i]:row_start[i + 1]
+    col: list  # column index of each entry
+    coef: list  # coefficient of each entry
     meta: ModelMeta
 
+    @property
+    def variables(self) -> _Variables:
+        return _Variables(self)
+
+    @property
+    def constraints(self) -> _Constraints:
+        return _Constraints(self)
+
     def validate(self) -> None:
-        """Refuse a variable or row name given twice (``ModelNameError``)
-        and a row that names no variable of the model (``ValueError``)."""
-        names = {v.name for v in self.variables}
-        if len(names) != len(self.variables):
-            raise _clash("variable", [v.name for v in self.variables])
-        if len({c.name for c in self.constraints}) != len(self.constraints):
-            raise _clash("row", [c.name for c in self.constraints])
-        for c in self.constraints:
-            if not names.issuperset(c.coeffs):
-                n = next(n for n in c.coeffs if n not in names)
-                raise ValueError(f"constraint {c.name} references unknown variable {n}")
+        """Refuse a variable or row name given twice (``ModelNameError``)."""
+        if len(set(self.names)) != len(self.names):
+            raise _clash("variable", self.names)
+        if len(set(self.row_names)) != len(self.row_names):
+            raise _clash("row", self.row_names)
+
+    def fix_no_hubs(self) -> None:
+        """Restrict the model to pure port assignment with direct
+        transport: set the upper bound of every hub column (x, y, vh) to 0."""
+        upper = self.upper
+        for j in self.meta.hub_columns:
+            upper[j] = 0.0
 
     def objective_value(self, values: dict) -> float:
-        return sum([obj * values[name] for name, _, obj, _ in self.variables if obj != 0.0])
+        return sum([c * values[name] for name, c in zip(self.names, self.obj) if c != 0.0])
+
+
+class _Records(Sequence):
+    """A read-only sequence of records over a model's arrays; each record
+    is made when it is read."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: MilpModel):
+        self._model = model
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._record(k) for k in range(len(self))[i]]
+        return self._record(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+
+class _Variables(_Records):
+    """``MilpModel.variables``: each column as a ``Variable``."""
+
+    def __len__(self) -> int:
+        return len(self._model.names)
+
+    def _record(self, j: int) -> Variable:
+        m = self._model
+        return Variable(m.names[j], m.kinds[j], m.obj[j], m.upper[j])
+
+
+class _Constraints(_Records):
+    """``MilpModel.constraints``: each row as a ``Constraint``, its
+    ``coeffs`` dict in entry order."""
+
+    def __len__(self) -> int:
+        return len(self._model.row_names)
+
+    def _record(self, i: int) -> Constraint:
+        m = self._model
+        lo, hi = m.row_start[i], m.row_start[i + 1]
+        coeffs = {m.names[j]: c for j, c in zip(m.col[lo:hi], m.coef[lo:hi])}
+        return Constraint(m.row_names[i], coeffs, m.senses[i], m.rhs[i])
 
 
 def _clash(what: str, names: list) -> ModelNameError:
@@ -195,7 +268,7 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
 
     With fix_no_hubs=True all hub variables (x, y, vh) get upper bound 0,
     which restricts the model to pure port assignment with direct
-    transport.
+    transport (``MilpModel.fix_no_hubs``).
     """
     violations = validate_instance(instance)
     if violations:
@@ -207,6 +280,7 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     pairs = instance.positive_pairs()
     usable = {t: instance.usable_ports(t) for t in instance.nodes.destination_ports}
     relations = sorted(instance.sea_rates)
+    connections = [(b, s) for b in B for s in S]
 
     # The breakpoint volumes are shared by all distance bands; the cost
     # values differ per band.
@@ -215,143 +289,204 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
     v_pts = first_curve.breakpoints
     j = first_curve.step_count
 
-    hub_ub = 0.0 if fix_no_hubs else None
+    names: list[str] = []
+    kinds: list[str] = []
+    obj: list[float] = []
+    upper: list = []
 
-    # Every name is formatted once, into the per-family tables that the
-    # variable and constraint loops share.  y_names[b, s] and
-    # vh_names[b, s] list the names over the hubs h in B order.
-    z_names = {(b, t): {s: _zn(b, t, s) for s in usable[t]} for (b, t) in pairs}
-    x_names = {b: _xn(b) for b in B}
-    y_names = {(b, s): [_yn(b, s, h) for h in B] for b in B for s in S}
-    vd_names = {(b, s): _vdn(b, s) for b in B for s in S}
-    vh_names = {(b, s): [_vhn(b, s, h) for h in B] for b in B for s in S}
-    # Per arc, in arcs order: nL and the step names uL0..uL<j-1>, formatted
-    # here as _nln and _uln format them (the largest family).
-    land_names = [(f"nL_{b}_{r}", [f"uL{i}_{b}_{r}" for i in range(j)]) for (b, r) in arcs]
-    # Per relation: nS, and uS where the relation has an NVOCC rate.
-    sea_names = {}
-    for (s, t) in relations:
-        nvocc = instance.sea_rates[(s, t)].nvocc_per_m3 is not None
-        sea_names[(s, t)] = (_nsn(s, t), _usn(s, t) if nvocc else None)
+    def columns(new_names: list, kind: str, costs: list, bound=None) -> range:
+        """Append one column per name, all of one kind and bound; their indices."""
+        start = len(names)
+        names.extend(new_names)
+        kinds.extend([kind] * len(new_names))
+        obj.extend(costs)
+        upper.extend([bound] * len(new_names))
+        return range(start, len(names))
 
-    # Records are made by tuple.__new__ from all four fields, which skips
-    # the keyword handling of the generated NamedTuple constructor.
-    new = tuple.__new__
-    variables: list[Variable] = []
-    add = variables.append
-
+    # Every name is formatted once, here.  The tables below hold column
+    # indices: z_cols[b, t] maps each usable port to its z column, and
+    # y_cols[b, s] and vh_cols[b, s] list the columns over the hubs h in
+    # B order.
+    z_cols = {}
     for (b, t) in pairs:
         v = instance.demand[(b, t)]
-        for s, name in z_names[(b, t)].items():
-            add(new(Variable, (name, BINARY, instance.port_consol_cost[s] * v, None)))
-    for b in B:
-        add(new(Variable, (x_names[b], BINARY, instance.setup_cost[b], hub_ub)))
-    for ys in y_names.values():
-        for name in ys:
-            add(new(Variable, (name, BINARY, 0.0, hub_ub)))
-    for name in vd_names.values():
-        add(new(Variable, (name, CONTINUOUS, 0.0, None)))
-    for vhs in vh_names.values():
-        for h, name in zip(B, vhs):
-            add(new(Variable, (name, CONTINUOUS, instance.hub_consol_cost[h], hub_ub)))
+        ports = usable[t]
+        z_cols[(b, t)] = dict(zip(ports, columns(
+            [_zn(b, t, s) for s in ports], BINARY,
+            [instance.port_consol_cost[s] * v for s in ports],
+        )))
+    x_block = columns([_xn(b) for b in B], BINARY, [instance.setup_cost[b] for b in B])
+    x_cols = dict(zip(B, x_block))
+    n_bs = len(connections)
+    y_block = columns(
+        [_yn(b, s, h) for (b, s) in connections for h in B], BINARY, [0.0] * (n_bs * len(B))
+    )
+    y_cols = {bs: y_block[k * len(B):(k + 1) * len(B)] for k, bs in enumerate(connections)}
+    vd_cols = dict(zip(connections, columns(
+        [_vdn(b, s) for (b, s) in connections], CONTINUOUS, [0.0] * n_bs
+    )))
+    vh_block = columns(
+        [_vhn(b, s, h) for (b, s) in connections for h in B], CONTINUOUS,
+        [instance.hub_consol_cost[h] for _ in connections for h in B],
+    )
+    vh_cols = {bs: vh_block[k * len(B):(k + 1) * len(B)] for k, bs in enumerate(connections)}
 
-    for (b, r), (nl, steps) in zip(arcs, land_names):
+    # Per arc, in arcs order: nL and the steps uL0..uL<j-1>, the largest
+    # family, whose kinds and bounds repeat from arc to arc; names
+    # formatted as _nln and _uln format them.
+    start = len(names)
+    prefixes = ["nL", *[f"uL{i}" for i in range(j)]]
+    names.extend([f"{prefix}_{b}_{r}" for (b, r) in arcs for prefix in prefixes])
+    kinds.extend([INTEGER, CONTINUOUS, *[BINARY] * (j - 1)] * len(arcs))
+    upper.extend([None, 1.0, *[None] * (j - 1)] * len(arcs))
+    for (b, r) in arcs:
         values = curve(b, r).values
-        add(new(Variable, (nl, INTEGER, values[j], None)))
-        add(new(Variable, (steps[0], CONTINUOUS, values[0], 1.0)))
-        for i in range(1, j):
-            add(new(Variable, (steps[i], BINARY, values[i], None)))
-    for (s, t), (ns, us) in sea_names.items():
+        obj.append(values[j])
+        obj.extend(values[:j])
+    land_cols = [(nl, range(nl + 1, nl + 1 + j)) for nl in range(start, len(names), j + 1)]
+    # Per relation: nS, and uS where the relation has an NVOCC rate.
+    sea_cols = {}
+    for (s, t) in relations:
         rate = instance.sea_rates[(s, t)]
         fcl = rate.fcl_per_container
-        obj = fcl if fcl is not None else instance.nvocc_penalty
-        add(new(Variable, (ns, INTEGER, obj, None)))
-        if us is not None:
+        ns = columns([_nsn(s, t)], INTEGER, [fcl if fcl is not None else instance.nvocc_penalty])
+        us = None
+        if rate.nvocc_per_m3 is not None:
             u_lim = rate.nvocc_limit(instance.nvocc_cap)
-            add(new(Variable, (us, CONTINUOUS, rate.nvocc_per_m3, u_lim)))
+            us = columns([_usn(s, t)], CONTINUOUS, [rate.nvocc_per_m3], u_lim)[0]
+        sea_cols[(s, t)] = (ns[0], us)
 
-    constraints: list[Constraint] = []
-    radd = constraints.append
+    row_names: list[str] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+    row_start = [0]
+    col: list[int] = []
+    coef: list[float] = []
+
+    def row(name: str, sense: str, bound: float, cols, coefs) -> None:
+        """Append one row; its entries in the order of ``cols``."""
+        row_names.append(name)
+        senses.append(sense)
+        rhs.append(bound)
+        col.extend(cols)
+        coef.extend(coefs)
+        row_start.append(len(col))
+
+    def pair_rows(new_names: list, sense: str, bound: float, firsts, seconds, coefs) -> None:
+        """Append one row per name, row k with the two entries firsts[k]
+        and seconds[k] at the coefficients ``coefs``; most rows have two."""
+        n = len(new_names)
+        row_names.extend(new_names)
+        senses.extend([sense] * n)
+        rhs.extend([bound] * n)
+        start = len(col)
+        col.extend(chain.from_iterable(zip(firsts, seconds)))
+        coef.extend(coefs * n)
+        row_start.extend(range(start + 2, start + 2 * n + 1, 2))
 
     for (b, t) in pairs:
-        coeffs = dict.fromkeys(z_names[(b, t)].values(), 1.0)
-        radd(new(Constraint, (f"port_{b}_{t}", coeffs, EQ, 1.0)))
-    for (b, s), ys in y_names.items():
-        radd(new(Constraint, (f"onehub_{b}_{s}", dict.fromkeys(ys, 1.0), LE, 1.0)))
-    for (b, s), ys in y_names.items():
-        for h, y in zip(B, ys):
-            radd(new(Constraint, (f"act_{b}_{s}_{h}", {y: 1.0, x_names[h]: -1.0}, LE, 0.0)))
-    for (h, s), ys in y_names.items():
-        x = x_names[h]
-        for c, y in zip(B, ys):
-            radd(new(Constraint, (f"norelay_{h}_{s}_{c}", {y: 1.0, x: 1.0}, LE, 1.0)))
+        zs = z_cols[(b, t)]
+        row(f"port_{b}_{t}", EQ, 1.0, zs.values(), [1.0] * len(zs))
+    ones = [1.0] * len(B)
+    for (b, s), ys in y_cols.items():
+        row(f"onehub_{b}_{s}", LE, 1.0, ys, ones)
+    # y_block runs over (b, s) and then h: act_ pairs y[b, s, h] with x[h],
+    # and norelay_ pairs y[h, s, c] with x[h].
+    pair_rows(
+        [f"act_{b}_{s}_{h}" for (b, s) in connections for h in B], LE, 0.0,
+        y_block, [*x_block] * n_bs, (1.0, -1.0),
+    )
+    pair_rows(
+        [f"norelay_{h}_{s}_{c}" for (h, s) in connections for c in B], LE, 1.0,
+        y_block, [x_cols[h] for (h, _) in connections for _ in B], (1.0, 1.0),
+    )
 
     by_branch = {}
     for (b, t) in pairs:
         by_branch.setdefault(b, []).append(t)
+    minus_ones = [-1.0] * (1 + len(B))
     for b in B:
         m_b = sum(instance.demand[(b, t)] for t in by_branch.get(b, []))
         for s in S:
-            vhs = vh_names[(b, s)]
-            coeffs = {vd_names[(b, s)]: -1.0}
-            coeffs.update(dict.fromkeys(vhs, -1.0))
+            vhs = vh_cols[(b, s)]
+            cols = [vd_cols[(b, s)], *vhs]
+            coefs = minus_ones.copy()
             for t in by_branch.get(b, []):
-                zs = z_names[(b, t)]
+                zs = z_cols[(b, t)]
                 if s in zs:
-                    coeffs[zs[s]] = instance.demand[(b, t)]
-            radd(new(Constraint, (f"split_{b}_{s}", coeffs, EQ, 0.0)))
-            for h, vh, y in zip(B, vhs, y_names[(b, s)]):
-                radd(new(Constraint, (f"bigm_{b}_{s}_{h}", {vh: 1.0, y: -m_b}, LE, 0.0)))
+                    cols.append(zs[s])
+                    coefs.append(instance.demand[(b, t)])
+            row(f"split_{b}_{s}", EQ, 0.0, cols, coefs)
+            pair_rows(
+                [f"bigm_{b}_{s}_{h}" for h in B], LE, 0.0, vhs, y_cols[(b, s)], (1.0, -m_b)
+            )
 
     position = {b: i for i, b in enumerate(B)}
     minus_v = [-v for v in v_pts]
-    for (b, r), (nl, steps) in zip(arcs, land_names):
+    land_coefs = [minus_v[j], *minus_v[:j]]
+    step_ones = [1.0] * j
+    for (b, r), (nl, steps) in zip(arcs, land_cols):
         if r in instance.nodes.origin_ports:
             # Arc into a port: direct volume of b plus everything hubbed via b.
             hub = position[b]
-            coeffs = {vd_names[(b, r)]: 1.0}
-            coeffs.update(dict.fromkeys([vh_names[(c, r)][hub] for c in B], 1.0))
+            cols = [vd_cols[(b, r)], *[vh_cols[(c, r)][hub] for c in B]]
         else:
             # Arc into hub r: the feeder flow from b over every port.
             hub = position[r]
-            coeffs = {vh_names[(b, s)][hub]: 1.0 for s in S}
-        coeffs[nl] = minus_v[j]
-        coeffs.update(zip(steps, minus_v))
-        radd(new(Constraint, (f"cap_{b}_{r}", coeffs, LE, 0.0)))
-        radd(new(Constraint, (f"step_{b}_{r}", dict.fromkeys(steps, 1.0), LE, 1.0)))
+            cols = [vh_cols[(b, s)][hub] for s in S]
+        coefs = [1.0] * len(cols)
+        cols.append(nl)
+        cols.extend(steps)
+        coefs.extend(land_coefs)
+        row(f"cap_{b}_{r}", LE, 0.0, cols, coefs)
+        row(f"step_{b}_{r}", LE, 1.0, steps, step_ones)
 
-    for (s, t), (ns, us) in sea_names.items():
-        coeffs = {}
+    for (s, t), (ns, us) in sea_cols.items():
+        cols, coefs = [], []
         for (b, t2) in pairs:
             if t2 == t:
-                zs = z_names[(b, t)]
+                zs = z_cols[(b, t)]
                 if s in zs:
-                    coeffs[zs[s]] = instance.demand[(b, t)]
-        coeffs[ns] = -instance.sea_container_volume
+                    cols.append(zs[s])
+                    coefs.append(instance.demand[(b, t)])
+        cols.append(ns)
+        coefs.append(-instance.sea_container_volume)
         if us is not None:
-            coeffs[us] = -1.0
-        radd(new(Constraint, (f"sea_{s}_{t}", coeffs, LE, 0.0)))
+            cols.append(us)
+            coefs.append(-1.0)
+        row(f"sea_{s}_{t}", LE, 0.0, cols, coefs)
 
     model = MilpModel(
         name=instance.name,
-        variables=variables,
-        constraints=constraints,
+        names=names,
+        kinds=kinds,
+        obj=obj,
+        upper=upper,
+        row_names=row_names,
+        senses=senses,
+        rhs=rhs,
+        row_start=row_start,
+        col=col,
+        coef=coef,
         meta=ModelMeta(
             instance=instance,
             breakpoints=v_pts,
             step_count=j,
             land_arcs=arcs,
+            hub_columns=[*x_block, *y_block, *vh_block],
         ),
     )
     model.validate()
+    if fix_no_hubs:
+        model.fix_no_hubs()
     return model
 
 
 def variable_counts(model: MilpModel) -> dict:
     """Variable count per family prefix (z, x, y, vd, vh, nL, uL0, uLi, nS, uS)."""
     out: dict = {}
-    for v in model.variables:
-        head = v.name.split("_", 1)[0]
+    for name in model.names:
+        head = name.split("_", 1)[0]
         if head.startswith("uL"):
             head = "uL0" if head == "uL0" else "uLi"
         out[head] = out.get(head, 0) + 1
@@ -360,8 +495,8 @@ def variable_counts(model: MilpModel) -> dict:
 
 def constraint_counts(model: MilpModel) -> dict:
     out: dict = {}
-    for c in model.constraints:
-        head = c.name.split("_", 1)[0]
+    for name in model.row_names:
+        head = name.split("_", 1)[0]
         out[head] = out.get(head, 0) + 1
     return out
 
@@ -387,7 +522,7 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
         instance, solution.port_choice, solution.fraction, solution.hub_choice
     )
 
-    values = {v.name: 0.0 for v in model.variables}
+    values = dict.fromkeys(model.names, 0.0)
 
     for (b, t) in instance.positive_pairs():
         values[_zn(b, t, solution.port_choice[(b, t)])] = 1.0
@@ -441,20 +576,31 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
     return values
 
 
-def constraint_residual(constraint: Constraint, values: dict) -> float:
-    # A plain loop, not sum() over a generator: decode checks every row.
-    lhs = 0.0
-    for name, coef in constraint.coeffs.items():
-        lhs += coef * values[name]
-    if constraint.sense == LE:
-        return max(0.0, lhs - constraint.rhs)
-    if constraint.sense == GE:
-        return max(0.0, constraint.rhs - lhs)
-    return abs(lhs - constraint.rhs)
+def row_residuals(model: MilpModel, x: list) -> list:
+    """Each row's violation at the column values ``x`` (in column order),
+    in row order: how far a ``<=`` row's activity is above its right-hand
+    side, a ``>=`` row's below it, and an ``=`` row's off it.  A row's
+    activity is summed entry by entry, in the row's entry order."""
+    terms = [c * x[j] for c, j in zip(model.coef, model.col)]
+    out = []
+    lo = 0
+    for hi, sense, bound in zip(islice(model.row_start, 1, None), model.senses, model.rhs):
+        # A plain loop: faster than reduce() on rows this short, and the
+        # same bits on every Python (sum() of floats is compensated from 3.12).
+        lhs = 0.0
+        for term in terms[lo:hi]:
+            lhs += term
+        lo = hi
+        if sense == EQ:
+            out.append(abs(lhs - bound))
+        else:
+            gap = lhs - bound if sense == LE else bound - lhs
+            out.append(gap if gap > 0.0 else 0.0)  # as max(0.0, gap), NaN included
+    return out
 
 
 def max_residual(model: MilpModel, values: dict) -> float:
-    return max(constraint_residual(c, values) for c in model.constraints)
+    return max(row_residuals(model, [values[name] for name in model.names]))
 
 
 def decode_solution(model: MilpModel, values: dict):
@@ -476,14 +622,15 @@ def decode_solution(model: MilpModel, values: dict):
     meta = model.meta
     instance = meta.instance
 
-    missing = [v.name for v in model.variables if v.name not in values]
+    names = model.names
+    missing = [name for name in names if name not in values]
     if missing:
         raise ModelDecodeError(
             f"values missing for {len(missing)} variable(s), first: {missing[0]}"
         )
 
-    clean = {}
-    for name, kind, _, upper in model.variables:
+    x = []
+    for name, kind, upper in zip(names, model.kinds, model.upper):
         val = float(values[name])
         if not math.isfinite(val):
             raise ModelDecodeError(f"{name} = {val} is not a finite number")
@@ -497,12 +644,12 @@ def decode_solution(model: MilpModel, values: dict):
         hi = upper if upper is not None else (1.0 if kind == BINARY else None)
         if val < -RESIDUAL_TOL or (hi is not None and val > hi + RESIDUAL_TOL):
             raise ModelDecodeError(f"{name} = {val} violates bounds [0.0, {hi}]")
-        clean[name] = val
+        x.append(val)
 
-    for c in model.constraints:
-        res = constraint_residual(c, clean)
+    for row, res in zip(model.row_names, row_residuals(model, x)):
         if res > RESIDUAL_TOL:
-            raise ModelDecodeError(f"constraint {c.name} violated by {res}")
+            raise ModelDecodeError(f"constraint {row} violated by {res}")
+    clean = dict(zip(names, x))
 
     port_choice = {}
     for (b, t) in instance.positive_pairs():
@@ -599,10 +746,8 @@ class _TermHeads(dict):
         return s
 
 
-def _lp_terms(names, coeffs: dict, heads: _TermHeads) -> list:
-    """Signed `+ c name` terms in the order of ``names``, wrapped into
-    lines of at most six terms."""
-    terms = [heads[coeffs[name]] + name for name in names]
+def _lp_lines(terms: list) -> list:
+    """LP terms wrapped into lines of at most six terms."""
     return [" ".join(terms[i:i + 6]) for i in range(0, len(terms), 6)]
 
 
@@ -610,32 +755,43 @@ def emit_lp(model: MilpModel) -> str:
     """CPLEX-style LP text, canonical order, byte-stable across runs."""
     num = _Numerals()
     heads = _TermHeads()
+    names = model.names
     out = [f"\\ hublocate model {model.name}", "Minimize"]
-    obj = {name: c for name, _, c, _ in model.variables if c != 0.0}
-    lines = _lp_terms(obj, obj, heads)
+    lines = _lp_lines([heads[c] + name for name, c in zip(names, model.obj) if c != 0.0])
     out.append(" obj: " + lines[0])
     out.extend("      " + ln for ln in lines[1:])
     out.append("Subject To")
     add = out.append
-    for row, coeffs, sense, rhs in model.constraints:
-        # Names are unique, so sorting the names alone gives the order that
-        # sorting (name, coefficient) pairs gives, without building pairs.
-        if len(coeffs) == 2:  # most rows: act_, norelay_, bigm_
-            a, b = coeffs
-            if b < a:
+    coef = model.coef
+    # Each entry's variable name; a row's names are unique, so sorting its
+    # entries by name alone gives the canonical term order.
+    entry_names = [names[j] for j in model.col]
+    by_name = entry_names.__getitem__
+    lo = 0
+    for row, hi, sense, rhs in zip(
+        model.row_names, islice(model.row_start, 1, None), model.senses, model.rhs
+    ):
+        if hi - lo == 2:  # most rows: act_, norelay_, bigm_
+            a, b = lo, lo + 1
+            if entry_names[b] < entry_names[a]:
                 a, b = b, a
-            add(f" {row}: {heads[coeffs[a]]}{a} {heads[coeffs[b]]}{b} {sense} {num[rhs]}")
+            add(
+                f" {row}: {heads[coef[a]]}{entry_names[a]} {heads[coef[b]]}{entry_names[b]}"
+                f" {sense} {num[rhs]}"
+            )
+            lo = hi
             continue
-        names = sorted(coeffs)
-        if len(names) <= 6:  # one line
-            add(f" {row}: {' '.join([heads[coeffs[n]] + n for n in names])} {sense} {num[rhs]}")
+        terms = [heads[coef[k]] + entry_names[k] for k in sorted(range(lo, hi), key=by_name)]
+        lo = hi
+        if len(terms) <= 6:  # one line
+            add(f" {row}: {' '.join(terms)} {sense} {num[rhs]}")
         else:
-            lines = _lp_terms(names, coeffs, heads)
+            lines = _lp_lines(terms)
             add(f" {row}: {lines[0]}")
             out.extend(["      " + ln for ln in lines[1:-1]])
             add(f"      {lines[-1]} {sense} {num[rhs]}")
     bounds = []
-    for name, kind, _, upper in model.variables:
+    for name, kind, upper in zip(names, model.kinds, model.upper):
         if upper is None:
             continue
         if kind == BINARY and upper >= 1.0:
@@ -647,12 +803,12 @@ def emit_lp(model: MilpModel) -> str:
     if bounds:
         out.append("Bounds")
         out.extend(bounds)
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+    binaries = [name for name, kind in zip(names, model.kinds) if kind == BINARY]
     if binaries:
         out.append("Binaries")
         for i in range(0, len(binaries), 8):
             out.append(" " + " ".join(binaries[i:i + 8]))
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
+    generals = [name for name, kind in zip(names, model.kinds) if kind == INTEGER]
     if generals:
         out.append("Generals")
         for i in range(0, len(generals), 8):
@@ -664,39 +820,40 @@ def emit_lp(model: MilpModel) -> str:
 def emit_mps(model: MilpModel) -> str:
     """Free-format MPS text; one column entry per line, integers marked."""
     num = _Numerals()
+    names, kinds = model.names, model.kinds
     out = [f"NAME {model.name}", "ROWS", " N obj"]
     sense_tag = {LE: "L", GE: "G", EQ: "E"}
-    out.extend([f" {sense_tag[c.sense]} {c.name}" for c in model.constraints])
+    out.extend([f" {sense_tag[sense]} {row}" for row, sense in zip(model.row_names, model.senses)])
 
-    # Each column's entry lines, rendered once, objective row first and
-    # then the constraint rows in model order.  A row holds at most one
-    # entry per column, so the order of a row's coefficients never shows.
-    entries: dict = {
-        name: [f"    {name} obj {num[c]}"] if c != 0.0 else []
-        for name, _, c, _ in model.variables
-    }
-    for c in model.constraints:
-        row = c.name
-        for name, coef in c.coeffs.items():
-            entries[name].append(f"    {name} {row} {num[coef]}")
+    # The rows transposed once into each column's text: its entry lines,
+    # each after a newline, objective row first and then the constraint
+    # rows in model order.  A row holds at most one entry per column, so
+    # the entry order of a row never shows.  Strings, not one list per
+    # column: thousands of lists alive at once wake the cyclic collector.
+    columns = [
+        f"\n    {name} obj {num[c]}" if c != 0.0 else "" for name, c in zip(names, model.obj)
+    ]
+    entry_rows = []
+    for row, lo, hi in zip(model.row_names, model.row_start, islice(model.row_start, 1, None)):
+        entry_rows.extend([row] * (hi - lo))
+    for j, row, c in zip(model.col, entry_rows, model.coef):
+        columns[j] += f"\n    {names[j]} {row} {num[c]}"
 
-    out.append("COLUMNS")
-    continuous = [v for v in model.variables if v.kind == CONTINUOUS]
-    integral = [v for v in model.variables if v.kind != CONTINUOUS]
-    for v in continuous:
-        out.extend(entries[v.name])
+    continuous = [text for text, kind in zip(columns, kinds) if kind == CONTINUOUS]
+    integral = [text for text, kind in zip(columns, kinds) if kind != CONTINUOUS]
+    out.append("COLUMNS" + "".join(continuous))
     if integral:
-        out.append("    MARKER_INT_BEGIN 'MARKER' 'INTORG'")
-        for v in integral:
-            out.extend(entries[v.name])
+        out.append("    MARKER_INT_BEGIN 'MARKER' 'INTORG'" + "".join(integral))
         out.append("    MARKER_INT_END 'MARKER' 'INTEND'")
 
     out.append("RHS")
-    out.extend([f"    RHS {c.name} {num[c.rhs]}" for c in model.constraints if c.rhs != 0.0])
+    out.extend([
+        f"    RHS {row} {num[b]}" for row, b in zip(model.row_names, model.rhs) if b != 0.0
+    ])
 
     out.append("BOUNDS")
     add = out.append
-    for name, kind, _, upper in model.variables:
+    for name, kind, upper in zip(names, kinds, model.upper):
         if kind == BINARY:
             if upper == 0.0:
                 add(f" FX BND {name} 0")

@@ -1,6 +1,7 @@
-"""Digests of the oracle's and the heuristics' answers on fixed instance sets.
+"""Digests of the oracle's, the heuristics' and the model's answers on fixed
+instance sets.
 
-A refactor that must keep every answer bit for bit prints the same two
+A refactor that must keep every answer bit for bit prints the same
 lines before and after it.  Run from the repo root with
 
     PYTHONPATH=src python tests/answer_digest.py
@@ -28,7 +29,14 @@ answers line stays put.
 * heuristic answers: the same solutions and totals with only the local
   search's ``moves_tried``, ``moves_accepted`` and ``accepted_moves``;
 * local-search work: its ``full_evaluations``, ``delta_evaluations``,
-  ``near_tie_fallbacks`` and ``bound_cuts``, summed over the instances.
+  ``near_tie_fallbacks`` and ``bound_cuts``, summed over the instances;
+* model: ``build_linearized_model`` on 75 instances (8x3x4 density 0.6
+  seeds 1-20 and 16x3x6 density 0.6 seeds 1-5, every profile): the LP
+  and MPS texts of the full and the ``fix_no_hubs`` model, and what
+  ``decode_solution`` makes of the ``encode_solution`` values of a
+  random feasible solution (``solgen.random_feasible_solution``): the
+  decoded solution, its approximated breakdown and the model objective
+  at the values, or decode's refusal message.
 
 Not a test module (pytest collects only ``test_*.py``).
 """
@@ -38,9 +46,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import time
 
-from hublocate import evaluate_cost, generate, local_search_improve, solve_two_stage
+from solgen import random_feasible_solution
+
+from hublocate import (
+    build_linearized_model,
+    decode_solution,
+    emit_lp,
+    emit_mps,
+    encode_solution,
+    evaluate_cost,
+    generate,
+    local_search_improve,
+    solve_two_stage,
+)
+from hublocate.errors import ModelDecodeError
 from hublocate.exact_oracle import enumerate_optimal
 from hublocate.gen import PROFILES
 from hublocate.heuristics import SearchStats
@@ -59,6 +81,10 @@ HEURISTIC_SHAPES = (
     (12, 3, 6, 0.6, range(1, 6)),
     (8, 3, 4, 0.9, range(1, 6)),
     (24, 3, 4, 0.9, range(3, 5)),
+)
+MODEL_SHAPES = (
+    (8, 3, 4, 0.6, range(1, 21)),
+    (16, 3, 6, 0.6, range(1, 6)),
 )
 
 
@@ -110,6 +136,32 @@ def heuristic_answers():
                 }
 
 
+def model_answers():
+    for branches, ports, dests, density, seeds in MODEL_SHAPES:
+        for seed in seeds:
+            for profile in PROFILES:
+                inst = generate(seed, branches, ports, dests, density, profile)
+                model = build_linearized_model(inst)
+                restricted = build_linearized_model(inst, fix_no_hubs=True)
+                values = encode_solution(
+                    model, random_feasible_solution(inst, random.Random(seed))
+                )
+                answer = {
+                    "texts": [
+                        emit(m) for m in (model, restricted) for emit in (emit_lp, emit_mps)
+                    ],
+                    "objective": model.objective_value(values),
+                }
+                try:
+                    solution, breakdown = decode_solution(model, values)
+                except ModelDecodeError as exc:
+                    answer["refused"] = str(exc)
+                else:
+                    answer["solution"] = json.loads(solution_to_json(solution))
+                    answer["breakdown"] = dataclasses.asdict(breakdown)
+                yield answer
+
+
 # Local-search counters that are part of the answer (which moves were
 # taken) and those that only measure work.
 MOVE_COUNTERS = ("moves_tried", "moves_accepted", "accepted_moves")
@@ -155,6 +207,8 @@ def main() -> None:
         for name in WORK_COUNTERS
     )
     print("local-search work  " + "  ".join(work))
+    model, cpu = timed(model_answers())
+    print(f"model      {sha256_of(model)}  {len(model)} instances  {cpu:.2f} s CPU")
 
 
 if __name__ == "__main__":

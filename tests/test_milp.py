@@ -213,17 +213,18 @@ class TestEmission:
 
     def test_emission_ignores_coefficient_insertion_order(self):
         # Both emitters fix the term order themselves: LP rows by variable
-        # name, MPS column entries by row.  So a row's dict order never shows.
+        # name, MPS column entries by row.  So a row's entry order never shows.
         model = build_linearized_model(generate(4, 16, 3, 6, 0.6, "uniform"))
-        reversed_model = dataclasses.replace(model, constraints=[
-            c._replace(coeffs=dict(reversed(c.coeffs.items()))) for c in model.constraints
-        ])
-        assert [list(c.coeffs) for c in reversed_model.constraints] != [
-            list(c.coeffs) for c in model.constraints
-        ]
+        col, coef = list(model.col), list(model.coef)
+        for lo, hi in zip(model.row_start, model.row_start[1:]):
+            col[lo:hi] = reversed(col[lo:hi])
+            coef[lo:hi] = reversed(coef[lo:hi])
+        permuted = dataclasses.replace(model, col=col, coef=coef)
+        assert col != model.col
+        assert [c.coeffs for c in permuted.constraints] == [c.coeffs for c in model.constraints]
         # Compared by hash: a failing == on the texts would diff 0.3 MB.
         for emit in (emit_lp, emit_mps):
-            assert sha256(emit(reversed_model)) == sha256(emit(model)), emit.__name__
+            assert sha256(emit(permuted)) == sha256(emit(model)), emit.__name__
 
     def test_lp_rows_list_terms_in_sorted_name_order(self):
         # Unpadded branch names: the rows are built in node order (B1, B10,
@@ -309,6 +310,23 @@ class TestEncodeDecode:
             assert model.objective_value(values) == pytest.approx(
                 evaluate_cost(instance, sol, "approx").total, rel=1e-6
             )
+
+    @pytest.mark.parametrize("shape", ["toy", "16x3x6"])
+    def test_csr_matrix_gives_row_activities(self, shape, toy_instance):
+        # The arrays are a scipy CSR matrix as they stand: one call, no copy
+        # of the model into another layout.
+        sparse = pytest.importorskip("scipy.sparse")
+        instance = toy_instance if shape == "toy" else generate(5, 16, 3, 6, 0.6, "uniform")
+        model = build_linearized_model(instance)
+        matrix = sparse.csr_array((model.coef, model.col, model.row_start))
+        assert matrix.shape == (len(model.constraints), len(model.variables))
+        rng = random.Random(5)
+        for _ in range(10):
+            values = encode_solution(model, random_feasible_solution(instance, rng))
+            activities = matrix @ [values[name] for name in model.names]
+            for c, activity in zip(model.constraints, activities):
+                lhs = sum(coef * values[name] for name, coef in c.coeffs.items())
+                assert activity == pytest.approx(lhs, rel=1e-12, abs=1e-9), c.name
 
     def test_encode_rejects_infeasible(self, toy_instance):
         model = build_linearized_model(toy_instance)
