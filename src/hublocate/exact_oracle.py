@@ -11,9 +11,13 @@ choice consistent with the constraints; hub sets with an unused member
 are skipped because the same routing is already covered by the smaller
 set.  For each discrete configuration the continuous direct shares are
 optimized over the finite fractions that place an arc volume exactly on
-a piece boundary of its approximated cost curve (plus 0, 1, and the
-per-destination subset sums that merging heuristics produce), as
-``splits.pair_fraction_candidates`` generates them:
+a piece boundary of its approximated cost curve, plus 0 and 1, as
+``splits.pair_fraction_candidates`` generates them.  Between two
+consecutive boundaries a share's cost is affine, and at a boundary each
+arc whose load sits on a break is priced at the lower step, since
+``land_cost_approx`` closes each piece on the right; so the least cost
+over [0, 1] is at a boundary (up to a candidate whose load rounds a few
+ulps past its break, see ``splits``):
 
   * shares whose three arcs are not shared with another routed pair are
     separable and minimized independently (exact);
@@ -83,7 +87,7 @@ from .pricing import acceptance_limit, bound_excludes, price_table
 from .solution import Solution
 from .solution import evaluate_cost  # noqa: F401  (tracer hook, as above)
 from .splits import pair_fraction_candidates
-from .splits import subset_sums  # noqa: F401
+from .splits import subset_sums  # noqa: F401  (tracer hook, as above)
 
 DESCENT_ROUNDS = 25
 POLISH_ROUNDS = 5
@@ -194,10 +198,9 @@ class _SplitProblem:
     components, which price and build candidates from it.
     """
 
-    def __init__(self, kernel: _Kernel, vols, setup, assign, dests_via, direct_land):
+    def __init__(self, kernel: _Kernel, vols, setup, assign, direct_land):
         self.kernel = kernel
         self.vols = vols
-        self.dests_via = dests_via
         self.vars = sorted(assign)
         self.hub_of = assign
 
@@ -304,7 +307,7 @@ class _SplitProblem:
             for entry in self.arcs_of[p]
             if entry[0] != skip_arc
         ]
-        return pair_fraction_candidates(curve(*p), routed, self.vols[p], self.dests_via.get(p))
+        return pair_fraction_candidates(curve(*p), routed, self.vols[p])
 
     def shared_arc(self, p, q):
         """The one arc two routed pairs of one component can share, or None."""
@@ -527,9 +530,6 @@ def enumerate_optimal(
     for zvec, fixed, vols, direct_land in survivors:
         check_deadline(deadline, "oracle")
         active = tuple(sorted(vols))
-        dests_via: dict = {}
-        for (b, t), s in zip(kernel.pairs, zvec):
-            dests_via.setdefault((b, s), []).append(instance.demand[(b, t)])
         for hubs in hub_sets:
             setup = setup_of[hubs]
             if fixed + setup > threshold:
@@ -541,7 +541,7 @@ def enumerate_optimal(
             for assign in choices:
                 check_deadline(deadline, "oracle")
                 evaluated += 1
-                problem = _SplitProblem(kernel, vols, setup, assign, dests_via, direct_land)
+                problem = _SplitProblem(kernel, vols, setup, assign, direct_land)
                 # Cut when the constant part alone, or with the routing
                 # bound, exceeds the limit; otherwise solve.
                 lower = fixed + problem.const

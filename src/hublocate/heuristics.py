@@ -42,21 +42,19 @@ knows, by two more rules:
 4. a cached price or routing is reused only for an identical state (same
    ports, routes, loads and tie scale), so it is the float, or the
    routing, that computing it again would give.  The all-direct cost and
-   deltas, the trials and the inert hubs are kept for one hub-set sweep
-   (step 1 at one port vector), and the deltas are read only while the
-   routes are all direct;
+   deltas, the trials and the clearly inert hubs are kept for one
+   hub-set sweep (step 1 at one port vector), and the deltas are read
+   only while the routes are all direct;
 5. a hub-set trial is read off smaller trials of the same hub-set sweep
    when they decide it.  A single-hub trial ``{h}`` in which no route
    changed marks h inert; if every delta of moving a branch from the
    all-direct routing onto h also exceeds ``CLEAR_MARGIN`` times the
-   all-direct cost, h is clearly inert.  A set of inert hubs routes all
-   direct: its first routing sweep sees the all-direct state and the
-   cached deltas the single trials compared, so nothing moves.  A set
-   with a clearly inert member h routes as the set without h, provided
-   branch h never moved in that trial.  Moving a branch from direct onto
-   h then changes the same terms by the same amounts in every state of
-   that trial: its own direct arc and feeder leg, h's set-up, and h's
-   port arc, which carries only h's own direct shipment.  So h's option
+   all-direct cost, h is clearly inert.  A set with a clearly inert
+   member h routes as the set without h, provided branch h never moved
+   in that trial.  Moving a branch from direct onto h then changes the
+   same terms by the same amounts in every state of that trial: its own
+   direct arc and feeder leg, h's set-up, and h's port arc, which
+   carries only h's own direct shipment.  So h's option
    lies at least the margin (1e-6 relative) above the direct option, a
    thousand times the ``TIE_RTOL`` band, and is never taken or tied.
 
@@ -203,8 +201,7 @@ class _DestinationContext:
 
     def cost(self, ports: dict, routes: dict) -> float:
         """``cost_terms`` summed over a configuration's flows.  Loads are
-        summed in branch order, ``solution_flows``'s order for one destination
-        when demand is listed by branch (as generated and saved instances are)."""
+        summed in branch order, ``solution_flows``'s order for one destination."""
         self.stats.full_evaluations += 1
         port_arc, port_vol, uses = self.loads(ports, routes)
         vols: dict = {}
@@ -370,30 +367,26 @@ class _DestinationContext:
         each hub set of ``hub_subsets(branches, hub_budget)``, in order.
 
         The sweep keeps the all-direct cost and deltas, its trials so far
-        and its inert hubs; a trial that smaller ones decide (rule 5) is
-        read off them without routing, and one whose routes never left all
-        direct is costed at the all-direct cost.  ``deadline`` is checked
-        before every trial.
+        and its clearly inert hubs; a trial that smaller ones decide (rule
+        5) is read off them without routing, and one whose routes never
+        left all direct is costed at the all-direct cost.  ``deadline`` is
+        checked before every trial.
         """
-        all_direct = dict.fromkeys(self.branches)
-        direct_cost = self.cost(ports, all_direct)
+        direct_cost = self.cost(ports, dict.fromkeys(self.branches))
         direct: dict = {}  # (b, h) -> delta of moving b onto h from all direct
         trials: dict = {}  # hub set -> (routes, cost, movers)
-        inert: dict = {}  # inert single hub -> whether it is clearly inert
+        clearly_inert: set = set()  # single hubs that are clearly inert
         # Smallest sets first, so the trials rule 5 reads come before it.
         for hub_set in hub_subsets(self.instance.nodes.branches, hub_budget):
             check_deadline(deadline, "two-stage solve")
             trial = None
             if len(hub_set) > 1:
-                if all(h in inert for h in hub_set):
-                    trial = all_direct, direct_cost, set()
-                else:
-                    for h in hub_set:
-                        if inert.get(h):
-                            smaller = trials[tuple(x for x in hub_set if x != h)]
-                            if h not in smaller[2]:
-                                trial = smaller
-                                break
+                for h in hub_set:
+                    if h in clearly_inert:
+                        smaller = trials[tuple(x for x in hub_set if x != h)]
+                        if h not in smaller[2]:
+                            trial = smaller
+                            break
             if trial is not None:
                 self.stats.inert_hub_hits += 1
             else:
@@ -405,7 +398,8 @@ class _DestinationContext:
                     # deltas, which this trial filled, exceed the margin.
                     (h,) = hub_set
                     margin = CLEAR_MARGIN * max(1.0, abs(direct_cost))
-                    inert[h] = all(direct[(b, h)] > margin for b in self.branches if b != h)
+                    if all(direct[(b, h)] > margin for b in self.branches if b != h):
+                        clearly_inert.add(h)
             trials[hub_set] = trial
             yield trial[0], trial[1]
 
@@ -908,7 +902,6 @@ def _repoint(state: _SearchState, b: str, t: str, s2: str) -> None:
 
 def _fraction_candidates(state: _SearchState, pair) -> list:
     """Piece-boundary fractions for one routed pair in the current state."""
-    inst = state.instance
     b, s = pair
     h = state.choices[pair]
     vols = state.flows.vols
@@ -924,13 +917,8 @@ def _fraction_candidates(state: _SearchState, pair) -> list:
         if oh == h and other[1] == s:
             port_base += routed
     curve = state.prices.curve
-    dest_volumes = [
-        inst.demand[(b, t)]
-        for (bb, t), ss in sorted(state.ports.items())
-        if bb == b and ss == s and inst.demand.get((bb, t), 0.0) > 0.0
-    ]
     return pair_fraction_candidates(
-        curve(b, s), ((curve(b, h), feeder_base), (curve(h, s), port_base)), v, dest_volumes
+        curve(b, s), ((curve(b, h), feeder_base), (curve(h, s), port_base)), v
     )
 
 

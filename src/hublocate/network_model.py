@@ -63,6 +63,11 @@ class Instance:
     nvocc_penalty: float = DEFAULT_PENALTY
     name: str = "instance"
 
+    def __post_init__(self):
+        # Demand in sorted pair order, as NodeSets sorts its node lists, so
+        # every sum over demand adds in one order whatever the listing.
+        object.__setattr__(self, "demand", dict(sorted(self.demand.items())))
+
     def positive_pairs(self) -> list[tuple[str, str]]:
         """Sorted (branch, destination) pairs with positive demand."""
         return sorted(k for k, v in self.demand.items() if v > 0.0)

@@ -217,7 +217,7 @@ class Flows:
 def demand_volumes(instance, port_choice: dict) -> tuple:
     """``(vols, sea_vol)`` of a port choice: the demand each (branch, port)
     pair and each sea relation carries, positive entries only, accumulated
-    in the instance's demand order."""
+    in the instance's demand order, which is sorted pair order."""
     vols: dict = {}
     sea_vol: dict = {}
     for (b, t), v in instance.demand.items():

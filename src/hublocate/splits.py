@@ -6,11 +6,16 @@ and jumps only where one of the three touched land arcs (branch-to-port,
 branch-to-hub, hub-to-port) crosses a piece boundary of its cost curve.
 The continuous optimum is therefore searched over the finite set of
 fractions that place an arc volume exactly on such a boundary, plus the
-extremes 0 and 1, plus the per-destination subset sums that alternating
-per-destination methods can produce.  The oracle and the local search
-both take their candidates from ``pair_fraction_candidates``, the one
-builder, and pass the routed arcs whose boundaries count as (curve, base)
-pairs.
+extremes 0 and 1.  Between two consecutive boundaries the cost of one
+share is affine, and at a boundary every arc whose load sits on a break
+is priced at the lower step, because ``land_cost_approx`` closes each
+piece on the right; so the least cost over [0, 1] is at a boundary, and
+an interior share can only tie it.  The one caveat is rounding: an arc
+load rebuilt from a candidate, in the pricer's summation order, can land
+a few ulps past its break and be priced a step up; only then could an
+interior share win.  The oracle and the local search both take their
+candidates from ``pair_fraction_candidates``, the one builder, and pass
+the routed arcs whose boundaries count as (curve, base) pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from itertools import combinations
 
 from .cost_model import ApproxLandCurve, approx_breakpoint_volumes
 
+# Not called here; kept as attributes of this module because perfbench's
+# tracer hooks ``subset_sums`` here and in exact_oracle.
 MAX_SUBSET_DESTINATIONS = 6
 
 
@@ -38,7 +45,6 @@ def pair_fraction_candidates(
     curve_direct: ApproxLandCurve,
     routed: Iterable[tuple[ApproxLandCurve, float]],
     volume: float,
-    dest_volumes: list[float] | None = None,
 ) -> list[float]:
     """Sorted candidate direct fractions in [0, 1] for one routed pair.
 
@@ -57,10 +63,6 @@ def pair_fraction_candidates(
         for curve, base in routed:
             for w in approx_breakpoint_volumes(curve, base, base + volume):
                 cands.add(1.0 - (w - base) / volume)
-        if dest_volumes:
-            for ss in subset_sums(dest_volumes):
-                if 0.0 < ss < volume:
-                    cands.add(ss / volume)
     out = sorted(min(1.0, max(0.0, y)) for y in cands)
     dedup = [out[0]]
     for y in out[1:]:

@@ -13,7 +13,8 @@ digest in hex, so a change in the last bit shows.  Two more sha256,
 without the work counters, and a last line sums those counters over the
 local searches.  So a change that moves work but no answer changes the
 ``oracle`` or ``heuristics`` line (and the work sums) while the matching
-answers line stays put.
+answers line stays put.  ``heuristic-solutions`` drops the move counters
+too, so it stays put when a change alters only which moves are tried.
 
 * oracle: ``enumerate_optimal`` on 405 instances (2x3x2 density 1.0
   seeds 1-50 at hub budget 2; 3x3x2, 2x2x3 and 3x2x2 density 0.6 seeds
@@ -28,6 +29,8 @@ answers line stays put.
   exact totals, and both searches' ``SearchStats``;
 * heuristic answers: the same solutions and totals with only the local
   search's ``moves_tried``, ``moves_accepted`` and ``accepted_moves``;
+* heuristic solutions: the same solutions and totals alone, so a change
+  that moves only which moves are tried keeps it;
 * local-search work: its ``full_evaluations``, ``delta_evaluations``,
   ``near_tie_fallbacks`` and ``bound_cuts``, summed over the instances;
 * model: ``build_linearized_model`` on 75 instances (8x3x4 density 0.6
@@ -202,6 +205,11 @@ def main() -> None:
         for answer in heuristic
     ]
     print(f"heuristic-answers {sha256_of(moves_only)}  {len(moves_only)} instances")
+    solutions_only = [
+        {"two_stage": answer["two_stage"], "local_search": answer["local_search"]}
+        for answer in heuristic
+    ]
+    print(f"heuristic-solutions {sha256_of(solutions_only)}  {len(solutions_only)} instances")
     work = (
         f"{name}={sum(answer['search_stats'][name] for answer in heuristic)}"
         for name in WORK_COUNTERS

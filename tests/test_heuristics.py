@@ -659,3 +659,25 @@ class TestMetamorphic:
     @pytest.mark.parametrize("seed", range(100, 110))
     def test_doubled_costs_double_the_benchmark_answers(self, seed, profile):
         assert_doubled_costs_double_the_answer(generate(seed, 8, 3, 4, 0.6, profile))
+
+    # Instance stores demand in sorted pair order, so no sum over demand
+    # depends on how the input lists it.  Listed in reverse, these seeds
+    # gave other plan costs in the last bits (seed 100 uniform, T4), plan
+    # costs off the evaluator's total, and another local-search answer at
+    # an equal approximated cost (seed 110 consolidation_favorable).
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("seed", range(100, 112))
+    def test_demand_listing_order_changes_no_answer(self, seed, profile):
+        inst = generate(seed, 8, 3, 4, 0.6, profile)
+        flipped = dataclasses.replace(inst, demand=dict(reversed(list(inst.demand.items()))))
+        for t in inst.nodes.destination_ports:
+            plan = solve_single_destination(flipped, t, 2)
+            assert plan.cost == solve_single_destination(inst, t, 2).cost
+            assert plan.cost == evaluate_cost(*plan_solution(flipped, plan), "exact").total
+        answers = []
+        for case in (inst, flipped):
+            improved = local_search_improve(case, solve_two_stage(case, 2).merged)
+            answers.append(
+                (improved, *(evaluate_cost(case, improved, m).total for m in ("approx", "exact")))
+            )
+        assert answers[0] == answers[1]
