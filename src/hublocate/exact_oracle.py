@@ -36,7 +36,7 @@ Each share's routing terms are priced per coupled component
 rather than through ``pricing.cost_terms``, which would price whole
 solutions in the innermost loop.
 
-Two cuts leave every answer bit-identical:
+Three cuts leave every answer bit-identical:
 
   * a configuration is cut when its constant part (port and sea cost,
     set-up, direct arcs no routed share touches) exceeds the all-direct
@@ -47,30 +47,40 @@ Two cuts leave every answer bit-identical:
     the threshold alone, so the count of evaluated configurations does
     not depend on the incumbent;
   * a configuration is also cut when its constant part plus a lower bound
-    on its routing terms (``_SplitProblem.routing_bound``) exceeds that
-    limit by more than ``TIE_RTOL`` times the limit (at least 1;
+    on its routing terms (``_Bound.routing_bound``) exceeds that limit by
+    more than ``TIE_RTOL`` times the limit (at least 1;
     ``pricing.bound_excludes``).  The bound prices each routed m3 of pair
     p via hub h at the cheaper of rate(p, v_p) and f[h] + rate((b, h), F)
-    + rate((h, s), P), and the
-    hub's own direct volume on (h, s) at rate((h, s), P), where F and P
-    are the arcs' loads with every rider routed and rate(arc, X) is the
-    least approximated price per m3 over loads in (0, X]
-    (``pricing.ArcPrices.rate``).  On the curve approx(x) >= x * rate(X)
-    for every 0 < x <= X, and no load of the configuration exceeds its
-    all-routed value, so the routing cost is at least the bound.  The
-    margin covers float rounding, which is far below it, so a cut
-    configuration's total lies strictly above the incumbent or the
-    threshold: it could neither replace the incumbent nor tie it.
+    + rate((h, s), P), and the hub's own direct volume on (h, s) at
+    rate((h, s), P), where F and P are the arcs' loads with every rider
+    routed and rate(arc, X) is the least approximated price per m3 over
+    loads in (0, X] (``pricing.ArcPrices.rate``).  On the curve approx(x)
+    >= x * rate(X) for every 0 < x <= X, and no load of the configuration
+    exceeds its all-routed value, so the routing cost is at least the
+    bound.  The margin covers float rounding, which is far below it, so a
+    cut configuration's total lies strictly above the incumbent or the
+    threshold: it could neither replace the incumbent nor tie it;
+  * a whole hub set is cut, before any of its hub choices is built, by the
+    same two tests on a bound of all its configurations: the same
+    ``_Bound`` with every pair whose branch is outside the set offered
+    every hub of the set, so it routes at its cheapest hub, and each arc
+    priced at the most load any choice can put on it (F the volume of all
+    the branch's pairs, P the hub's own volume plus every such pair to
+    the port).  ``rate`` never rises with the load, so this bound is at
+    most each configuration's own.  For the empty set it is the vector's
+    all-direct total.  A cut set's configurations are counted as evaluated
+    all the same (``_valid_assignment_count``).
 
-The cuts leave few configurations to solve (343 of 30,854 on the 2x3x2
-generator instances at density 1.0, seeds 1-50, every profile), so each
-solved configuration's components are solved and priced afresh.  Only the
-hub choices are memoized, per set of active pairs and hub set within one
-call; about half the lookups hit on those instances.
+The cuts leave few configurations to solve or build: on the 2x3x2
+generator instances at density 1.0, seeds 1-50, every profile, 343 of the
+30,854 evaluated are solved and 415 built, so each solved configuration's
+components are solved and priced afresh, and each surviving hub set walks
+its hub choices afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,14 +115,20 @@ class OracleStats:
     ``port_vectors_cut`` counts the port assignments whose port and sea
     cost alone exceed the all-direct threshold, and ``hub_sets_cut`` the
     hub sets whose set-up cost takes a surviving assignment over it.
-    Every evaluated configuration is either cut by its lower bound
-    (``threshold_cuts`` above the all-direct threshold, ``incumbent_cuts``
-    above the best total found so far but not the threshold) or solved
-    (``solved_configurations``).  ``bound_cuts`` counts the cut
-    configurations whose constant part alone did not reach the limit, so
-    only the routing bound cut them; it is a part of the two cut counts.
+    Every evaluated configuration is either cut by a lower bound, its own
+    or its hub set's (``threshold_cuts`` above the all-direct threshold,
+    ``incumbent_cuts`` above the best total found so far but not the
+    threshold), or solved (``solved_configurations``).  ``bound_cuts``
+    counts the cut configurations whose bound's constant part alone did
+    not reach the limit, so only the routing bound cut them; it is a part
+    of the two cut counts.  ``hub_set_cuts`` counts the hub sets cut whole,
+    whose configurations are counted in the cut counts but never built.
     ``component_solves`` counts the coupled components of the solved
-    configurations, each of which is optimized.
+    configurations, each of which is optimized.  ``enumerate_optimal``
+    checks its deadline every 256 vectors of the all-direct pass, then
+    before every surviving port vector, every hub set and every
+    configuration built, so the work between two checks is at most one
+    set's bound or one configuration's solve.
     """
 
     port_vectors_cut: int = 0
@@ -122,6 +138,7 @@ class OracleStats:
     solved_configurations: int = 0
     component_solves: int = 0
     bound_cuts: int = 0
+    hub_set_cuts: int = 0
 
 
 @dataclass
@@ -167,10 +184,11 @@ class _Kernel:
         (cost, port vector); the first minimum wins ties.  The deadline is
         checked every 256 vectors; `what` names the solver in the error.
 
-        With a `kept` list, appends ``(port vector, fixed cost, vols, direct
-        land prices)`` of each vector whose fixed cost is at most the
-        minimum found before it.  Every vector whose fixed cost is at most
-        the final minimum is among them, and no other vector is stored."""
+        With a `kept` list, appends ``(port vector, fixed cost, all-direct
+        total, vols, direct land prices)`` of each vector whose fixed cost is
+        at most the minimum found before it.  Every vector whose fixed cost
+        is at most the final minimum is among them, and no other vector is
+        stored."""
         land_approx = self.prices.land_approx
         best = None
         for i, zvec in enumerate(itertools.product(*self.options)):
@@ -178,54 +196,56 @@ class _Kernel:
                 check_deadline(deadline, what)
             fixed, vols = self.fixed_cost(zvec)
             direct_land = {arc: land_approx(*arc, v) for arc, v in vols.items()}
-            if kept is not None and (best is None or fixed <= best[0]):
-                kept.append((zvec, fixed, vols, direct_land))
             total = fixed + sum(direct_land.values())
+            if kept is not None and (best is None or fixed <= best[0]):
+                kept.append((zvec, fixed, total, vols, direct_land))
             if best is None or total < best[0]:
                 best = (total, zvec)
         return best
 
 
-class _SplitProblem:
-    """Continuous share optimization for one discrete configuration.
+class _Bound:
+    """Lower bound on the cost of the configurations of one port vector and
+    hub set that route each pair in `options` via one of its hubs or ship
+    it direct, in any shares, and ship every other pair direct.
 
-    Variables are the routed pairs; the cost decomposes into a constant,
-    a per-variable part (direct arc plus consolidation), and per-arc terms
-    for feeder and hub-to-port arcs, each depending on the subset of
-    variables riding that arc.  The constructor computes only what the
-    bound needs (the constant); ``solve`` fills ``arcs_of`` (each
-    variable's two arcs with their riders and base) and solves the
-    components, which price and build candidates from it.
+    ``const`` is the set-up cost plus the direct price of every arc that no
+    pair in `options` ships on and no such pair can route onto;
+    ``routing_bound`` bounds the rest.  At one configuration each routed
+    pair has one hub; at a whole hub set every pair whose branch is outside
+    the set has every hub.
     """
 
-    def __init__(self, kernel: _Kernel, vols, setup, assign, direct_land):
+    def __init__(self, kernel: _Kernel, vols, setup, options, direct_land):
         self.kernel = kernel
         self.vols = vols
-        self.vars = sorted(assign)
-        self.hub_of = assign
+        self.vars = sorted(options)
+        self.options = options
 
         const = setup
         feeder_groups: dict = {}
         port_groups: dict = {}
         for p in self.vars:
             b, s = p
-            h = self.hub_of[p]
-            feeder_groups.setdefault((b, h), []).append(p)
-            port_groups.setdefault((h, s), []).append(p)
+            for h in options[p]:
+                feeder_groups.setdefault((b, h), []).append(p)
+                port_groups.setdefault((h, s), []).append(p)
         for arc, land in direct_land.items():
-            if arc not in assign and arc not in port_groups:
+            if arc not in options and arc not in port_groups:
                 const += land
         self.const = const
         self.feeder_groups = feeder_groups
         self.port_groups = port_groups
 
     def routing_bound(self) -> float:
-        """Lower bound on the routing cost beyond ``const``: each routed m3
-        at the cheapest per-m3 price its arcs offer over the loads they can
-        carry in this configuration (at most all routed), and each hub's own
-        direct volume on a hub-to-port arc at that arc's rate."""
+        """Lower bound on the cost beyond ``const``: each pair in `options`
+        at the cheapest per-m3 price its options offer, each arc priced at
+        the most load the covered configurations can put on it (every pair
+        that can ride it routed), and each hub's own direct volume on a
+        hub-to-port arc at that arc's rate."""
         kernel = self.kernel
         rate = kernel.prices.rate
+        f = kernel.f
         vols = self.vols
         feeder_rate = {
             arc: rate(*arc, sum(vols[q] for q in riders))
@@ -239,10 +259,30 @@ class _SplitProblem:
             bound += base * r
         for p in self.vars:
             b, s = p
-            h = self.hub_of[p]
             v = vols[p]
-            bound += v * min(rate(b, s, v), kernel.f[h] + feeder_rate[(b, h)] + port_rate[(h, s)])
+            least = rate(b, s, v)
+            for h in self.options[p]:
+                least = min(least, f[h] + feeder_rate[(b, h)] + port_rate[(h, s)])
+            bound += v * least
         return bound
+
+
+class _SplitProblem(_Bound):
+    """Continuous share optimization for one discrete configuration.
+
+    Variables are the routed pairs; the cost decomposes into a constant,
+    a per-variable part (direct arc plus consolidation), and per-arc terms
+    for feeder and hub-to-port arcs, each depending on the subset of
+    variables riding that arc.  The constructor computes only what the
+    bound needs (``_Bound`` with each routed pair's one hub); ``solve``
+    fills ``arcs_of`` (each variable's two arcs with their riders and
+    base) and solves the components, which price and build candidates
+    from it.
+    """
+
+    def __init__(self, kernel: _Kernel, vols, setup, assign, direct_land):
+        super().__init__(kernel, vols, setup, {p: (h,) for p, h in assign.items()}, direct_land)
+        self.hub_of = assign
 
     def _component_members(self) -> list[tuple]:
         """Coupled components: variables sharing a feeder or port arc."""
@@ -422,8 +462,10 @@ class _SplitProblem:
         return fracs, total
 
 
-def _valid_assignment_count(k: int, p: int) -> float:
-    """Assignments of p pairs to 1 + k options using all k hubs."""
+@functools.cache
+def _valid_assignment_count(k: int, p: int) -> int:
+    """Assignments of p pairs to 1 + k options using all k hubs (cached:
+    the oracle asks for it once per hub set it bounds)."""
     return sum((-1) ** i * math.comb(k, i) * (1 + k - i) ** p for i in range(k + 1))
 
 
@@ -505,7 +547,8 @@ def enumerate_optimal(
     configuration in enumeration order.  ``deadline`` (a
     ``time.monotonic()`` value) is checked every 256 vectors of the
     all-direct pass, then before every port vector that survives its fixed
-    cost and every configuration.
+    cost, every hub set of it (before the set's bound is built) and every
+    configuration of a hub set that is not cut whole.
     """
     violations = validate_instance(instance)
     if violations:
@@ -526,40 +569,61 @@ def enumerate_optimal(
     best = None  # (cost, payload)
     limit = threshold  # min(threshold, best total): a larger lower bound cuts
     evaluated = 0
-    assignments: dict = {}  # (active pairs, hubs) -> hub choices
-    for zvec, fixed, vols, direct_land in survivors:
+
+    def cut(lower: float, bound: _Bound | None, count: int) -> bool:
+        """Whether the `count` configurations whose constant part is `lower`
+        are cut: it alone, or plus the routing bound of `bound` (when given),
+        exceeds the limit.  Counts them when they are."""
+        if lower <= limit:
+            if bound is None:
+                return False
+            lower += bound.routing_bound()
+            if not bound_excludes(lower, limit):
+                return False
+            stats.bound_cuts += count
+        if lower > threshold:
+            stats.threshold_cuts += count
+        else:
+            stats.incumbent_cuts += count
+        return True
+
+    for zvec, fixed, direct_total, vols, direct_land in survivors:
         check_deadline(deadline, "oracle")
         active = tuple(sorted(vols))
         for hubs in hub_sets:
+            check_deadline(deadline, "oracle")
             setup = setup_of[hubs]
             if fixed + setup > threshold:
                 stats.hub_sets_cut += 1
                 continue
-            choices = assignments.get((active, hubs))
-            if choices is None:
-                choices = assignments[(active, hubs)] = list(_hub_assignments(active, hubs))
-            for assign in choices:
+            free = [p for p in active if p[0] not in hubs]
+            count = _valid_assignment_count(len(hubs), len(free))
+            if not count:
+                continue
+            # Bound every hub choice of the set at once: each free pair may
+            # take any hub of it.  The empty set's one configuration ships
+            # everything direct, so its bound is the all-direct total.
+            if hubs:
+                bound = _Bound(kernel, vols, setup, dict.fromkeys(free, hubs), direct_land)
+                lower = fixed + bound.const
+            else:
+                bound, lower = None, direct_total
+            if cut(lower, bound, count):
+                stats.hub_set_cuts += 1
+                evaluated += count
+                continue
+            for assign in _hub_assignments(active, hubs):
                 check_deadline(deadline, "oracle")
                 evaluated += 1
                 problem = _SplitProblem(kernel, vols, setup, assign, direct_land)
-                # Cut when the constant part alone, or with the routing
-                # bound, exceeds the limit; otherwise solve.
-                lower = fixed + problem.const
-                if lower <= limit:
-                    lower += problem.routing_bound()
-                    if not bound_excludes(lower, limit):
-                        stats.solved_configurations += 1
-                        fracs, routing = problem.solve(stats)
-                        total = fixed + routing
-                        if best is None or total < best[0]:
-                            best = (total, (zvec, hubs, assign, fracs))
-                            limit = min(threshold, total)
-                        continue
-                    stats.bound_cuts += 1
-                if lower > threshold:
-                    stats.threshold_cuts += 1
-                else:
-                    stats.incumbent_cuts += 1
+                if cut(fixed + problem.const, problem, 1):
+                    continue
+                stats.solved_configurations += 1
+                fracs, routing = problem.solve(stats)
+                total = fixed + routing
+                if best is None or total < best[0]:
+                    best = (total, (zvec, hubs, assign, fracs))
+                    limit = min(threshold, total)
 
     if best is None:
         raise OracleLimitError("nothing to enumerate")

@@ -10,11 +10,12 @@ It prints one sha256 over the oracle answers and one over the heuristic
 answers, each with its instance count and CPU time.  Floats enter the
 digest in hex, so a change in the last bit shows.  Two more sha256,
 ``oracle-answers`` and ``heuristic-answers``, cover the same answers
-without the work counters, and a last line sums those counters over the
-local searches.  So a change that moves work but no answer changes the
-``oracle`` or ``heuristics`` line (and the work sums) while the matching
-answers line stays put.  ``heuristic-solutions`` drops the move counters
-too, so it stays put when a change alters only which moves are tried.
+without the work counters, and two more lines sum those counters, one
+over the oracle runs and one over the local searches.  So a change that
+moves work but no answer changes the ``oracle`` or ``heuristics`` line
+(and the work sums) while the matching answers line stays put.
+``heuristic-solutions`` drops the move counters too, so it stays put
+when a change alters only which moves are tried.
 
 * oracle: ``enumerate_optimal`` on 405 instances (2x3x2 density 1.0
   seeds 1-50 at hub budget 2; 3x3x2, 2x2x3 and 3x2x2 density 0.6 seeds
@@ -22,6 +23,8 @@ too, so it stays put when a change alters only which moves are tried.
   every profile): the solution, its approximated and exact totals,
   ``evaluated`` and every ``OracleStats`` field;
 * oracle answers: the same solutions and totals alone;
+* oracle work: ``evaluated`` and every ``OracleStats`` field, summed
+  over the instances;
 * heuristics: ``solve_two_stage`` then ``local_search_improve`` at hub
   budget 2 on 216 instances (8x3x4 density 0.6 seeds 100-159; 12x3x6
   density 0.6 and 8x3x4 density 0.9 seeds 1-5; 24x3x4 density 0.9 seeds
@@ -194,6 +197,11 @@ def main() -> None:
         for answer in oracle
     ]
     print(f"oracle-answers {sha256_of(answers_only)}  {len(answers_only)} instances")
+    work = [f"evaluated={sum(answer['evaluated'] for answer in oracle)}"] + [
+        f"{name}={sum(answer['stats'][name] for answer in oracle)}"
+        for name in oracle[0]["stats"]
+    ]
+    print("oracle work  " + "  ".join(work))
     heuristic, cpu = timed(heuristic_answers())
     print(f"heuristics {sha256_of(heuristic)}  {len(heuristic)} instances  {cpu:.2f} s CPU")
     moves_only = [

@@ -211,7 +211,7 @@ class TestSolve:
         counters = reports[0]["stats"]["oracle"]
         assert set(counters) == {
             "port_vectors_cut", "hub_sets_cut", "threshold_cuts", "incumbent_cuts",
-            "solved_configurations", "component_solves", "bound_cuts",
+            "solved_configurations", "component_solves", "bound_cuts", "hub_set_cuts",
         }
         assert reports[0]["evaluated_configurations"] == (
             counters["threshold_cuts"] + counters["incumbent_cuts"]
