@@ -172,7 +172,9 @@ def cmd_build_milp(args) -> int:
         print(f"output must end with .lp or .mps, got {out}", file=sys.stderr)
         return 2
     instance = load_instance(args.instance)
-    model = build_linearized_model(instance, fix_no_hubs=args.no_hubs)
+    model = build_linearized_model(instance)
+    if args.no_hubs:
+        model.fix_no_hubs()
     text = emit_mps(model) if out.endswith(".mps") else emit_lp(model)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -298,8 +300,10 @@ def _solve_arguments(p) -> None:
     p.add_argument("--hub-budget", type=_nonnegative_int, default=DEFAULT_HUB_BUDGET)
     p.add_argument("--time-budget", type=_positive_number, default=None, metavar="SECONDS")
     p.add_argument("--budget", type=_positive_number, default=MAX_EVALUATIONS,
-                   help="oracle evaluation budget, also the no-hub solver's limit on port "
-                        "assignments (--method no-hub, --start no-hub); refuses above it")
+                   help="evaluation budget of the exact solvers: the oracle refuses when "
+                        "its port assignments times hub sets, or the configurations it "
+                        "counts after its all-direct pass, exceed it; the no-hub solver "
+                        "(--method no-hub, --start no-hub) when its port assignments do")
     p.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
                    help="starting point for local-search")
     p.add_argument("--start-file", default=None,

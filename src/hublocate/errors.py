@@ -68,11 +68,14 @@ class ModelDecodeError(HublocateError):
 
 
 class OracleLimitError(HublocateError):
-    """The enumeration size estimate exceeds the configured oracle budget."""
+    """An exact solver refuses an instance whose exact count of work
+    (``count``: port vectors times hub sets, up front, or the oracle's
+    planned configurations, after its all-direct pass) exceeds the
+    evaluation budget, or finds nothing to enumerate (``count`` None)."""
 
-    def __init__(self, message, estimate=None):
+    def __init__(self, message, count=None):
         super().__init__(message)
-        self.estimate = estimate
+        self.count = count
 
 
 class TimeBudgetError(HublocateError):

@@ -31,6 +31,14 @@ ulps past its break, see ``splits``):
 The objective is the approximated cost, the same one the linearized model
 minimizes; callers price the answer with ``solution.evaluate_cost``.
 Ties are broken toward the first configuration in enumeration order.
+
+Both solvers refuse on exact counts of their work, never on an estimate
+or on the instance's dimensions (``OracleLimitError.count``): first the
+port vectors times the hub sets, the size of the outer loop (one hub set,
+the empty one, for ``solve_no_hubs``), then, after ``enumerate_optimal``'s
+all-direct pass, the configurations its plan holds, which are the
+``evaluated`` it reports.
+
 Each share's routing terms are priced per coupled component
 (``_SplitProblem.component_cost``, straight from each share's arcs)
 rather than through ``pricing.cost_terms``, which would price whole
@@ -102,11 +110,6 @@ from .splits import subset_sums  # noqa: F401  (tracer hook, as above)
 DESCENT_ROUNDS = 25
 POLISH_ROUNDS = 5
 
-# Instance dimensions beyond which the oracle refuses outright.
-MAX_BRANCHES = 6
-MAX_PORTS = 4
-MAX_DESTINATIONS = 4
-
 
 @dataclass
 class OracleStats:
@@ -124,11 +127,14 @@ class OracleStats:
     of the two cut counts.  ``hub_set_cuts`` counts the hub sets cut whole,
     whose configurations are counted in the cut counts but never built.
     ``component_solves`` counts the coupled components of the solved
-    configurations, each of which is optimized.  ``enumerate_optimal``
-    checks its deadline every 256 vectors of the all-direct pass, then
-    before every surviving port vector, every hub set and every
-    configuration built, so the work between two checks is at most one
-    set's bound or one configuration's solve.
+    configurations, each of which is optimized.  The cut counts and
+    ``solved_configurations`` sum to the run's ``evaluated``, which the
+    plan counts before any of them is built.  ``enumerate_optimal``
+    checks its deadline every 256 vectors of the all-direct pass, before
+    every surviving port vector as it plans, then before every planned
+    pair and every configuration built, so the work between two checks is
+    at most one vector's plan, one set's bound or one configuration's
+    solve.
     """
 
     port_vectors_cut: int = 0
@@ -465,20 +471,12 @@ class _SplitProblem(_Bound):
 @functools.cache
 def _valid_assignment_count(k: int, p: int) -> int:
     """Assignments of p pairs to 1 + k options using all k hubs (cached:
-    the oracle asks for it once per hub set it bounds)."""
+    the oracle asks for it for every (port vector, hub set) it plans)."""
     return sum((-1) ** i * math.comb(k, i) * (1 + k - i) ** p for i in range(k + 1))
 
 
-def _port_vector_count(instance: Instance) -> float:
-    """Port assignments of the positive-demand pairs (as a float)."""
-    z_space = 1.0
-    for (_, t) in instance.positive_pairs():
-        z_space *= max(1, len(instance.usable_ports(t)))
-    return z_space
-
-
-# Default hub-set size limit of every solver, and the oracle's default
-# evaluation budget (it refuses above it).
+# Default hub-set size limit of every solver, and the default evaluation
+# budget of both exact solvers (each refuses above it).
 DEFAULT_HUB_BUDGET = 2
 MAX_EVALUATIONS = 1e8
 
@@ -492,33 +490,22 @@ def hub_subsets(branches, max_size: int):
         yield from itertools.combinations(branches, k)
 
 
-def estimate_configurations(instance: Instance, hub_budget: int) -> float:
-    """Upper bound on the discrete configurations the oracle would visit."""
-    z_space = _port_vector_count(instance)
-    n_b = len(instance.nodes.branches)
-    active = {b for (b, _) in instance.positive_pairs()}
-    p = min(len(active) * len(instance.nodes.origin_ports), len(instance.positive_pairs()))
-    y_space = 0.0
-    for k in range(0, min(hub_budget, n_b) + 1):
-        y_space += math.comb(n_b, k) * max(0.0, _valid_assignment_count(k, p))
-    return z_space * max(1.0, y_space)
+def _check_budget(count: int, max_evaluations: float, what: str) -> None:
+    """Refuse when `count`, an exact number of `what`, exceeds the budget."""
+    if count > max_evaluations:
+        raise OracleLimitError(
+            f"{count} {what} exceed the budget of {max_evaluations:.3g}", count=count
+        )
 
 
-def _check_limits(instance: Instance, hub_budget: int, max_evaluations: float) -> None:
-    n_b = len(instance.nodes.branches)
-    n_s = len(instance.nodes.origin_ports)
-    n_t = len(instance.nodes.destination_ports)
-    if n_b > MAX_BRANCHES or n_s > MAX_PORTS or n_t > MAX_DESTINATIONS:
-        raise OracleLimitError(
-            f"instance size {n_b} branches / {n_s} ports / {n_t} destinations exceeds "
-            f"oracle limits ({MAX_BRANCHES}/{MAX_PORTS}/{MAX_DESTINATIONS})"
-        )
-    est = estimate_configurations(instance, hub_budget)
-    if est > max_evaluations:
-        raise OracleLimitError(
-            f"estimated {est:.3g} configurations exceed the budget of {max_evaluations:.3g}",
-            estimate=est,
-        )
+def _check_outer_loop(kernel: _Kernel, hub_budget: int, max_evaluations: float) -> None:
+    """Refuse, before any port vector is priced, when the port vectors times
+    the hub sets of at most `hub_budget` hubs (the exact size of a solver's
+    outer loop) exceed the budget."""
+    n_b = len(kernel.B)
+    sets = sum(math.comb(n_b, k) for k in range(min(hub_budget, n_b) + 1))
+    what = "port assignments" if sets == 1 else "(port assignment, hub set) pairs"
+    _check_budget(math.prod(map(len, kernel.options)) * sets, max_evaluations, what)
 
 
 def _hub_assignments(active, hubs):
@@ -541,21 +528,24 @@ def enumerate_optimal(
 ) -> OracleResult:
     """Globally minimize the approximated cost by exhaustive enumeration.
 
-    Hub sets hold at most ``hub_budget`` branches.  Refuses instances
-    larger than ``MAX_BRANCHES``/``MAX_PORTS``/``MAX_DESTINATIONS`` or whose
-    enumeration estimate exceeds ``max_evaluations``.  Ties go to the first
-    configuration in enumeration order.  ``deadline`` (a
-    ``time.monotonic()`` value) is checked every 256 vectors of the
-    all-direct pass, then before every port vector that survives its fixed
-    cost, every hub set of it (before the set's bound is built) and every
-    configuration of a hub set that is not cut whole.
+    Hub sets hold at most ``hub_budget`` branches.  Ties go to the first
+    configuration in enumeration order.  In three steps: refuse when the
+    port vectors times the hub sets exceed ``max_evaluations``, then run
+    the all-direct pass; plan each (surviving port vector, hub set) pair
+    the set-up test leaves, with its count of hub choices, and refuse when
+    the counts, which sum to the ``evaluated`` reported, exceed the budget;
+    enumerate the plan.  ``deadline`` (a ``time.monotonic()`` value) is
+    checked every 256 vectors of the all-direct pass, before every
+    surviving vector as the plan is made, and before every planned pair
+    (so before its hub set's bound is built) and every configuration of a
+    hub set that is not cut whole.
     """
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    _check_limits(instance, hub_budget, max_evaluations)
 
     kernel = _Kernel(instance)
+    _check_outer_loop(kernel, hub_budget, max_evaluations)
     hub_sets = list(hub_subsets(kernel.B, hub_budget))
     setup_of = {hubs: sum(kernel.e[h] for h in hubs) for hubs in hub_sets}
 
@@ -564,11 +554,30 @@ def enumerate_optimal(
     kept: list = []
     threshold, _ = kernel.best_all_direct(deadline, "oracle", kept)
     survivors = [entry for entry in kept if entry[1] <= threshold]
-
     stats = OracleStats(port_vectors_cut=math.prod(map(len, kernel.options)) - len(survivors))
+
+    # Each surviving vector with the hub sets the set-up test leaves it
+    # (and that have a hub choice); their counts sum to `evaluated`.
+    plan = []
+    evaluated = 0
+    for entry in survivors:
+        check_deadline(deadline, "oracle")
+        fixed, vols = entry[1], entry[3]
+        active = tuple(sorted(vols))
+        planned = []
+        for hubs in hub_sets:
+            if fixed + setup_of[hubs] > threshold:
+                stats.hub_sets_cut += 1
+                continue
+            count = _valid_assignment_count(len(hubs), sum(b not in hubs for b, _ in active))
+            if count:
+                evaluated += count
+                planned.append(hubs)
+        plan.append((entry, active, planned))
+    _check_budget(evaluated, max_evaluations, "configurations")
+
     best = None  # (cost, payload)
     limit = threshold  # min(threshold, best total): a larger lower bound cuts
-    evaluated = 0
 
     def cut(lower: float, bound: _Bound | None, count: int) -> bool:
         """Whether the `count` configurations whose constant part is `lower`
@@ -587,19 +596,12 @@ def enumerate_optimal(
             stats.incumbent_cuts += count
         return True
 
-    for zvec, fixed, direct_total, vols, direct_land in survivors:
-        check_deadline(deadline, "oracle")
-        active = tuple(sorted(vols))
-        for hubs in hub_sets:
+    for (zvec, fixed, direct_total, vols, direct_land), active, planned in plan:
+        for hubs in planned:
             check_deadline(deadline, "oracle")
             setup = setup_of[hubs]
-            if fixed + setup > threshold:
-                stats.hub_sets_cut += 1
-                continue
             free = [p for p in active if p[0] not in hubs]
             count = _valid_assignment_count(len(hubs), len(free))
-            if not count:
-                continue
             # Bound every hub choice of the set at once: each free pair may
             # take any hub of it.  The empty set's one configuration ships
             # everything direct, so its bound is the all-direct total.
@@ -610,11 +612,9 @@ def enumerate_optimal(
                 bound, lower = None, direct_total
             if cut(lower, bound, count):
                 stats.hub_set_cuts += 1
-                evaluated += count
                 continue
             for assign in _hub_assignments(active, hubs):
                 check_deadline(deadline, "oracle")
-                evaluated += 1
                 problem = _SplitProblem(kernel, vols, setup, assign, direct_land)
                 if cut(fixed + problem.const, problem, 1):
                     continue
@@ -649,20 +649,16 @@ def solve_no_hubs(
 
     Solved exactly by enumerating port assignments against the
     approximated objective (the same restricted problem the linearized
-    model solves when all hub variables are fixed to zero); refuses when
-    the assignment space exceeds the evaluation budget.
+    model solves when all hub variables are fixed to zero).  Its outer loop
+    has one hub set, the empty one, so ``enumerate_optimal``'s first check
+    refuses when the port assignments exceed the evaluation budget.  The
+    deadline is checked every 256 of them.
     """
     violations = validate_instance(instance)
     if violations:
         raise InvalidInstanceError(violations)
 
-    z_space = _port_vector_count(instance)
-    if z_space > max_evaluations:
-        raise OracleLimitError(
-            f"{z_space:.3g} port assignments exceed the budget of "
-            f"{max_evaluations:.3g}; emit the restricted model instead",
-            estimate=z_space,
-        )
     kernel = _Kernel(instance)
+    _check_outer_loop(kernel, 0, max_evaluations)
     _, zvec = kernel.best_all_direct(deadline, "no-hub solve")
     return Solution(port_choice=dict(zip(kernel.pairs, zvec)))

@@ -889,15 +889,13 @@ def _opening_bound(state: _SearchState, h: str, estimate: float) -> float:
 
 
 def _repoint(state: _SearchState, b: str, t: str, s2: str) -> None:
-    """Move shipment (b, t) to origin port s2; a pair left without volume
-    loses its route."""
+    """Move shipment (b, t) to origin port s2; the pair (b, old port) loses
+    its route when no other shipment of b leaves from that port."""
     old = state.ports[(b, t)]
     state.set_port(b, t, s2)
-    state.refresh()
-    vols = state.flows.vols
-    for key in ((b, old), (b, s2)):
-        if key in state.choices and vols.get(key, 0.0) <= 0.0:
-            state.set_route(key, None)
+    ports = state.ports
+    if (b, old) in state.choices and all(ports.get((b, u)) != old for u, _ in state.demand_of[b]):
+        state.set_route((b, old), None)
 
 
 def _fraction_candidates(state: _SearchState, pair) -> list:

@@ -263,12 +263,11 @@ def _usn(s, t):
     return f"uS_{s}_{t}"
 
 
-def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> MilpModel:
+def build_linearized_model(instance: Instance) -> MilpModel:
     """Build the full linearized model for a valid instance.
 
-    With fix_no_hubs=True all hub variables (x, y, vh) get upper bound 0,
-    which restricts the model to pure port assignment with direct
-    transport (``MilpModel.fix_no_hubs``).
+    ``MilpModel.fix_no_hubs`` restricts it to pure port assignment with
+    direct transport.
     """
     violations = validate_instance(instance)
     if violations:
@@ -477,8 +476,6 @@ def build_linearized_model(instance: Instance, fix_no_hubs: bool = False) -> Mil
         ),
     )
     model.validate()
-    if fix_no_hubs:
-        model.fix_no_hubs()
     return model
 
 

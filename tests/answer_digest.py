@@ -148,7 +148,8 @@ def model_answers():
             for profile in PROFILES:
                 inst = generate(seed, branches, ports, dests, density, profile)
                 model = build_linearized_model(inst)
-                restricted = build_linearized_model(inst, fix_no_hubs=True)
+                restricted = build_linearized_model(inst)
+                restricted.fix_no_hubs()
                 values = encode_solution(
                     model, random_feasible_solution(inst, random.Random(seed))
                 )

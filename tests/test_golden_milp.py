@@ -2,9 +2,9 @@
 
 ``golden/milp_hashes.json`` holds the sha256 of ``emit_lp`` and
 ``emit_mps`` for seeded generator models of two sizes over all three
-profiles, two of them built with ``fix_no_hubs=True`` (one at the
-benchmark's 16x3x6 ``model`` shape).  The toy goldens
-in ``golden/toy_model.*`` show the full text of a 2-branch model; these
+profiles, two of them restricted with ``MilpModel.fix_no_hubs`` (one at
+the benchmark's 16x3x6 ``model`` shape).  The toy goldens in
+``golden/toy_model.*`` show the full text of a 2-branch model; these
 hashes cover models with every constraint family at realistic sizes.  Any
 change to model order, naming or numeral formatting fails here.
 Record cases added to ``CASES`` with
@@ -43,9 +43,9 @@ CASES = [
 
 
 def run_case(seed, branches, ports, dests, profile, fix_no_hubs) -> dict:
-    model = build_linearized_model(
-        generate(seed, branches, ports, dests, 0.6, profile), fix_no_hubs=fix_no_hubs
-    )
+    model = build_linearized_model(generate(seed, branches, ports, dests, 0.6, profile))
+    if fix_no_hubs:
+        model.fix_no_hubs()
     return {
         "case": [seed, branches, ports, dests, profile, fix_no_hubs],
         "lp_sha256": hashlib.sha256(emit_lp(model).encode("utf-8")).hexdigest(),

@@ -34,10 +34,13 @@ GOLDEN = Path(__file__).parent / "golden" / "oracle.json"
 # The 2x3x2 cases are the benchmark's oracle shape; the larger ones reach
 # hub sets of three and four members and fractional direct shares, and
 # 4x2x2 seeds 1 and 5 solve coupled components of four and five shares.
+# The 6x2x2 cases are test_oracle's cross-solver instances, at the hub
+# budget that test runs them at.
 CASES = (
     [(seed, 2, 3, 2, 1.0, PROFILES[seed % 3], 2) for seed in range(30)]
     + [(seed, 4, 2, 2, 0.6, PROFILES[seed % 3], 4) for seed in (1, 5, 7, 10, 12, 13, 15)]
     + [(seed, 3, 3, 2, 0.6, PROFILES[seed % 3], 2) for seed in (5, 10)]
+    + [(seed, 6, 2, 2, 0.6, profile, 2) for seed in (1, 2, 3) for profile in PROFILES]
 )
 
 

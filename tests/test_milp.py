@@ -142,7 +142,9 @@ class TestRecords:
         """Each record has its exact type and all four fields, and equals the
         record its own fields make through the constructor."""
         inst = generate(seed, n_b, n_s, n_t, 0.6, PROFILES[seed % 3])
-        model = build_linearized_model(inst, fix_no_hubs=fix_no_hubs)
+        model = build_linearized_model(inst)
+        if fix_no_hubs:
+            model.fix_no_hubs()
         for records, cls in ((model.variables, Variable), (model.constraints, Constraint)):
             for r in records:
                 assert type(r) is cls
@@ -174,7 +176,9 @@ class TestCoefficients:
         assert bigm.coeffs["y_B1_S1_B2"] == -6.0
 
     def test_no_hub_fixing_zeroes_bounds(self, toy_instance):
-        variables = variables_by_name(build_linearized_model(toy_instance, fix_no_hubs=True))
+        model = build_linearized_model(toy_instance)
+        model.fix_no_hubs()
+        variables = variables_by_name(model)
         assert variables["x_B1"].upper == 0.0
         assert variables["y_B1_S1_B2"].upper == 0.0
         assert variables["vh_B1_S1_B2"].upper == 0.0

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from solgen import random_feasible_solution
 
@@ -20,12 +20,14 @@ from hublocate import (
     enumerate_optimal,
     evaluate_cost,
     generate,
+    local_search_improve,
     solve_no_hubs,
+    solve_two_stage,
 )
 from hublocate import LandCostTable, errors, exact_oracle
 from hublocate.cost_model import land_cost_approx
 from hublocate.errors import OracleLimitError, TimeBudgetError
-from hublocate.exact_oracle import _Kernel, estimate_configurations
+from hublocate.exact_oracle import _Kernel
 from hublocate.gen import PROFILES
 from hublocate.pricing import price_table
 
@@ -70,6 +72,25 @@ class TestExactness:
             assert cost >= best - slack
 
 
+# `evaluated` is 2e4 to 2.5e7 here, about 2 s of oracle CPU in all; the
+# answers are pinned in golden/oracle.json too.
+CROSS_SOLVER = [(seed, 6, 2, 2, 0.6, profile) for seed in (1, 2, 3) for profile in PROFILES]
+
+
+class TestCrossSolver:
+    @pytest.mark.parametrize("case", CROSS_SOLVER, ids=lambda c: "-".join(map(str, c)))
+    def test_oracle_is_no_worse_than_the_heuristics(self, case):
+        # At a hub budget that admits the local-search answer's hub set, the
+        # optimum of the approximated cost is no worse than it or than the
+        # no-hub optimum.
+        inst = generate(*case)
+        searched = local_search_improve(inst, solve_two_stage(inst).merged)
+        result = enumerate_optimal(inst, hub_budget=max(2, len(searched.hubs)))
+        best = evaluate_cost(inst, result.solution, "approx").total
+        assert best <= evaluate_cost(inst, searched, "approx").total
+        assert best <= evaluate_cost(inst, solve_no_hubs(inst), "approx").total
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         inst = generate(12, 4, 2, 2, 0.6, "consolidation_favorable")
@@ -82,29 +103,66 @@ class TestDeterminism:
         assert a.evaluated == b.evaluated
 
 
+def _record_work(monkeypatch) -> tuple[list, list]:
+    """Record each port vector priced and each configuration built."""
+    priced, built = [], []
+    fixed_cost = _Kernel.fixed_cost
+    monkeypatch.setattr(
+        _Kernel, "fixed_cost", lambda self, z: priced.append(z) or fixed_cost(self, z)
+    )
+
+    class RecordedProblem(exact_oracle._SplitProblem):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(exact_oracle, "_SplitProblem", RecordedProblem)
+    return priced, built
+
+
+# 16 port vectors and 7 hub sets (112 pairs); after the all-direct pass
+# the plan holds 240 configurations.
+COUNTED = (1, 3, 2, 2, 0.6, "consolidation_favorable")
+
+
 class TestLimits:
-    def test_dimension_refusal(self):
-        inst = generate(1, 7, 2, 2, 0.5, "uniform")
-        with pytest.raises(OracleLimitError):
-            enumerate_optimal(inst)
+    def test_budget_of_the_planned_count_solves(self):
+        result = enumerate_optimal(generate(*COUNTED), hub_budget=2, max_evaluations=240)
+        assert result.evaluated == 240
 
-    @pytest.mark.parametrize("size", [(4, 5, 2), (4, 2, 5)], ids=["ports", "destinations"])
-    def test_dimension_refusal_on_every_axis(self, size):
+    def test_budget_refusal_reports_the_count(self, monkeypatch):
+        # One below the plan: refused after the all-direct pass, before any
+        # configuration is built.
+        priced, built = _record_work(monkeypatch)
+        with pytest.raises(OracleLimitError, match="240 configurations exceed") as err:
+            enumerate_optimal(generate(*COUNTED), hub_budget=2, max_evaluations=239)
+        assert err.value.count == 240
+        assert len(priced) == 16
+        assert built == []
+
+    @pytest.mark.parametrize("solve,budget,count", [
+        (lambda inst, budget: enumerate_optimal(inst, 2, budget), 111, 112),
+        (lambda inst, budget: solve_no_hubs(inst, budget), 15, 16),
+    ], ids=["oracle", "no-hub"])
+    def test_outer_loop_refusal_comes_before_any_pricing(self, solve, budget, count, monkeypatch):
+        # Port vectors times hub sets, one hub set for the no-hub solver.
+        priced, built = _record_work(monkeypatch)
+        with pytest.raises(OracleLimitError, match=f"^{count} ") as err:
+            solve(generate(*COUNTED), budget)
+        assert err.value.count == count
+        assert priced == built == []
+
+    @pytest.mark.parametrize(
+        "size", [(7, 2, 2), (4, 5, 2), (4, 2, 5)], ids=["branches", "ports", "destinations"]
+    )
+    def test_no_dimension_is_capped(self, size):
         inst = generate(1, *size, 0.5, "uniform")
-        with pytest.raises(OracleLimitError, match="exceeds oracle limits") as err:
-            enumerate_optimal(inst)
-        assert err.value.estimate is None
-
-    def test_budget_refusal_reports_estimate(self):
-        inst = generate(2, 4, 2, 2, 0.9, "uniform")
-        with pytest.raises(OracleLimitError) as err:
-            enumerate_optimal(inst, hub_budget=4, max_evaluations=10.0)
-        assert err.value.estimate == estimate_configurations(inst, 4)
-
-    def test_estimate_bounds_actual_visits(self):
-        inst = generate(1, 4, 2, 2, 0.5, "uniform")
-        result = enumerate_optimal(inst, **WIDE_OPEN)
-        assert result.evaluated <= estimate_configurations(inst, 4)
+        result = enumerate_optimal(inst)
+        assert check_feasibility(inst, result.solution) == []
+        assert result.evaluated == (
+            result.stats.threshold_cuts + result.stats.incumbent_cuts
+            + result.stats.solved_configurations
+        )
 
     def test_deadline_aborts(self):
         inst = generate(8, 4, 2, 2, 0.5, "uniform")
@@ -128,6 +186,28 @@ class TestLimits:
         with pytest.raises(TimeBudgetError, match="time budget"):
             solve(inst, time.monotonic() - 1.0)
         assert len(priced) < 256
+
+    def test_deadline_checked_per_surviving_vector_of_the_plan(self, monkeypatch):
+        # The clock passes the deadline as the first surviving port vector's
+        # hub sets are counted: the plan must stop before the next vector,
+        # and nothing is built.
+        inst = generate(*COUNTED)
+        clock = [0.0]
+        monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        counted = []
+        real_count = exact_oracle._valid_assignment_count
+
+        def count_then_expire(k, p):
+            counted.append((k, p))
+            clock[0] = 2.0
+            return real_count(k, p)
+
+        monkeypatch.setattr(exact_oracle, "_valid_assignment_count", count_then_expire)
+        _, built = _record_work(monkeypatch)
+        with pytest.raises(TimeBudgetError, match="oracle exceeded its time budget"):
+            enumerate_optimal(inst, hub_budget=2, deadline=1.0)
+        assert len(counted) == 7
+        assert built == []
 
     def test_deadline_checked_per_hub_set(self, monkeypatch):
         # The clock passes the deadline as the first configuration after
@@ -323,6 +403,21 @@ class TestMetamorphic:
         _same_optimum_after_reversing_branches(inst, 3)
 
 
+# Evaluation budgets of the two bound properties below.  An example the
+# oracle refuses at its budget is rejected, so the examples stay small.
+BOUND_TEST_BUDGET = 2e4
+SET_BOUND_TEST_BUDGET = 1e3
+
+
+def _solve_or_reject(inst, budget: int, max_evaluations: float):
+    """The oracle's answer, or a rejected example when it refuses the
+    instance on its count."""
+    try:
+        return enumerate_optimal(inst, hub_budget=budget, max_evaluations=max_evaluations)
+    except OracleLimitError:
+        reject()
+
+
 class TestRoutingBound:
     """The bound that cuts configurations never exceeds their routing cost."""
 
@@ -336,7 +431,6 @@ class TestRoutingBound:
     )
     def test_bound_never_exceeds_the_routing_cost(self, seed, size, density, profile, budget):
         inst = generate(seed, *size, density, profile)
-        assume(estimate_configurations(inst, budget) <= 3e5)
         real_solve = exact_oracle._SplitProblem.solve
         seen = []
 
@@ -350,7 +444,7 @@ class TestRoutingBound:
         # must be the one the cut finds.
         with mock.patch.object(exact_oracle, "bound_excludes", lambda bound, limit: False), \
                 mock.patch.object(exact_oracle._SplitProblem, "solve", record):
-            uncut = enumerate_optimal(inst, hub_budget=budget)
+            uncut = _solve_or_reject(inst, budget, BOUND_TEST_BUDGET)
         assert seen
         for routing, const, bound in seen:
             assert routing >= const + bound - 1e-12 * max(1.0, routing)
@@ -371,7 +465,6 @@ class TestRoutingBound:
         self, seed, size, density, profile, budget
     ):
         inst = generate(seed, *size, density, profile)
-        assume(estimate_configurations(inst, budget) <= 2e4)
         real_bound = exact_oracle._Bound
         sets = []
 
@@ -384,7 +477,7 @@ class TestRoutingBound:
         # choice gets a set bound, whichever cuts are on.
         with mock.patch.object(exact_oracle, "bound_excludes", lambda bound, limit: False), \
                 mock.patch.object(exact_oracle, "_Bound", RecordedBound):
-            uncut = enumerate_optimal(inst, hub_budget=budget)
+            uncut = _solve_or_reject(inst, budget, SET_BOUND_TEST_BUDGET)
         for kernel, vols, setup, options, direct_land in sets:
             bound = real_bound(kernel, vols, setup, options, direct_land)
             lower = bound.const + bound.routing_bound()
