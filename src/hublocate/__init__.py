@@ -4,7 +4,6 @@ from .cost_model import (
     ApproxLandCurve,
     LandCostTable,
     SeaRate,
-    chargeable_weight,
     land_breakpoints,
     land_cost_approx,
     land_cost_exact,
@@ -63,7 +62,6 @@ __all__ = [
     "TwoStageResult",
     "Violation",
     "build_linearized_model",
-    "chargeable_weight",
     "check_feasibility",
     "decode_solution",
     "emit_lp",

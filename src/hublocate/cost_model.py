@@ -239,11 +239,3 @@ def sea_cost(
     tie = 1e-12 * max(1.0, abs(cmin))
     return max((o for o in options if o[0] <= cmin + tie), key=lambda o: o[1])
 
-
-def chargeable_weight(v: float, factor: float) -> float:
-    """Chargeable weight in kg for a volume in m3 (dimensional conversion)."""
-    if v < 0.0:
-        raise ValueError(f"negative volume {v}")
-    if factor <= 0.0:
-        raise ValueError(f"dimensional factor must be > 0, got {factor}")
-    return v * factor

@@ -32,26 +32,27 @@ land arcs, and j the land step count:
   variables   A + nB + 2 * nB^2 * nS + nB * nS + R * (j + 1) + U + Un
   constraints P + 3 * nB^2 * nS + 2 * nB * nS + 2 * R + U
 
-Store and records.  ``MilpModel`` keeps its columns as parallel lists
-``names``, ``kinds``, ``obj`` and ``upper`` (``None`` for the kind's
-default bound: 1 for a binary, +inf else), and its rows as parallel
-lists ``row_names``, ``senses`` and ``rhs``.  The matrix is kept once,
-in CSR form: row ``i`` holds the entries ``row_start[i]:row_start[i +
-1]`` of ``col`` (column indices) and ``coef``, with at most one entry
-per column, so ``scipy.sparse.csr_array((coef, col, row_start))`` is
-the matrix.  Every variable has lower bound 0 and the objective is
-minimized.  The builder formats every name once and fills the rows by
-column index, so a row can only name a column of the model; names join
+Store and column layout.  ``MilpModel`` keeps its columns as parallel
+lists ``names``, ``kinds``, ``obj`` and ``upper`` (``None`` for the
+kind's default bound: 1 for a binary, +inf else), and its rows as
+parallel lists ``row_names``, ``senses`` and ``rhs``.  The matrix is kept
+once, in CSR form: row ``i`` holds the entries ``row_start[i]:row_start[i
++ 1]`` of ``col`` (column indices) and ``coef``, at most one per column,
+so ``scipy.sparse.csr_array((coef, col, row_start))`` is the matrix.
+Every variable has lower bound 0 and the objective is minimized.
+``build_linearized_model`` formats every name once; after it, code
+addresses a variable by its column, through ``ModelMeta``'s tables per
+family: ``z_cols[b, t][s]``, ``x_cols[b]``, ``y_cols[b, s][h]``,
+``vd_cols[b, s]``, ``vh_cols[b, s][h]``, ``land_cols[b, r] = (nL,
+uL0..uL<j-1>)`` and ``sea_cols[s, t] = (nS, uS or None)``.  Encoding,
+decoding and ``MilpModel.fix_no_hubs`` read these tables.  Names join
 node ids with "_", and ids may hold "_", so ``MilpModel.validate``
-refuses a variable or row name made twice (``ModelNameError``).  The
-entries of a row stay in the order the builder appends them, and that
-is the order ``row_residuals`` sums a row's activity in, so residuals
-and decode's answers depend on it; the emitted texts do not.
-``MilpModel.fix_no_hubs`` is one pass over the bounds of the hub
-columns, which ``ModelMeta.hub_columns`` lists.  ``model.variables``
-and ``model.constraints`` are read-only sequences of ``Variable`` and
-``Constraint`` records, each made when it is read (a constraint's
-``coeffs`` dict in entry order); no code of this module reads them.
+refuses a variable or row name made twice (``ModelNameError``).  A row's
+entries stay in the order the builder appends them, the order
+``row_residuals`` sums its activity in, so residuals and decode's answers
+depend on it; the emitted texts do not.  ``model.variables`` and
+``model.constraints`` are read-only sequences of ``Variable`` and
+``Constraint`` records made when read; no code of this module reads them.
 
 Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
 the model: the same model gives the same bytes on every run and every
@@ -120,15 +121,21 @@ class Constraint(NamedTuple):
 
 @dataclass
 class ModelMeta:
-    """Build context kept alongside the model: what ``encode_solution``,
-    ``decode_solution`` and ``MilpModel.fix_no_hubs`` read besides the
-    arrays."""
+    """Build context kept alongside the model: the column index of every
+    variable, per family, in model order (see "column layout" in the
+    module docstring).  ``encode_solution``, ``decode_solution`` and
+    ``MilpModel.fix_no_hubs`` address the columns through these tables."""
 
     instance: Instance
     breakpoints: tuple  # v(0) .. v(j), shared by every distance band
     step_count: int  # j
-    land_arcs: list  # (b, r) pairs in model order
-    hub_columns: list  # indices of the x, y and vh columns
+    z_cols: dict  # (b, t) -> {usable port s: column}
+    x_cols: dict  # b -> column
+    y_cols: dict  # (b, s) -> {hub h: column}, h in branch order
+    vd_cols: dict  # (b, s) -> column
+    vh_cols: dict  # (b, s) -> {hub h: column}, h in branch order
+    land_cols: dict  # land arc (b, r) -> (nL column, range of uL0..uL<j-1>)
+    sea_cols: dict  # (s, t) -> (nS column, uS column or None)
 
 
 @dataclass
@@ -167,12 +174,15 @@ class MilpModel:
     def fix_no_hubs(self) -> None:
         """Restrict the model to pure port assignment with direct
         transport: set the upper bound of every hub column (x, y, vh) to 0."""
-        upper = self.upper
-        for j in self.meta.hub_columns:
+        meta, upper = self.meta, self.upper
+        for j in meta.x_cols.values():
             upper[j] = 0.0
+        for cols in chain(meta.y_cols.values(), meta.vh_cols.values()):
+            for j in cols.values():
+                upper[j] = 0.0
 
     def objective_value(self, values: dict) -> float:
-        return sum([c * values[name] for name, c in zip(self.names, self.obj) if c != 0.0])
+        return _objective(self, [values[name] for name in self.names])
 
 
 class _Records(Sequence):
@@ -227,42 +237,6 @@ def _clash(what: str, names: list) -> ModelNameError:
     )
 
 
-def _zn(b, t, s):
-    return f"z_{b}_{t}_{s}"
-
-
-def _xn(b):
-    return f"x_{b}"
-
-
-def _yn(b, s, h):
-    return f"y_{b}_{s}_{h}"
-
-
-def _vdn(b, s):
-    return f"vd_{b}_{s}"
-
-
-def _vhn(b, s, h):
-    return f"vh_{b}_{s}_{h}"
-
-
-def _nln(b, r):
-    return f"nL_{b}_{r}"
-
-
-def _uln(i, b, r):
-    return f"uL{i}_{b}_{r}"
-
-
-def _nsn(s, t):
-    return f"nS_{s}_{t}"
-
-
-def _usn(s, t):
-    return f"uS_{s}_{t}"
-
-
 def build_linearized_model(instance: Instance) -> MilpModel:
     """Build the full linearized model for a valid instance.
 
@@ -302,37 +276,34 @@ def build_linearized_model(instance: Instance) -> MilpModel:
         upper.extend([bound] * len(new_names))
         return range(start, len(names))
 
-    # Every name is formatted once, here.  The tables below hold column
-    # indices: z_cols[b, t] maps each usable port to its z column, and
-    # y_cols[b, s] and vh_cols[b, s] list the columns over the hubs h in
-    # B order.
+    # Every name is formatted once, here, and the tables of ModelMeta give
+    # each column's index.
     z_cols = {}
     for (b, t) in pairs:
         v = instance.demand[(b, t)]
         ports = usable[t]
         z_cols[(b, t)] = dict(zip(ports, columns(
-            [_zn(b, t, s) for s in ports], BINARY,
+            [f"z_{b}_{t}_{s}" for s in ports], BINARY,
             [instance.port_consol_cost[s] * v for s in ports],
         )))
-    x_block = columns([_xn(b) for b in B], BINARY, [instance.setup_cost[b] for b in B])
+    x_block = columns([f"x_{b}" for b in B], BINARY, [instance.setup_cost[b] for b in B])
     x_cols = dict(zip(B, x_block))
     n_bs = len(connections)
     y_block = columns(
-        [_yn(b, s, h) for (b, s) in connections for h in B], BINARY, [0.0] * (n_bs * len(B))
+        [f"y_{b}_{s}_{h}" for (b, s) in connections for h in B], BINARY, [0.0] * (n_bs * len(B))
     )
-    y_cols = {bs: y_block[k * len(B):(k + 1) * len(B)] for k, bs in enumerate(connections)}
+    y_cols = {bs: dict(zip(B, y_block[k * len(B):])) for k, bs in enumerate(connections)}
     vd_cols = dict(zip(connections, columns(
-        [_vdn(b, s) for (b, s) in connections], CONTINUOUS, [0.0] * n_bs
+        [f"vd_{b}_{s}" for (b, s) in connections], CONTINUOUS, [0.0] * n_bs
     )))
     vh_block = columns(
-        [_vhn(b, s, h) for (b, s) in connections for h in B], CONTINUOUS,
+        [f"vh_{b}_{s}_{h}" for (b, s) in connections for h in B], CONTINUOUS,
         [instance.hub_consol_cost[h] for _ in connections for h in B],
     )
-    vh_cols = {bs: vh_block[k * len(B):(k + 1) * len(B)] for k, bs in enumerate(connections)}
+    vh_cols = {bs: dict(zip(B, vh_block[k * len(B):])) for k, bs in enumerate(connections)}
 
     # Per arc, in arcs order: nL and the steps uL0..uL<j-1>, the largest
-    # family, whose kinds and bounds repeat from arc to arc; names
-    # formatted as _nln and _uln format them.
+    # family, whose kinds and bounds repeat from arc to arc.
     start = len(names)
     prefixes = ["nL", *[f"uL{i}" for i in range(j)]]
     names.extend([f"{prefix}_{b}_{r}" for (b, r) in arcs for prefix in prefixes])
@@ -342,18 +313,23 @@ def build_linearized_model(instance: Instance) -> MilpModel:
         values = curve(b, r).values
         obj.append(values[j])
         obj.extend(values[:j])
-    land_cols = [(nl, range(nl + 1, nl + 1 + j)) for nl in range(start, len(names), j + 1)]
+    land_cols = {
+        arc: (nl, range(nl + 1, nl + 1 + j))
+        for arc, nl in zip(arcs, range(start, len(names), j + 1))
+    }
     # Per relation: nS, and uS where the relation has an NVOCC rate.
     sea_cols = {}
     for (s, t) in relations:
         rate = instance.sea_rates[(s, t)]
         fcl = rate.fcl_per_container
-        ns = columns([_nsn(s, t)], INTEGER, [fcl if fcl is not None else instance.nvocc_penalty])
+        ns = columns(
+            [f"nS_{s}_{t}"], INTEGER, [fcl if fcl is not None else instance.nvocc_penalty]
+        )[0]
         us = None
         if rate.nvocc_per_m3 is not None:
             u_lim = rate.nvocc_limit(instance.nvocc_cap)
-            us = columns([_usn(s, t)], CONTINUOUS, [rate.nvocc_per_m3], u_lim)[0]
-        sea_cols[(s, t)] = (ns[0], us)
+            us = columns([f"uS_{s}_{t}"], CONTINUOUS, [rate.nvocc_per_m3], u_lim)[0]
+        sea_cols[(s, t)] = (ns, us)
 
     row_names: list[str] = []
     senses: list[str] = []
@@ -388,7 +364,7 @@ def build_linearized_model(instance: Instance) -> MilpModel:
         row(f"port_{b}_{t}", EQ, 1.0, zs.values(), [1.0] * len(zs))
     ones = [1.0] * len(B)
     for (b, s), ys in y_cols.items():
-        row(f"onehub_{b}_{s}", LE, 1.0, ys, ones)
+        row(f"onehub_{b}_{s}", LE, 1.0, ys.values(), ones)
     # y_block runs over (b, s) and then h: act_ pairs y[b, s, h] with x[h],
     # and norelay_ pairs y[h, s, c] with x[h].
     pair_rows(
@@ -407,7 +383,7 @@ def build_linearized_model(instance: Instance) -> MilpModel:
     for b in B:
         m_b = sum(instance.demand[(b, t)] for t in by_branch.get(b, []))
         for s in S:
-            vhs = vh_cols[(b, s)]
+            vhs = vh_cols[(b, s)].values()
             cols = [vd_cols[(b, s)], *vhs]
             coefs = minus_ones.copy()
             for t in by_branch.get(b, []):
@@ -416,23 +392,19 @@ def build_linearized_model(instance: Instance) -> MilpModel:
                     cols.append(zs[s])
                     coefs.append(instance.demand[(b, t)])
             row(f"split_{b}_{s}", EQ, 0.0, cols, coefs)
-            pair_rows(
-                [f"bigm_{b}_{s}_{h}" for h in B], LE, 0.0, vhs, y_cols[(b, s)], (1.0, -m_b)
-            )
+            ys = y_cols[(b, s)].values()
+            pair_rows([f"bigm_{b}_{s}_{h}" for h in B], LE, 0.0, vhs, ys, (1.0, -m_b))
 
-    position = {b: i for i, b in enumerate(B)}
     minus_v = [-v for v in v_pts]
     land_coefs = [minus_v[j], *minus_v[:j]]
     step_ones = [1.0] * j
-    for (b, r), (nl, steps) in zip(arcs, land_cols):
+    for (b, r), (nl, steps) in land_cols.items():
         if r in instance.nodes.origin_ports:
             # Arc into a port: direct volume of b plus everything hubbed via b.
-            hub = position[b]
-            cols = [vd_cols[(b, r)], *[vh_cols[(c, r)][hub] for c in B]]
+            cols = [vd_cols[(b, r)], *[vh_cols[(c, r)][b] for c in B]]
         else:
             # Arc into hub r: the feeder flow from b over every port.
-            hub = position[r]
-            cols = [vh_cols[(b, s)][hub] for s in S]
+            cols = [vh_cols[(b, s)][r] for s in S]
         coefs = [1.0] * len(cols)
         cols.append(nl)
         cols.extend(steps)
@@ -468,11 +440,7 @@ def build_linearized_model(instance: Instance) -> MilpModel:
         col=col,
         coef=coef,
         meta=ModelMeta(
-            instance=instance,
-            breakpoints=v_pts,
-            step_count=j,
-            land_arcs=arcs,
-            hub_columns=[*x_block, *y_block, *vh_block],
+            instance, v_pts, j, z_cols, x_cols, y_cols, vd_cols, vh_cols, land_cols, sea_cols
         ),
     )
     model.validate()
@@ -519,58 +487,62 @@ def encode_solution(model: MilpModel, solution: Solution) -> dict:
         instance, solution.port_choice, solution.fraction, solution.hub_choice
     )
 
-    values = dict.fromkeys(model.names, 0.0)
-
-    for (b, t) in instance.positive_pairs():
-        values[_zn(b, t, solution.port_choice[(b, t)])] = 1.0
+    x = [0.0] * len(model.names)
+    for bt, zs in meta.z_cols.items():
+        x[zs[solution.port_choice[bt]]] = 1.0
     for h in solution.hubs:
-        values[_xn(h)] = 1.0
+        x[meta.x_cols[h]] = 1.0
 
     vols = flows.vols
-    for b in instance.nodes.branches:
-        for s in instance.nodes.origin_ports:
-            v = vols.get((b, s), 0.0)
-            h = solution.hub_choice.get((b, s))
-            if h is not None:
-                values[_yn(b, s, h)] = 1.0
-                y = solution.fraction(b, s)
-                values[_vdn(b, s)] = y * v
-                values[_vhn(b, s, h)] = (1.0 - y) * v
-            else:
-                values[_vdn(b, s)] = v
+    for bs, vd in meta.vd_cols.items():
+        v = vols.get(bs, 0.0)
+        h = solution.hub_choice.get(bs)
+        if h is not None:
+            x[meta.y_cols[bs][h]] = 1.0
+            y = solution.fraction(*bs)
+            x[vd] = y * v
+            x[meta.vh_cols[bs][h]] = (1.0 - y) * v
+        else:
+            x[vd] = v
 
     v_pts = meta.breakpoints
     j = meta.step_count
     u_cont = v_pts[-1]
     arc_vol = {**flows.port_arc, **flows.hub_arc}  # keys differ: r is a port or a branch
-    for (b, r) in meta.land_arcs:
-        load = arc_vol.get((b, r), 0.0)
+    for arc, (nl, steps) in meta.land_cols.items():
+        load = arc_vol.get(arc, 0.0)
         if load <= 0.0:
             continue
         n, u = container_split(load, u_cont)
         if u == 0.0:
-            values[_nln(b, r)] = float(n)
+            x[nl] = float(n)
         elif u <= v_pts[0]:
-            values[_nln(b, r)] = float(n)
-            values[_uln(0, b, r)] = u / v_pts[0]
+            x[nl] = float(n)
+            x[steps[0]] = u / v_pts[0]
         else:
             i = bisect_left(v_pts, u)
             if i >= j:
                 # Rest volume in the last band costs a full container.
-                values[_nln(b, r)] = float(n + 1)
+                x[nl] = float(n + 1)
             else:
-                values[_nln(b, r)] = float(n)
-                values[_uln(i, b, r)] = 1.0
+                x[nl] = float(n)
+                x[steps[i]] = 1.0
 
     for (s, t), w in sorted(flows.sea_vol.items()):
         _, n, u = sea_cost(
             instance.sea_rates[(s, t)], w, instance.sea_container_volume,
             instance.nvocc_cap, instance.nvocc_penalty,
         )
-        values[_nsn(s, t)] = float(n)
+        ns, us = meta.sea_cols[(s, t)]
+        x[ns] = float(n)
         if u > 0.0:
-            values[_usn(s, t)] = u
-    return values
+            x[us] = u
+    return dict(zip(model.names, x))
+
+
+def _objective(model: MilpModel, x: list) -> float:
+    """The objective at the column values ``x``, summed in column order."""
+    return sum([c * v for c, v in zip(model.obj, x) if c != 0.0])
 
 
 def row_residuals(model: MilpModel, x: list) -> list:
@@ -603,14 +575,13 @@ def max_residual(model: MilpModel, values: dict) -> float:
 def decode_solution(model: MilpModel, values: dict):
     """Reconstruct a Solution from solver output values.
 
-    Values must cover every model variable and be finite; binaries and
-    integers must be within 1e-5 of integral and constraint residuals
-    within 1e-4.  The
-    decoded solution's approximated cost must not exceed the model
-    objective at the (integer-rounded) values by more than ``COST_RTOL``:
-    a load a residual tolerance above a land volume break is priced one
-    step up by the evaluator although the model's step variables price it
-    below.  A cost below the objective is accepted, since the ``cap_`` and
+    Values must name every model variable and no other, and be finite;
+    binaries and integers must be within 1e-5 of integral and constraint
+    residuals within 1e-4.  The decoded solution's approximated cost
+    must not exceed the model objective at the (integer-rounded) values
+    by more than ``COST_RTOL``: a load a residual tolerance above a land
+    volume break is priced one step up by the evaluator although the
+    model's step variables price it below.  A cost below the objective is accepted, since the ``cap_`` and
     ``sea_`` rows let a feasible answer (say, a time-limited solver's
     incumbent) carry more containers than its loads need; the evaluator
     prices the minimum.  Returns ``(solution, breakdown)``, the breakdown
@@ -624,6 +595,12 @@ def decode_solution(model: MilpModel, values: dict):
     if missing:
         raise ModelDecodeError(
             f"values missing for {len(missing)} variable(s), first: {missing[0]}"
+        )
+    if len(values) > len(names):  # no name is missing, so some are extra
+        known = set(names)
+        extra = [name for name in values if name not in known]
+        raise ModelDecodeError(
+            f"values name {len(extra)} variable(s) the model lacks, first: {extra[0]}"
         )
 
     x = []
@@ -646,30 +623,28 @@ def decode_solution(model: MilpModel, values: dict):
     for row, res in zip(model.row_names, row_residuals(model, x)):
         if res > RESIDUAL_TOL:
             raise ModelDecodeError(f"constraint {row} violated by {res}")
-    clean = dict(zip(names, x))
 
     port_choice = {}
-    for (b, t) in instance.positive_pairs():
-        chosen = [s for s in instance.usable_ports(t) if clean[_zn(b, t, s)] > 0.5]
+    for (b, t), zs in meta.z_cols.items():
+        chosen = [s for s, j in zs.items() if x[j] > 0.5]
         if len(chosen) != 1:
             raise ModelDecodeError(f"shipment ({b}, {t}) selects {len(chosen)} origin ports")
         port_choice[(b, t)] = chosen[0]
 
-    hubs = frozenset(b for b in instance.nodes.branches if clean[_xn(b)] > 0.5)
+    hubs = frozenset(b for b, j in meta.x_cols.items() if x[j] > 0.5)
     hub_choice = {}
     direct_fraction = {}
     vols = port_volumes(instance, port_choice)
-    for b in instance.nodes.branches:
-        for s in instance.nodes.origin_ports:
-            picked = [h for h in instance.nodes.branches if clean[_yn(b, s, h)] > 0.5]
-            if not picked:
-                continue
-            hub_choice[(b, s)] = picked[0]
-            v = vols.get((b, s), 0.0)
-            if v > 0.0:
-                direct_fraction[(b, s)] = min(1.0, max(0.0, clean[_vdn(b, s)] / v))
-            else:
-                direct_fraction[(b, s)] = 1.0
+    for bs, ys in meta.y_cols.items():
+        picked = [h for h, j in ys.items() if x[j] > 0.5]
+        if not picked:
+            continue
+        hub_choice[bs] = picked[0]
+        v = vols.get(bs, 0.0)
+        if v > 0.0:
+            direct_fraction[bs] = min(1.0, max(0.0, x[meta.vd_cols[bs]] / v))
+        else:
+            direct_fraction[bs] = 1.0
 
     solution = Solution(
         port_choice=port_choice,
@@ -678,7 +653,7 @@ def decode_solution(model: MilpModel, values: dict):
         hub_choice=hub_choice,
     )
     breakdown = evaluate_cost(instance, solution, "approx")
-    objective = model.objective_value(clean)
+    objective = _objective(model, x)
     if breakdown.total - objective > COST_RTOL * max(1.0, abs(objective)):
         raise ModelDecodeError(
             f"decoded solution costs {breakdown.total!r} (approximated), "
@@ -687,15 +662,23 @@ def decode_solution(model: MilpModel, values: dict):
     return solution, breakdown
 
 
-def parse_values_text(text: str) -> dict:
-    """Parse solver output in plain `name value` per-line form."""
-    out = {}
+def _value_lines(text: str):
+    """(line number, line, tokens) of each line that is neither blank nor
+    a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # One split per line: a blank line has no token, and a comment's
         # first token starts with "#".
         parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
+        if parts and parts[0][0] != "#":
+            yield lineno, raw, parts
+
+
+def parse_values_text(text: str) -> dict:
+    """Parse solver output in plain `name value` per-line form; a name
+    given on two lines is refused."""
+    out = {}
+    count = 0
+    for lineno, raw, parts in _value_lines(text):
         if len(parts) != 2:
             raise ModelDecodeError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, value = parts
@@ -703,6 +686,15 @@ def parse_values_text(text: str) -> dict:
             out[name] = float(value)
         except ValueError:
             raise ModelDecodeError(f"line {lineno}: {value!r} is not a number")
+        count += 1
+    if count != len(out):  # some name was given twice: find the first repeat
+        first = {}
+        for lineno, _, (name, _) in _value_lines(text):
+            if name in first:
+                raise ModelDecodeError(
+                    f"line {lineno}: {name} given twice (first on line {first[name]})"
+                )
+            first[name] = lineno
     return out
 
 

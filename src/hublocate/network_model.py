@@ -3,8 +3,9 @@
 An instance bundles the node sets (branches, origin ports, destination
 ports), the demand matrix, the land tariff table, the per-relation sea
 rates, consolidation and set-up costs, the container parameters, and the
-branch-to-node distance map.  Volumes are the primary demand unit (m3);
-weight is derived via the dimensional factor and never stored.
+branch-to-node distance map.  Volumes are the demand unit (m3); the
+dimensional factor is carried and validated, but nothing is priced by
+weight.
 
 The interchange format is a single JSON document with top-level sections
 nodes, demand, distances, land_cost_table, sea_rates, setup_costs,

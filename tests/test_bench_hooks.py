@@ -105,3 +105,41 @@ def test_private_definitions_have_callers():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     assert sorted(where for name, where in defined.items() if name not in referenced) == []
+
+
+# Public functions no program code calls, kept because tests read the
+# model through them.
+TEST_HELPERS = ("variable_counts", "constraint_counts", "max_residual")
+
+
+def test_public_functions_have_callers():
+    # A module-level public function that the package names nowhere but in
+    # its own definition and in ``__init__.py``, that no ``perfbench/``
+    # module imports and that is not a listed test helper is dead code.
+    package = ROOT / "src" / "hublocate"
+    defined = {}
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined.setdefault(own, f"{path.name}:{top.lineno} {own}")
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            referenced |= names - {own}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hublocate"):
+                referenced.update(alias.name for alias in node.names)
+    referenced.update(TEST_HELPERS)
+    assert sorted(where for name, where in defined.items() if name not in referenced) == []

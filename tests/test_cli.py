@@ -462,6 +462,33 @@ class TestUnreadableFiles:
         assert "x_B04" in err and "not a finite number" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        ("bogus_var 5\n", "values name 1 variable(s) the model lacks, first: bogus_var"),
+        ("{first}", "line {line}: {name} given twice (first on line 1)"),
+    ])
+    def test_decode_refuses_values_that_name_other_variables(
+        self, tmp_path, capsys, extra, message
+    ):
+        # Both decoded with exit 0 before: an extra name was ignored, and
+        # a repeated line overwrote the first.
+        instance = generate(1, 3, 2, 2, 1.0)
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        values = encode_solution(build_linearized_model(instance), solve_two_stage(instance).merged)
+        text = format_values_text(values)
+        first = text.splitlines(keepends=True)[0]
+        line = text.count("\n") + 1
+        (tmp_path / "values.txt").write_text(text + extra.format(first=first))
+        assert main(["build-milp", str(inst), "-o", str(tmp_path / "m.mps")]) == 0
+        out = tmp_path / "decoded.json"
+        rc = main(["decode", str(inst), str(tmp_path / "m.mps"), str(tmp_path / "values.txt"),
+                   "-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message.format(line=line, name=first.split()[0]) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestMilpRoundTrip:
     def test_build_milp_byte_stable(self, toy_file, tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hublocate import (
     LandCostTable,
     SeaRate,
-    chargeable_weight,
     generate,
     land_breakpoints,
     land_cost_approx,
@@ -312,19 +311,3 @@ class TestSeaCost:
             fcl_per_container=100.0, nvocc_per_m3=5.0
         ).nvocc_limit(40.0) == pytest.approx(20.0)
 
-
-class TestChargeableWeight:
-    def test_dimensional_factor(self):
-        assert chargeable_weight(1.0, 300.0) == 300.0
-
-    def test_zero(self):
-        assert chargeable_weight(0.0, 300.0) == 0.0
-
-    def test_linearity(self):
-        assert chargeable_weight(2.5, 300.0) == 750.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            chargeable_weight(-1.0, 300.0)
-        with pytest.raises(ValueError):
-            chargeable_weight(1.0, 0.0)

@@ -152,6 +152,56 @@ class TestRecords:
                 assert r == cls(*r)
 
 
+class TestColumnLayout:
+    @pytest.mark.parametrize("fix_no_hubs", [False, True])
+    @pytest.mark.parametrize("seed,n_b,n_s,n_t", [(0, 8, 3, 4), (4, 16, 3, 6)])
+    def test_tables_index_every_column_once(self, seed, n_b, n_s, n_t, fix_no_hubs):
+        """Each table entry indexes the column its family's name format
+        names, the tables cover every column exactly once, and
+        ``fix_no_hubs`` zeroes exactly the x, y and vh columns."""
+        model = build_linearized_model(generate(seed, n_b, n_s, n_t, 0.6, PROFILES[seed % 3]))
+        before = list(model.upper)
+        if fix_no_hubs:
+            model.fix_no_hubs()
+        meta = model.meta
+        named = {}  # column -> the name its table entry gives it
+        hub_cols = set()
+
+        def put(j, name, hub=False):
+            assert j not in named, (name, named.get(j))
+            named[j] = name
+            if hub:
+                hub_cols.add(j)
+
+        for (b, t), zs in meta.z_cols.items():
+            for s, j in zs.items():
+                put(j, f"z_{b}_{t}_{s}")
+        for b, j in meta.x_cols.items():
+            put(j, f"x_{b}", hub=True)
+        for (b, s), ys in meta.y_cols.items():
+            for h, j in ys.items():
+                put(j, f"y_{b}_{s}_{h}", hub=True)
+        for (b, s), j in meta.vd_cols.items():
+            put(j, f"vd_{b}_{s}")
+        for (b, s), vhs in meta.vh_cols.items():
+            for h, j in vhs.items():
+                put(j, f"vh_{b}_{s}_{h}", hub=True)
+        for (b, r), (nl, steps) in meta.land_cols.items():
+            assert len(steps) == meta.step_count
+            put(nl, f"nL_{b}_{r}")
+            for i, j in enumerate(steps):
+                put(j, f"uL{i}_{b}_{r}")
+        for (s, t), (ns, us) in meta.sea_cols.items():
+            put(ns, f"nS_{s}_{t}")
+            if us is not None:
+                put(us, f"uS_{s}_{t}")
+
+        assert named == dict(enumerate(model.names))
+        changed = {j for j, (a, b) in enumerate(zip(before, model.upper)) if a != b}
+        assert changed == (hub_cols if fix_no_hubs else set())
+        assert all(model.upper[j] == 0.0 for j in changed)
+
+
 class TestCoefficients:
     def test_nvocc_only_relation_priced_at_penalty(self, toy_instance):
         inst = dataclasses.replace(
@@ -371,6 +421,21 @@ class TestEncodeDecode:
             decode_solution(model, values)
         assert str(err.value) == "values missing for 3 variable(s), first: x_B1"
 
+    def test_decode_rejects_names_the_model_lacks(self, toy_instance):
+        model = build_linearized_model(toy_instance)
+        values = encode_solution(
+            model, Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
+        )
+        values["bogus_var"] = 5.0
+        values["uS_S9_T1"] = 0.0
+        with pytest.raises(ModelDecodeError) as err:
+            decode_solution(model, values)
+        assert str(err.value) == "values name 2 variable(s) the model lacks, first: bogus_var"
+        # A missing name is reported first, even with extra names present.
+        del values["x_B1"]
+        with pytest.raises(ModelDecodeError, match="^values missing for 1 variable"):
+            decode_solution(model, values)
+
     def test_decode_refuses_cost_above_objective(self):
         # Moving 3e-14 of the on-break feeder load from direct to hub keeps
         # every residual tiny, but the decoded feeder load lands just above
@@ -439,8 +504,13 @@ class TestParseValues:
         assert math.isnan(out["a"])
         assert out["b"] == math.inf and out["c"] == -math.inf
 
-    def test_later_line_wins(self):
-        assert parse_values_text("a 1\na 2\n") == {"a": 2.0}
+    @pytest.mark.parametrize("second", ["1", "2"])
+    def test_name_given_twice_is_refused(self, second):
+        # An equal repeat is refused as a conflicting one is: the first
+        # repeat in the file, with the line of its first occurrence.
+        text = f"a 1\n# c\nb 2\na {second}\nb 2\n"
+        with pytest.raises(ModelDecodeError, match=r"^line 4: a given twice \(first on line 1\)$"):
+            parse_values_text(text)
 
     def test_three_tokens_name_their_line(self):
         with pytest.raises(ModelDecodeError, match=r"^line 3: expected 'name value', got 'b 2 3'$"):
