@@ -568,7 +568,6 @@ class _SearchState:
             if v > 0.0:
                 self.demand_of.setdefault(b, []).append((t, v))
                 self.shippers_to.setdefault(t, []).append((b, v))
-        self.delta = 0.0  # cost change since the last accepted move
         # Touched since the last refresh; dicts keep the order deterministic.
         self._pairs: dict = {}  # pair -> its hub before the first touch
         self._vol_pairs: dict = {}
@@ -728,7 +727,6 @@ class _SearchState:
             d += inst.hub_consol_cost[h] * load - inst.hub_consol_cost[h] * old
 
         self._clear_touched()
-        self.delta += d
         return d
 
     def _clear_touched(self) -> None:
@@ -740,15 +738,15 @@ class _SearchState:
     def save(self):
         fl = self.flows
         return (
-            self.delta, dict(self.ports), set(self.hubs), dict(self.choices), dict(self.fracs),
-            dict(self.via), dict(fl.vols), dict(fl.port_arc), dict(fl.hub_arc),
-            dict(fl.hub_inflow), dict(fl.port_totals), dict(fl.sea_vol),
+            dict(self.ports), set(self.hubs), dict(self.choices), dict(self.fracs), dict(self.via),
+            dict(fl.vols), dict(fl.port_arc), dict(fl.hub_arc), dict(fl.hub_inflow),
+            dict(fl.port_totals), dict(fl.sea_vol),
         )
 
     def restore(self, token) -> None:
         """Return to the state of ``token``, taking over its maps (so restore a token once)."""
         fl = self.flows
-        (self.delta, self.ports, self.hubs, self.choices, self.fracs, self.via, fl.vols,
+        (self.ports, self.hubs, self.choices, self.fracs, self.via, fl.vols,
          fl.port_arc, fl.hub_arc, fl.hub_inflow, fl.port_totals, fl.sea_vol) = token
         self._clear_touched()
 
@@ -785,14 +783,12 @@ def _try(
     token = state.save()
     exact = mutate()
     if exact is None:
-        state.refresh()
-        c = state.below(current + state.delta, limit)
+        c = state.below(current + state.refresh(), limit)
     else:
         c = exact if exact < limit else None
     if c is None:
         state.restore(token)
         return None
-    state.delta = 0.0
     report = check_feasibility(state.instance, state.as_solution())
     if report:
         raise InfeasibleSolutionError(report)

@@ -18,11 +18,12 @@ matched against them):
   uS_<s>_<t>      cont.    NVOCC volume on (s, t), bounded by the relation
                            limit; omitted for FCL-only relations
 
-Constraint families: port_ (one origin port per shipment), onehub_,
-act_ (hub activation), norelay_ (hubs never relay via hubs), split_
-(volume split, kept as an equation so encoding and decoding are inverse),
-bigm_ (per-branch big-M linking), cap_ (land capacity per arc), step_
-(at most one active land step), sea_ (sea capacity per relation).
+Constraint families: port_ (one origin port per shipment), onehub_ (at
+most one hub per connection, none for a hub's own connections), act_
+(hub activation), split_ (volume split, kept as an equation so encoding
+and decoding are inverse), bigm_ (per-branch big-M linking), cap_ (land
+capacity per arc), step_ (at most one active land step), sea_ (sea
+capacity per relation).
 
 Model size closed forms, with nB/nS branches/ports, P positive-demand
 pairs, A the total number of (pair, usable port) combinations, U rated
@@ -30,7 +31,7 @@ relations, Un rated relations with an NVOCC rate, R = nB * (nB + nS)
 land arcs, and j the land step count:
 
   variables   A + nB + 2 * nB^2 * nS + nB * nS + R * (j + 1) + U + Un
-  constraints P + 3 * nB^2 * nS + 2 * nB * nS + 2 * R + U
+  constraints P + 2 * nB^2 * nS + 2 * nB * nS + 2 * R + U
 
 Store and column layout.  ``MilpModel`` keeps its columns as parallel
 lists ``names``, ``kinds``, ``obj`` and ``upper`` (``None`` for the
@@ -362,18 +363,14 @@ def build_linearized_model(instance: Instance) -> MilpModel:
     for (b, t) in pairs:
         zs = z_cols[(b, t)]
         row(f"port_{b}_{t}", EQ, 1.0, zs.values(), [1.0] * len(zs))
-    ones = [1.0] * len(B)
+    # At most one hub per connection, and none if b is itself a hub.
+    ones = [1.0] * (len(B) + 1)
     for (b, s), ys in y_cols.items():
-        row(f"onehub_{b}_{s}", LE, 1.0, ys.values(), ones)
-    # y_block runs over (b, s) and then h: act_ pairs y[b, s, h] with x[h],
-    # and norelay_ pairs y[h, s, c] with x[h].
+        row(f"onehub_{b}_{s}", LE, 1.0, [*ys.values(), x_cols[b]], ones)
+    # y_block runs over (b, s) and then h: act_ pairs y[b, s, h] with x[h].
     pair_rows(
         [f"act_{b}_{s}_{h}" for (b, s) in connections for h in B], LE, 0.0,
         y_block, [*x_block] * n_bs, (1.0, -1.0),
-    )
-    pair_rows(
-        [f"norelay_{h}_{s}_{c}" for (h, s) in connections for c in B], LE, 1.0,
-        y_block, [x_cols[h] for (h, _) in connections for _ in B], (1.0, 1.0),
     )
 
     by_branch = {}
@@ -760,7 +757,7 @@ def emit_lp(model: MilpModel) -> str:
     for row, hi, sense, rhs in zip(
         model.row_names, islice(model.row_start, 1, None), model.senses, model.rhs
     ):
-        if hi - lo == 2:  # most rows: act_, norelay_, bigm_
+        if hi - lo == 2:  # most rows: act_, bigm_
             a, b = lo, lo + 1
             if entry_names[b] < entry_names[a]:
                 a, b = b, a

@@ -9,8 +9,8 @@ the model constraints:
   C8   at most one hub per (branch, origin port) pair
   C9   a direct share below 1 requires a hub choice
   C10  chosen hubs must be open
-  C11  open hubs ship their own volume direct (and carry no hub choice,
-       matching the linearized model's no-relay rows)
+  C11  open hubs ship their own volume direct (and carry no hub choice;
+       the linearized model's onehub_ rows state C8 and C11 together)
 
 The evaluator reproduces the six objective terms: hub set-up, hub
 consolidation, port consolidation, branch-to-port land legs (which also

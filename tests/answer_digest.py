@@ -13,7 +13,8 @@ digest in hex, so a change in the last bit shows.  Two more sha256,
 without the work counters, and two more lines sum those counters, one
 over the oracle runs and one over the local searches.  So a change that
 moves work but no answer changes the ``oracle`` or ``heuristics`` line
-(and the work sums) while the matching answers line stays put.
+(and the work sums) while the matching answers line stays put; so does
+``model-answers`` beside ``model`` for a change to the emitted text.
 ``heuristic-solutions`` drops the move counters too, so it stays put
 when a change alters only which moves are tried.
 
@@ -42,7 +43,9 @@ when a change alters only which moves are tried.
   ``decode_solution`` makes of the ``encode_solution`` values of a
   random feasible solution (``solgen.random_feasible_solution``): the
   decoded solution, its approximated breakdown and the model objective
-  at the values, or decode's refusal message.
+  at the values, or decode's refusal message;
+* model answers: the same without the LP and MPS texts, so a change to
+  the emitted text alone keeps it; the line counts decode's refusals.
 
 Not a test module (pytest collects only ``test_*.py``).
 """
@@ -226,6 +229,9 @@ def main() -> None:
     print("local-search work  " + "  ".join(work))
     model, cpu = timed(model_answers())
     print(f"model      {sha256_of(model)}  {len(model)} instances  {cpu:.2f} s CPU")
+    decoded = [{key: item for key, item in answer.items() if key != "texts"} for answer in model]
+    refusals = sum("refused" in answer for answer in decoded)
+    print(f"model-answers {sha256_of(decoded)}  {len(decoded)} instances  {refusals} refusals")
 
 
 if __name__ == "__main__":

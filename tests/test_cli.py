@@ -19,6 +19,7 @@ from hublocate import (
 )
 from hublocate.cli import COMMANDS, build_parser, main
 from hublocate.cost_model import COST_RTOL
+from hublocate.gen import PROFILES
 from hublocate.milp import format_values_text
 from hublocate.network_model import save_instance
 from hublocate.solution import evaluate_cost, load_solution, save_solution
@@ -149,6 +150,34 @@ class TestSolve:
             rc = main(["solve", "--method", method, str(cons_file), "-o", str(out)])
             assert rc == 0
             assert load_solution(out) is not None
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_start_file_matches_the_default_start(self, tmp_path, seed, profile):
+        # The default start is the two-stage solution, so starting from its
+        # saved file must write the same solution file.
+        inst = tmp_path / "inst.json"
+        save_instance(generate(seed, 6, 3, 3, 0.6, profile), inst)
+        start, default, from_file = (tmp_path / f"{n}.json" for n in ("start", "a", "b"))
+        assert main(["solve", "--method", "two-stage", str(inst), "-o", str(start)]) == 0
+        assert main(["solve", "--method", "local-search", str(inst), "-o", str(default)]) == 0
+        assert main([
+            "solve", "--method", "local-search", "--start-file", str(start), str(inst),
+            "-o", str(from_file),
+        ]) == 0
+        assert from_file.read_bytes() == default.read_bytes()
+
+    def test_infeasible_start_file_exits_1(self, toy_file, tmp_path, capsys):
+        start = tmp_path / "start.json"
+        save_solution(Solution(port_choice={("B1", "T1"): "S1"}), start)  # (B2, T1) unassigned
+        out = tmp_path / "out.json"
+        assert main([
+            "solve", "--method", "local-search", "--start-file", str(start), str(toy_file),
+            "-o", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution is infeasible") and "Traceback" not in err
+        assert not out.exists()
 
     def test_two_stage_time_budget_exits_3(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -330,6 +359,41 @@ class TestBadInput:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert "must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("code,edit", [
+        ("EMPTY_NODE_SET", lambda d: d["nodes"].update(origin_ports=[])),
+        ("INVALID_NODE_ID", lambda d: d["nodes"]["destination_ports"].append("9T")),
+        ("BAD_TABLE", lambda d: d["land_cost_table"].update(distance_breaks=[1000.0, 100.0])),
+        ("BAD_TABLE", lambda d: d["land_cost_table"].update(volume_breaks=[40.0, 10.0, 80.0])),
+        ("BAD_TABLE", lambda d: d["land_cost_table"]["cost"].pop()),
+        ("NEGATIVE_COST", lambda d: d["land_cost_table"]["cost"][0].__setitem__(0, -1.0)),
+        ("NEGATIVE_COST", lambda d: d["setup_costs"].update(B1=-5.0)),
+        ("UNKNOWN_NODE", lambda d: d["sea_rates"].append(
+            {**d["sea_rates"][0], "origin": "S9"})),
+        ("UNKNOWN_NODE", lambda d: d["setup_costs"].update(B9=5.0)),
+        ("UNKNOWN_NODE", lambda d: d["distances"].append({"from": "B9", "km": 5.0, "to": "S1"})),
+        ("BAD_CONTAINER_PARAMS", lambda d: d["parameters"].update(land_container_volume=0.0)),
+        ("BAD_CONTAINER_PARAMS", lambda d: d["parameters"].update(dimensional_factor=0.0)),
+        ("NEGATIVE_DISTANCE", lambda d: d["distances"][2].update(km=-5.0)),
+    ], ids=[
+        "empty-ports", "bad-id", "distance-breaks", "volume-breaks", "cost-shape",
+        "negative-tariff", "negative-setup", "sea-rate-node", "cost-map-node", "distance-node",
+        "container-volume", "dimensional-factor", "negative-distance",
+    ])
+    def test_each_violation_code_is_reported(self, toy_file, tmp_path, capsys, code, edit):
+        doc = json.loads(toy_file.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"\n{code} " in "\n" + out and "INVALID" in out
+        out_file = tmp_path / "x.json"
+        assert main(["solve", "--method", "two-stage", str(bad), "-o", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance is invalid") and code in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_invalid_instance_is_refused_before_pricing(self, toy_file, tmp_path, capsys,

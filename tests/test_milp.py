@@ -27,9 +27,15 @@ from hublocate import (
     generate,
     solve_two_stage,
 )
+from hublocate.cost_model import COST_RTOL
 from hublocate.errors import InfeasibleSolutionError, ModelDecodeError
+from hublocate.exact_oracle import enumerate_optimal, solve_no_hubs
 from hublocate.gen import PROFILES
 from hublocate.milp import (
+    BINARY,
+    CONTINUOUS,
+    GE,
+    LE,
     Constraint,
     Variable,
     constraint_counts,
@@ -96,8 +102,25 @@ def expected_counts(instance: Instance, j: int) -> tuple[int, int]:
     u_nv = sum(1 for r in instance.sea_rates.values() if r.nvocc_per_m3 is not None)
     r = n_b * (n_b + n_s)
     n_vars = a + n_b + 2 * n_b * n_b * n_s + n_b * n_s + r * (j + 1) + u + u_nv
-    n_rows = p + 3 * n_b * n_b * n_s + 2 * n_b * n_s + 2 * r + u
+    n_rows = p + 2 * n_b * n_b * n_s + 2 * n_b * n_s + 2 * r + u
     return n_vars, n_rows
+
+
+def expected_row_families(instance: Instance) -> dict:
+    """Closed-form row count of each constraint family."""
+    n_b = len(instance.nodes.branches)
+    n_s = len(instance.nodes.origin_ports)
+    r = n_b * (n_b + n_s)
+    return {
+        "port": len(instance.positive_pairs()),
+        "onehub": n_b * n_s,
+        "act": n_b * n_b * n_s,
+        "split": n_b * n_s,
+        "bigm": n_b * n_b * n_s,
+        "cap": r,
+        "step": r,
+        "sea": len(instance.sea_rates),
+    }
 
 
 class TestModelSize:
@@ -118,6 +141,16 @@ class TestModelSize:
         n_vars, n_rows = expected_counts(instance, j=3)
         assert len(model.variables) == n_vars
         assert len(model.constraints) == n_rows
+
+    @pytest.mark.parametrize("dims", [(2, 1, 1), (3, 2, 2), (4, 2, 3), "16x3x6"])
+    def test_row_family_counts(self, dims):
+        # Equal dicts: the model emits no other row family.
+        if dims == "16x3x6":
+            instance = generate(4, 16, 3, 6, 0.6, "uniform")
+        else:
+            instance = full_demand_instance(*dims)
+        model = build_linearized_model(instance)
+        assert constraint_counts(model) == expected_row_families(instance)
 
     def test_linearization_count_independent_of_destinations(self):
         base = variable_counts(build_linearized_model(full_demand_instance(3, 2, 2)))
@@ -489,6 +522,46 @@ class TestEncodeDecode:
             model, Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         )
         assert parse_values_text(format_values_text(values)) == values
+
+
+def highs_objective(model) -> float:
+    """The optimal objective of ``model`` solved by HiGHS through
+    ``scipy.optimize.milp``."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    matrix = sparse.csr_array(
+        (model.coef, model.col, model.row_start), shape=(len(model.rhs), len(model.names))
+    )
+    lower = [-math.inf if sense == LE else b for sense, b in zip(model.senses, model.rhs)]
+    upper = [math.inf if sense == GE else b for sense, b in zip(model.senses, model.rhs)]
+    col_upper = [
+        u if u is not None else (1.0 if kind == BINARY else math.inf)
+        for kind, u in zip(model.kinds, model.upper)
+    ]
+    result = optimize.milp(
+        model.obj,
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=[0 if kind == CONTINUOUS else 1 for kind in model.kinds],
+        bounds=optimize.Bounds(0.0, col_upper),
+        options={"disp": False, "time_limit": 60.0, "mip_rel_gap": 0.0},
+    )
+    assert result.status == 0, result.message
+    return result.fun
+
+
+class TestHighs:
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_optimum_matches_the_oracle(self, profile):
+        # Objectives only: decoding a HiGHS answer can land a load on a
+        # volume break, which decode refuses.
+        for seed in range(1, 6):
+            inst = generate(seed, 2, 3, 2, 1.0, profile)
+            model = build_linearized_model(inst)
+            oracle = evaluate_cost(inst, enumerate_optimal(inst, 2).solution, "approx").total
+            assert highs_objective(model) == pytest.approx(oracle, rel=COST_RTOL), seed
+            model.fix_no_hubs()
+            direct = evaluate_cost(inst, solve_no_hubs(inst), "approx").total
+            assert highs_objective(model) == pytest.approx(direct, rel=COST_RTOL), seed
 
 
 class TestParseValues:

@@ -125,7 +125,6 @@ def test_move_delta_matches_full_evaluation(volumes, seed):
             inst, after_solution.port_choice, after_solution.fraction,
             after_solution.hub_choice,
         )
-        state.delta = 0.0  # what local search does on accepting a move
 
 
 def _via_from_choices(state) -> dict:
@@ -195,7 +194,7 @@ def test_nested_rollback_restores_each_token(volumes, seed):
 
     def at_token():
         decisions = (dict(state.ports), set(state.hubs), dict(state.choices), dict(state.fracs))
-        return state.save(), decisions, state.total(), state.delta
+        return state.save(), decisions, state.total()
 
     outer = at_token()
     apply_random_move(state, rng)
@@ -203,12 +202,11 @@ def test_nested_rollback_restores_each_token(volumes, seed):
     inner = at_token()
     apply_random_move(state, rng)
     state.refresh()
-    for token, decisions, total, delta in (inner, outer):
+    for token, decisions, total in (inner, outer):
         state.restore(token)
         assert (state.ports, state.hubs, state.choices, state.fracs) == decisions
         assert state.flows == solution_flows(inst, state.ports, state.fraction, state.choices)
         assert state.total() == total
-        assert state.delta == delta
     # The restored state prices further moves like a fresh one.
     apply_random_move(state, rng)
     state.refresh()
