@@ -44,7 +44,7 @@ Each share's routing terms are priced per coupled component
 rather than through ``pricing.cost_terms``, which would price whole
 solutions in the innermost loop.
 
-Three cuts leave every answer bit-identical:
+Four cuts leave every answer bit-identical:
 
   * a configuration is cut when its constant part (port and sea cost,
     set-up, direct arcs no routed share touches) exceeds the all-direct
@@ -77,13 +77,31 @@ Three cuts leave every answer bit-identical:
     the port).  ``rate`` never rises with the load, so this bound is at
     most each configuration's own.  For the empty set it is the vector's
     all-direct total.  A cut set's configurations are counted as evaluated
-    all the same (``_valid_assignment_count``).
+    all the same (``_valid_assignment_count``);
+  * a whole port vector is cut, before any of its hub sets is looked at,
+    by the same two tests on a bound of all its configurations
+    (``_Kernel.land_bound``): its fixed cost plus, per pair p = (b, s) of
+    volume v, v times the least of rate((b, s), P) and f[h] + rate((b, h),
+    F) + rate((h, s), P) over every branch h other than b, where P is the
+    vector's volume into port s and F the branch's total demand.  Every
+    m3 goes direct, on an arc whose load is at most P, or via one hub, on
+    a feeder whose load is at most F and a hub-to-port arc whose load is
+    at most P; ``rate`` never rises with the load and set-ups are
+    nonnegative, so the bound is at most every configuration's total and
+    at most the vector's all-direct total, and the vector whose
+    all-direct total is the threshold is never cut.  The vector is tested
+    against the threshold while the plan is made and against the limit
+    before its hub sets are enumerated; its configurations are counted as
+    evaluated all the same.  A vector whose only planned hub set is the
+    empty one is not bounded: its one configuration ships everything
+    direct, and the empty set's test is exact.
 
 The cuts leave few configurations to solve or build: on the 2x3x2
 generator instances at density 1.0, seeds 1-50, every profile, 343 of the
-30,854 evaluated are solved and 415 built, so each solved configuration's
-components are solved and priced afresh, and each surviving hub set walks
-its hub choices afresh.
+30,854 evaluated are solved and 415 built, and 4,719 of the 7,020 port
+vectors the all-direct pass leaves are cut whole; so each solved
+configuration's components are solved and priced afresh, and each
+surviving hub set walks its hub choices afresh.
 """
 
 from __future__ import annotations
@@ -125,7 +143,11 @@ class OracleStats:
     counts the cut configurations whose bound's constant part alone did
     not reach the limit, so only the routing bound cut them; it is a part
     of the two cut counts.  ``hub_set_cuts`` counts the hub sets cut whole,
-    whose configurations are counted in the cut counts but never built.
+    whose configurations are counted in the cut counts but never built,
+    and ``vector_cuts`` the port vectors cut whole by their bound, whose
+    configurations are counted in the cut counts (and in ``bound_cuts``
+    when the fixed cost alone did not reach the limit) but whose hub sets
+    are never looked at, so none of them counts in ``hub_set_cuts``.
     ``component_solves`` counts the coupled components of the solved
     configurations, each of which is optimized.  The cut counts and
     ``solved_configurations`` sum to the run's ``evaluated``, which the
@@ -145,6 +167,7 @@ class OracleStats:
     component_solves: int = 0
     bound_cuts: int = 0
     hub_set_cuts: int = 0
+    vector_cuts: int = 0
 
 
 @dataclass
@@ -166,6 +189,7 @@ class _Kernel:
         self.prices = price_table(instance)
         self.pairs = instance.positive_pairs()
         self.options = [instance.usable_ports(t) for (_, t) in self.pairs]
+        self._units: dict = {}  # (branch, port, volume into the port) -> price per m3
 
     def fixed_cost(self, zvec) -> tuple[float, dict]:
         """Port consolidation plus sea cost of one port assignment, and the
@@ -191,23 +215,60 @@ class _Kernel:
         checked every 256 vectors; `what` names the solver in the error.
 
         With a `kept` list, appends ``(port vector, fixed cost, all-direct
-        total, vols, direct land prices)`` of each vector whose fixed cost is
-        at most the minimum found before it.  Every vector whose fixed cost
-        is at most the final minimum is among them, and no other vector is
-        stored."""
+        total, vols)`` of each vector whose fixed cost is at most the
+        minimum found before it.  Every vector whose fixed cost is at most
+        the final minimum is among them, and no other vector is stored."""
         land_approx = self.prices.land_approx
         best = None
         for i, zvec in enumerate(itertools.product(*self.options)):
             if i % 256 == 0:
                 check_deadline(deadline, what)
             fixed, vols = self.fixed_cost(zvec)
-            direct_land = {arc: land_approx(*arc, v) for arc, v in vols.items()}
-            total = fixed + sum(direct_land.values())
+            total = fixed + sum(land_approx(*arc, v) for arc, v in vols.items())
             if kept is not None and (best is None or fixed <= best[0]):
-                kept.append((zvec, fixed, total, vols, direct_land))
+                kept.append((zvec, fixed, total, vols))
             if best is None or total < best[0]:
                 best = (total, zvec)
         return best
+
+    @functools.cached_property
+    def feeder_terms(self) -> dict:
+        """Per branch b, ``(h, f[h] + rate((b, h), F))`` for every other
+        branch h, F being b's total demand: the least price per m3 of
+        taking b's volume to hub h in any configuration."""
+        rate = self.prices.rate
+        demand = self.instance.demand
+        totals: dict = {}
+        for p in self.pairs:
+            totals[p[0]] = totals.get(p[0], 0.0) + demand[p]
+        return {
+            b: tuple((h, self.f[h] + rate(b, h, F)) for h in self.B if h != b)
+            for b, F in totals.items()
+        }
+
+    def land_bound(self, vols) -> float:
+        """Lower bound on the land and hub consolidation cost of every
+        configuration of a port vector with pair volumes `vols`, at any hub
+        set: each m3 of pair (b, s) at the least price per m3 of b's volume
+        into s, the direct rate or, via any other branch h, h's feeder term
+        plus its hub-to-port rate, each arc into s priced at the vector's
+        volume P into s (memoised per (b, s, P))."""
+        rate = self.prices.rate
+        into: dict = {}
+        for (_, s), v in vols.items():
+            into[s] = into.get(s, 0.0) + v
+        units = self._units
+        bound = 0.0
+        for (b, s), v in vols.items():
+            P = into[s]
+            unit = units.get((b, s, P))
+            if unit is None:
+                unit = rate(b, s, P)
+                for h, feeder in self.feeder_terms[b]:
+                    unit = min(unit, feeder + rate(h, s, P))
+                units[(b, s, P)] = unit
+            bound += v * unit
+        return bound
 
 
 class _Bound:
@@ -533,8 +594,9 @@ def enumerate_optimal(
     port vectors times the hub sets exceed ``max_evaluations``, then run
     the all-direct pass; plan each (surviving port vector, hub set) pair
     the set-up test leaves, with its count of hub choices, and refuse when
-    the counts, which sum to the ``evaluated`` reported, exceed the budget;
-    enumerate the plan.  ``deadline`` (a ``time.monotonic()`` value) is
+    the counts, which sum to the ``evaluated`` reported, exceed the budget
+    (a vector its bound cuts is counted but not planned); enumerate the
+    plan.  ``deadline`` (a ``time.monotonic()`` value) is
     checked every 256 vectors of the all-direct pass, before every
     surviving vector as the plan is made, and before every planned pair
     (so before its hub set's bound is built) and every configuration of a
@@ -556,37 +618,18 @@ def enumerate_optimal(
     survivors = [entry for entry in kept if entry[1] <= threshold]
     stats = OracleStats(port_vectors_cut=math.prod(map(len, kernel.options)) - len(survivors))
 
-    # Each surviving vector with the hub sets the set-up test leaves it
-    # (and that have a hub choice); their counts sum to `evaluated`.
-    plan = []
-    evaluated = 0
-    for entry in survivors:
-        check_deadline(deadline, "oracle")
-        fixed, vols = entry[1], entry[3]
-        active = tuple(sorted(vols))
-        planned = []
-        for hubs in hub_sets:
-            if fixed + setup_of[hubs] > threshold:
-                stats.hub_sets_cut += 1
-                continue
-            count = _valid_assignment_count(len(hubs), sum(b not in hubs for b, _ in active))
-            if count:
-                evaluated += count
-                planned.append(hubs)
-        plan.append((entry, active, planned))
-    _check_budget(evaluated, max_evaluations, "configurations")
-
     best = None  # (cost, payload)
     limit = threshold  # min(threshold, best total): a larger lower bound cuts
 
-    def cut(lower: float, bound: _Bound | None, count: int) -> bool:
+    def cut(lower: float, rest, count: int) -> bool:
         """Whether the `count` configurations whose constant part is `lower`
-        are cut: it alone, or plus the routing bound of `bound` (when given),
-        exceeds the limit.  Counts them when they are."""
+        are cut: it alone, or plus `rest()` (a lower bound on the rest of
+        their cost, when given), exceeds the limit.  Counts them when they
+        are."""
         if lower <= limit:
-            if bound is None:
+            if rest is None:
                 return False
-            lower += bound.routing_bound()
+            lower += rest()
             if not bound_excludes(lower, limit):
                 return False
             stats.bound_cuts += count
@@ -596,7 +639,51 @@ def enumerate_optimal(
             stats.incumbent_cuts += count
         return True
 
-    for (zvec, fixed, direct_total, vols, direct_land), active, planned in plan:
+    def vector_cut(fixed: float, land: float | None, configs: int) -> bool:
+        """Whether a vector's `configs` configurations are cut by its bound,
+        fixed cost plus `land` (None: not bounded).  Counts them when they
+        are."""
+        if land is None or not cut(fixed, lambda: land, configs):
+            return False
+        stats.vector_cuts += 1
+        return True
+
+    # Each surviving vector with the hub sets the set-up test leaves it
+    # (and that have a hub choice); their counts sum to `evaluated`.  A
+    # vector its bound cuts against the threshold is counted, not planned.
+    plan = []
+    evaluated = 0
+    for entry in survivors:
+        check_deadline(deadline, "oracle")
+        fixed, vols = entry[1], entry[3]
+        active = tuple(sorted(vols))
+        pairs_of: dict = {}  # branch -> count of its pairs, forced direct if it is a hub
+        for b, _ in active:
+            pairs_of[b] = pairs_of.get(b, 0) + 1
+        planned = []
+        configs = 0
+        for hubs in hub_sets:
+            if fixed + setup_of[hubs] > threshold:
+                stats.hub_sets_cut += 1
+                continue
+            free = len(active) - sum([pairs_of.get(h, 0) for h in hubs])
+            count = _valid_assignment_count(len(hubs), free)
+            if count:
+                configs += count
+                planned.append(hubs)
+        evaluated += configs
+        # With the empty set alone planned, that set's own test is exact.
+        land = kernel.land_bound(vols) if planned[-1] else None
+        if vector_cut(fixed, land, configs):
+            continue
+        plan.append((entry, active, planned, configs, land))
+    _check_budget(evaluated, max_evaluations, "configurations")
+
+    land_approx = kernel.prices.land_approx
+    for (zvec, fixed, direct_total, vols), active, planned, configs, land in plan:
+        if vector_cut(fixed, land, configs):
+            continue
+        direct_land = {arc: land_approx(*arc, v) for arc, v in vols.items()}
         for hubs in planned:
             check_deadline(deadline, "oracle")
             setup = setup_of[hubs]
@@ -607,16 +694,16 @@ def enumerate_optimal(
             # everything direct, so its bound is the all-direct total.
             if hubs:
                 bound = _Bound(kernel, vols, setup, dict.fromkeys(free, hubs), direct_land)
-                lower = fixed + bound.const
+                lower, rest = fixed + bound.const, bound.routing_bound
             else:
-                bound, lower = None, direct_total
-            if cut(lower, bound, count):
+                lower, rest = direct_total, None
+            if cut(lower, rest, count):
                 stats.hub_set_cuts += 1
                 continue
             for assign in _hub_assignments(active, hubs):
                 check_deadline(deadline, "oracle")
                 problem = _SplitProblem(kernel, vols, setup, assign, direct_land)
-                if cut(fixed + problem.const, problem, 1):
+                if cut(fixed + problem.const, problem.routing_bound, 1):
                     continue
                 stats.solved_configurations += 1
                 fracs, routing = problem.solve(stats)

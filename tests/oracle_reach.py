@@ -4,8 +4,9 @@ Runs ``enumerate_optimal`` at its default evaluation budget and hub budget
 2 on 33 generator instances (seed 1, density 0.6, every profile) of the
 shapes in ``SHAPES``, from 4x2x2 to 8x3x4, each under a deadline, and
 prints per instance whether it was solved, refused (with the refusal) or
-timed out, its ``evaluated`` count, its approximated total and the CPU
-seconds it took.  Run from the repo root with
+timed out, its ``evaluated`` count, the port vectors and hub sets it cut
+whole (``vector_cuts``, ``hub_set_cuts``), its approximated total and the
+CPU seconds it took.  Run from the repo root with
 
     PYTHONPATH=src python tests/oracle_reach.py [--deadline SECONDS]
 
@@ -32,10 +33,10 @@ SEED, DENSITY, HUB_BUDGET = 1, 0.6, 2
 
 
 def reach(shape, profile, deadline_s: float) -> str:
-    """One scan line: the instance, its outcome, `evaluated`, the
-    approximated total and the CPU seconds."""
+    """One scan line: the instance, its outcome, `evaluated`, the vectors
+    and hub sets cut whole, the approximated total and the CPU seconds."""
     inst = generate(SEED, *shape, DENSITY, profile)
-    evaluated = total = "-"
+    evaluated = vector_cuts = hub_set_cuts = total = "-"
     start = time.process_time()
     try:
         result = enumerate_optimal(
@@ -48,17 +49,25 @@ def reach(shape, profile, deadline_s: float) -> str:
     else:
         outcome = "solved"
         evaluated = str(result.evaluated)
+        vector_cuts = str(result.stats.vector_cuts)
+        hub_set_cuts = str(result.stats.hub_set_cuts)
         total = f"{evaluate_cost(inst, result.solution, 'approx').total:.2f}"
     cpu = time.process_time() - start
     name = "x".join(map(str, shape))
-    return f"{name:7} {profile:24} {evaluated:>11} {total:>10} {cpu:7.2f}  {outcome}"
+    return (
+        f"{name:7} {profile:24} {evaluated:>11} {vector_cuts:>11} {hub_set_cuts:>12}"
+        f" {total:>10} {cpu:7.2f}  {outcome}"
+    )
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--deadline", type=float, default=60.0, metavar="SECONDS")
     args = parser.parse_args()
-    print(f"{'shape':7} {'profile':24} {'evaluated':>11} {'approx':>10} {'cpu s':>7}  outcome")
+    print(
+        f"{'shape':7} {'profile':24} {'evaluated':>11} {'vector_cuts':>11}"
+        f" {'hub_set_cuts':>12} {'approx':>10} {'cpu s':>7}  outcome"
+    )
     for shape in SHAPES:
         for profile in PROFILES:
             print(reach(shape, profile, args.deadline), flush=True)

@@ -241,6 +241,7 @@ class TestSolve:
         assert set(counters) == {
             "port_vectors_cut", "hub_sets_cut", "threshold_cuts", "incumbent_cuts",
             "solved_configurations", "component_solves", "bound_cuts", "hub_set_cuts",
+            "vector_cuts",
         }
         assert reports[0]["evaluated_configurations"] == (
             counters["threshold_cuts"] + counters["incumbent_cuts"]

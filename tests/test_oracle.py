@@ -29,7 +29,7 @@ from hublocate.cost_model import land_cost_approx
 from hublocate.errors import OracleLimitError, TimeBudgetError
 from hublocate.exact_oracle import _Kernel
 from hublocate.gen import PROFILES
-from hublocate.pricing import price_table
+from hublocate.pricing import bound_excludes, price_table
 
 from conftest import doubled_costs, make_toy_instance
 
@@ -418,6 +418,36 @@ def _solve_or_reject(inst, budget: int, max_evaluations: float):
         reject()
 
 
+def _check_vector_bounds(inst, budget: int) -> None:
+    """Each port vector the all-direct pass leaves has a bound at most every
+    configuration total at every hub set and at most its all-direct total;
+    the vector with the least all-direct total is not cut; the oracle's
+    answer with every bound cut off is the one the cuts find."""
+    with mock.patch.object(exact_oracle, "bound_excludes", lambda bound, limit: False):
+        uncut = _solve_or_reject(inst, budget, SET_BOUND_TEST_BUDGET)
+    kernel = _Kernel(inst)
+    kept = []
+    threshold, first = kernel.best_all_direct(None, "oracle", kept)
+    for zvec, fixed, direct_total, vols in kept:
+        if fixed > threshold:
+            continue
+        lower = fixed + kernel.land_bound(vols)
+        assert lower <= direct_total + 1e-12 * max(1.0, direct_total)
+        if zvec == first:
+            assert not bound_excludes(lower, threshold)
+        direct_land = {arc: kernel.prices.land_approx(*arc, v) for arc, v in vols.items()}
+        for hubs in exact_oracle.hub_subsets(kernel.B, budget):
+            setup = sum(kernel.e[h] for h in hubs)
+            for assign in exact_oracle._hub_assignments(tuple(sorted(vols)), hubs):
+                problem = exact_oracle._SplitProblem(kernel, vols, setup, assign, direct_land)
+                _, routing = problem.solve(exact_oracle.OracleStats())
+                total = fixed + routing
+                assert lower <= total + 1e-12 * max(1.0, total)
+    cut = enumerate_optimal(inst, hub_budget=budget)
+    assert cut.solution == uncut.solution
+    assert cut.evaluated == uncut.evaluated
+
+
 class TestRoutingBound:
     """The bound that cuts configurations never exceeds their routing cost."""
 
@@ -489,6 +519,40 @@ class TestRoutingBound:
         cut = enumerate_optimal(inst, hub_budget=budget)
         assert cut.solution == uncut.solution
         assert cut.evaluated == uncut.evaluated
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 10_000),
+        st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 2)),
+        st.sampled_from([0.5, 0.8, 1.0]),
+        st.sampled_from(PROFILES),
+        st.integers(1, 2),
+    )
+    @example(1, (3, 2, 2), 0.8, "consolidation_favorable", 2)
+    def test_vector_bound_never_exceeds_a_configuration_total(
+        self, seed, size, density, profile, budget
+    ):
+        _check_vector_bounds(generate(seed, *size, density, profile), budget)
+
+    def test_vector_bound_offers_every_hub(self):
+        # B1's 10 m3 cost 10/m3 direct (far band) but 2 + 1.2 via B2, whose
+        # set-up and consolidation are free, and that routing is optimal: a
+        # bound pricing them direct, or their feeder below its full load,
+        # would exceed its total, which the bound meets exactly.
+        toy = make_toy_instance()
+        inst = dataclasses.replace(
+            toy,
+            demand={("B1", "T1"): 10.0, ("B2", "T1"): 30.0},
+            land_costs=dataclasses.replace(
+                toy.land_costs, cost=((20.0, 48.0, 80.0), (100.0, 400.0, 800.0))
+            ),
+            distance={**toy.distance, ("B1", "S1"): 900.0, ("B2", "S1"): 50.0},
+            setup_cost={"B1": 50.0, "B2": 0.0},
+            hub_consol_cost={"B1": 1.0, "B2": 0.0},
+        )
+        result = enumerate_optimal(inst)
+        assert result.solution.hub_choice == {("B1", "S1"): "B2"}
+        _check_vector_bounds(inst, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
