@@ -51,9 +51,10 @@ node ids with "_", and ids may hold "_", so ``MilpModel.validate``
 refuses a variable or row name made twice (``ModelNameError``).  A row's
 entries stay in the order the builder appends them, the order
 ``row_residuals`` sums its activity in, so residuals and decode's answers
-depend on it; the emitted texts do not.  ``model.variables`` and
-``model.constraints`` are read-only sequences of ``Variable`` and
-``Constraint`` records made when read; no code of this module reads them.
+depend on it; the emitted texts do not.  Code reads the model only
+through these arrays and ``meta``; ``model.variables`` and
+``model.constraints`` return ``names`` and ``row_names``, for the
+benchmark's tracer alone.
 
 Emission contract.  ``emit_lp`` and ``emit_mps`` are pure functions of
 the model: the same model gives the same bytes on every run and every
@@ -74,10 +75,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import NamedTuple
 
 from .cost_model import COST_RTOL, container_split, sea_cost
 
@@ -104,20 +103,6 @@ GE = ">="
 
 BINARY_TOL = 1e-5
 RESIDUAL_TOL = 1e-4
-
-
-class Variable(NamedTuple):
-    name: str
-    kind: str
-    obj: float = 0.0
-    upper: float | None = None  # None = kind default (1 for binary, +inf else)
-
-
-class Constraint(NamedTuple):
-    name: str
-    coeffs: dict  # variable name -> coefficient
-    sense: str
-    rhs: float
 
 
 @dataclass
@@ -157,13 +142,15 @@ class MilpModel:
     coef: list  # coefficient of each entry
     meta: ModelMeta
 
+    # Not read here; kept because perfbench/tracer.py::_model_size reads
+    # their lengths (ROADMAP item 8 deletes both once it reads names).
     @property
-    def variables(self) -> _Variables:
-        return _Variables(self)
+    def variables(self) -> list:
+        return self.names
 
     @property
-    def constraints(self) -> _Constraints:
-        return _Constraints(self)
+    def constraints(self) -> list:
+        return self.row_names
 
     def validate(self) -> None:
         """Refuse a variable or row name given twice (``ModelNameError``)."""
@@ -184,49 +171,6 @@ class MilpModel:
 
     def objective_value(self, values: dict) -> float:
         return _objective(self, [values[name] for name in self.names])
-
-
-class _Records(Sequence):
-    """A read-only sequence of records over a model's arrays; each record
-    is made when it is read."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: MilpModel):
-        self._model = model
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._record(k) for k in range(len(self))[i]]
-        return self._record(range(len(self))[i])
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-
-class _Variables(_Records):
-    """``MilpModel.variables``: each column as a ``Variable``."""
-
-    def __len__(self) -> int:
-        return len(self._model.names)
-
-    def _record(self, j: int) -> Variable:
-        m = self._model
-        return Variable(m.names[j], m.kinds[j], m.obj[j], m.upper[j])
-
-
-class _Constraints(_Records):
-    """``MilpModel.constraints``: each row as a ``Constraint``, its
-    ``coeffs`` dict in entry order."""
-
-    def __len__(self) -> int:
-        return len(self._model.row_names)
-
-    def _record(self, i: int) -> Constraint:
-        m = self._model
-        lo, hi = m.row_start[i], m.row_start[i + 1]
-        coeffs = {m.names[j]: c for j, c in zip(m.col[lo:hi], m.coef[lo:hi])}
-        return Constraint(m.row_names[i], coeffs, m.senses[i], m.rhs[i])
 
 
 def _clash(what: str, names: list) -> ModelNameError:

@@ -6,7 +6,11 @@ shapes in ``SHAPES``, from 4x2x2 to 8x3x4, each under a deadline, and
 prints per instance whether it was solved, refused (with the refusal) or
 timed out, its ``evaluated`` count, the port vectors and hub sets it cut
 whole (``vector_cuts``, ``hub_set_cuts``), its approximated total and the
-CPU seconds it took.  Run from the repo root with
+CPU seconds it took.  A solved or refused line whose CPU time is at least
+``NEAR_DEADLINE`` (85%) of the deadline ends in "near deadline": that
+outcome depends on machine speed, so a slower run may time out there and
+a faster one may finish where this one timed out.  Run from the repo root
+with
 
     PYTHONPATH=src python tests/oracle_reach.py [--deadline SECONDS]
 
@@ -30,11 +34,13 @@ SHAPES = (
     (6, 3, 2), (8, 2, 2), (5, 4, 3), (7, 3, 3), (8, 3, 4),
 )
 SEED, DENSITY, HUB_BUDGET = 1, 0.6, 2
+NEAR_DEADLINE = 0.85  # share of the deadline from which an outcome is marked
 
 
 def reach(shape, profile, deadline_s: float) -> str:
     """One scan line: the instance, its outcome, `evaluated`, the vectors
-    and hub sets cut whole, the approximated total and the CPU seconds."""
+    and hub sets cut whole, the approximated total and the CPU seconds;
+    the outcome is marked when it came near the deadline."""
     inst = generate(SEED, *shape, DENSITY, profile)
     evaluated = vector_cuts = hub_set_cuts = total = "-"
     start = time.process_time()
@@ -53,6 +59,8 @@ def reach(shape, profile, deadline_s: float) -> str:
         hub_set_cuts = str(result.stats.hub_set_cuts)
         total = f"{evaluate_cost(inst, result.solution, 'approx').total:.2f}"
     cpu = time.process_time() - start
+    if not outcome.startswith("timed out") and cpu >= NEAR_DEADLINE * deadline_s:
+        outcome += ", near deadline"
     name = "x".join(map(str, shape))
     return (
         f"{name:7} {profile:24} {evaluated:>11} {vector_cuts:>11} {hub_set_cuts:>12}"

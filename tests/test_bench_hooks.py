@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from hublocate import build_linearized_model, emit_mps
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,19 @@ def test_every_tracer_hook_resolves(perfbench):
         if not callable(getattr(importlib.import_module(f"hublocate.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_model_observers_read_a_built_model(perfbench, toy_instance):
+    # The tracer's observers read the results of the calls it hooks, so a
+    # model attribute they need must outlive any change to the model.
+    observers = perfbench("tracer").OBSERVERS
+    model = build_linearized_model(toy_instance)
+    assert observers["milp.build"](model) == {
+        "milp.variables": len(model.names),
+        "milp.constraints": len(model.row_names),
+    }
+    text = emit_mps(model)
+    assert observers["milp.emit_mps"](text) == {"milp.mps_bytes": len(text.encode("utf-8"))}
 
 
 def test_harness_and_workloads_import(perfbench):

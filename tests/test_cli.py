@@ -697,7 +697,7 @@ class TestModelJob:
         model = build_linearized_model(instance)
         sol = random_feasible_solution(instance, random.Random(5))
         values = encode_solution(model, sol)
-        values[next(v.name for v in model.variables if v.name.startswith("nL_"))] += 1.0
+        values[next(name for name in model.names if name.startswith("nL_"))] += 1.0
         values_path = tmp_path / "values.txt"
         values_path.write_text(format_values_text(values))
         assert main(["build-milp", str(inst), "-o", str(tmp_path / "m.lp")]) == 0

@@ -36,8 +36,6 @@ from hublocate.milp import (
     CONTINUOUS,
     GE,
     LE,
-    Constraint,
-    Variable,
     constraint_counts,
     format_values_text,
     max_residual,
@@ -55,8 +53,10 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def variables_by_name(model) -> dict:
-    return {v.name: v for v in model.variables}
+def row_coeffs(model, i: int) -> dict:
+    """Row ``i`` of the model as {variable name: coefficient}, in entry order."""
+    lo, hi = model.row_start[i], model.row_start[i + 1]
+    return {model.names[j]: c for j, c in zip(model.col[lo:hi], model.coef[lo:hi])}
 
 
 def full_demand_instance(n_b: int, n_s: int, n_t: int) -> Instance:
@@ -139,8 +139,8 @@ class TestModelSize:
         instance = full_demand_instance(*dims)
         model = build_linearized_model(instance)
         n_vars, n_rows = expected_counts(instance, j=3)
-        assert len(model.variables) == n_vars
-        assert len(model.constraints) == n_rows
+        assert len(model.names) == n_vars
+        assert len(model.row_names) == n_rows
 
     @pytest.mark.parametrize("dims", [(2, 1, 1), (3, 2, 2), (4, 2, 3), "16x3x6"])
     def test_row_family_counts(self, dims):
@@ -163,26 +163,6 @@ class TestModelSize:
         c3 = variable_counts(build_linearized_model(full_demand_instance(3, 2, 2)))
         c6 = variable_counts(build_linearized_model(full_demand_instance(6, 2, 2)))
         assert c6["vh"] == 4 * c3["vh"]
-
-
-class TestRecords:
-    @pytest.mark.parametrize("fix_no_hubs", [False, True])
-    @pytest.mark.parametrize(
-        "seed,n_b,n_s,n_t",
-        [(seed, 8, 3, 4) for seed in range(3)] + [(seed, 16, 3, 6) for seed in range(3, 6)],
-    )
-    def test_every_record_is_whole(self, seed, n_b, n_s, n_t, fix_no_hubs):
-        """Each record has its exact type and all four fields, and equals the
-        record its own fields make through the constructor."""
-        inst = generate(seed, n_b, n_s, n_t, 0.6, PROFILES[seed % 3])
-        model = build_linearized_model(inst)
-        if fix_no_hubs:
-            model.fix_no_hubs()
-        for records, cls in ((model.variables, Variable), (model.constraints, Constraint)):
-            for r in records:
-                assert type(r) is cls
-                assert len(r) == 4
-                assert r == cls(*r)
 
 
 class TestColumnLayout:
@@ -240,31 +220,28 @@ class TestCoefficients:
         inst = dataclasses.replace(
             toy_instance, sea_rates={("S1", "T1"): SeaRate(nvocc_per_m3=20.0)}
         )
-        variables = variables_by_name(build_linearized_model(inst))
-        assert variables["nS_S1_T1"].obj == inst.nvocc_penalty
-        assert variables["uS_S1_T1"].upper == inst.nvocc_cap
+        model = build_linearized_model(inst)
+        assert model.obj[model.names.index("nS_S1_T1")] == inst.nvocc_penalty
+        assert model.upper[model.names.index("uS_S1_T1")] == inst.nvocc_cap
 
     def test_fcl_only_relation_has_no_nvocc_variable(self, toy_instance):
         inst = dataclasses.replace(
             toy_instance, sea_rates={("S1", "T1"): SeaRate(fcl_per_container=500.0)}
         )
         model = build_linearized_model(inst)
-        assert "uS_S1_T1" not in variables_by_name(model)
-        sea = next(c for c in model.constraints if c.name == "sea_S1_T1")
-        assert "uS_S1_T1" not in sea.coeffs
+        assert "uS_S1_T1" not in model.names
+        assert "uS_S1_T1" not in row_coeffs(model, model.row_names.index("sea_S1_T1"))
 
     def test_big_m_is_per_branch_total_demand(self, toy_instance):
         model = build_linearized_model(toy_instance)
-        bigm = next(c for c in model.constraints if c.name == "bigm_B1_S1_B2")
-        assert bigm.coeffs["y_B1_S1_B2"] == -6.0
+        bigm = row_coeffs(model, model.row_names.index("bigm_B1_S1_B2"))
+        assert bigm["y_B1_S1_B2"] == -6.0
 
     def test_no_hub_fixing_zeroes_bounds(self, toy_instance):
         model = build_linearized_model(toy_instance)
         model.fix_no_hubs()
-        variables = variables_by_name(model)
-        assert variables["x_B1"].upper == 0.0
-        assert variables["y_B1_S1_B2"].upper == 0.0
-        assert variables["vh_B1_S1_B2"].upper == 0.0
+        upper = dict(zip(model.names, model.upper))
+        assert upper["x_B1"] == upper["y_B1_S1_B2"] == upper["vh_B1_S1_B2"] == 0.0
 
 
 class TestEmission:
@@ -287,16 +264,17 @@ class TestEmission:
         text = emit_lp(model) if fmt == "lp" else emit_mps(model)
         parsed = parse_lp(text) if fmt == "lp" else parse_mps(text)
         assert parsed.objective == {
-            v.name: v.obj for v in model.variables if v.obj != 0.0
+            name: obj for name, obj in zip(model.names, model.obj) if obj != 0.0
         }
-        assert set(parsed.constraints) == {c.name for c in model.constraints}
-        for c in model.constraints:
-            coeffs, sense, rhs = parsed.constraints[c.name]
-            assert coeffs == dict(c.coeffs)
-            assert sense == c.sense
-            assert rhs == pytest.approx(c.rhs)
-        assert parsed.binaries == {v.name for v in model.variables if v.kind == "binary"}
-        assert parsed.integers == {v.name for v in model.variables if v.kind == "integer"}
+        assert set(parsed.constraints) == set(model.row_names)
+        for i, name in enumerate(model.row_names):
+            coeffs, sense, rhs = parsed.constraints[name]
+            assert coeffs == row_coeffs(model, i)
+            assert sense == model.senses[i]
+            assert rhs == pytest.approx(model.rhs[i])
+        kinds = dict(zip(model.names, model.kinds))
+        assert parsed.binaries == {name for name, kind in kinds.items() if kind == "binary"}
+        assert parsed.integers == {name for name, kind in kinds.items() if kind == "integer"}
 
     def test_emission_ignores_coefficient_insertion_order(self):
         # Both emitters fix the term order themselves: LP rows by variable
@@ -308,7 +286,8 @@ class TestEmission:
             coef[lo:hi] = reversed(coef[lo:hi])
         permuted = dataclasses.replace(model, col=col, coef=coef)
         assert col != model.col
-        assert [c.coeffs for c in permuted.constraints] == [c.coeffs for c in model.constraints]
+        rows = range(len(model.row_names))
+        assert [row_coeffs(permuted, i) for i in rows] == [row_coeffs(model, i) for i in rows]
         # Compared by hash: a failing == on the texts would diff 0.3 MB.
         for emit in (emit_lp, emit_mps):
             assert sha256(emit(permuted)) == sha256(emit(model)), emit.__name__
@@ -317,7 +296,7 @@ class TestEmission:
         # Unpadded branch names: the rows are built in node order (B1, B10,
         # B2, ...), but z_B10_T1_S1 sorts before z_B1_T1_S1 ("0" < "_").
         model = build_linearized_model(full_demand_instance(10, 2, 2))
-        names = {v.name for v in model.variables}
+        names = set(model.names)
         rows, row = {}, None
         text = emit_lp(model)
         body = text[text.index("Subject To\n"):text.index("Bounds\n")].splitlines()[1:]
@@ -326,10 +305,10 @@ class TestEmission:
             if head.endswith(":"):
                 row = rows[head[:-1]] = []
             row.extend(tok for tok in line.split() if tok in names)
-        assert list(rows) == [c.name for c in model.constraints]
-        for c in model.constraints:
-            assert rows[c.name] == sorted(c.coeffs), c.name
-        built = list(next(c for c in model.constraints if c.name == "sea_S1_T1").coeffs)
+        assert list(rows) == model.row_names
+        for i, name in enumerate(model.row_names):
+            assert rows[name] == sorted(row_coeffs(model, i)), name
+        built = list(row_coeffs(model, model.row_names.index("sea_S1_T1")))
         assert built.index("z_B1_T1_S1") < built.index("z_B10_T1_S1")
         sea = rows["sea_S1_T1"]
         assert sea.index("z_B10_T1_S1") < sea.index("z_B1_T1_S1")
@@ -406,14 +385,14 @@ class TestEncodeDecode:
         instance = toy_instance if shape == "toy" else generate(5, 16, 3, 6, 0.6, "uniform")
         model = build_linearized_model(instance)
         matrix = sparse.csr_array((model.coef, model.col, model.row_start))
-        assert matrix.shape == (len(model.constraints), len(model.variables))
+        assert matrix.shape == (len(model.row_names), len(model.names))
         rng = random.Random(5)
         for _ in range(10):
             values = encode_solution(model, random_feasible_solution(instance, rng))
             activities = matrix @ [values[name] for name in model.names]
-            for c, activity in zip(model.constraints, activities):
-                lhs = sum(coef * values[name] for name, coef in c.coeffs.items())
-                assert activity == pytest.approx(lhs, rel=1e-12, abs=1e-9), c.name
+            for i, activity in enumerate(activities):
+                lhs = sum(coef * values[name] for name, coef in row_coeffs(model, i).items())
+                assert activity == pytest.approx(lhs, rel=1e-12, abs=1e-9), model.row_names[i]
 
     def test_encode_rejects_infeasible(self, toy_instance):
         model = build_linearized_model(toy_instance)
@@ -436,7 +415,7 @@ class TestEncodeDecode:
         )
         values["z_B1_T1_S1"] = 0.0  # breaks the port totality row
         values["y_B1_S1_B2"] = 1.0  # breaks act_B1_S1_B2: sorts first, comes later
-        rows = [c.name for c in model.constraints]
+        rows = model.row_names
         assert rows.index("port_B1_T1") < rows.index("act_B1_S1_B2")
         with pytest.raises(ModelDecodeError) as err:
             decode_solution(model, values)

@@ -29,7 +29,7 @@ from hublocate.cost_model import land_cost_approx
 from hublocate.errors import OracleLimitError, TimeBudgetError
 from hublocate.exact_oracle import _Kernel
 from hublocate.gen import PROFILES
-from hublocate.pricing import bound_excludes, price_table
+from hublocate.pricing import acceptance_limit, bound_excludes, price_table
 
 from conftest import doubled_costs, make_toy_instance
 
@@ -70,6 +70,58 @@ class TestExactness:
             sample = random_feasible_solution(inst, rng)
             cost = evaluate_cost(inst, sample, "approx").total
             assert cost >= best - slack
+
+
+def _nested_group_cost(problem, members) -> float:
+    """Least component cost over every share vector a nested enumeration
+    reaches: members in member order, each over its candidates given the
+    earlier members' shares (later ones count as 0)."""
+    best = float("inf")
+
+    def walk(k, fracs):
+        nonlocal best
+        if k == len(members):
+            best = min(best, problem.component_cost(members, fracs))
+            return
+        p = members[k]
+        for y in problem.candidates(p, fracs):
+            walk(k + 1, {**fracs, p: y})
+
+    walk(0, {})
+    return best
+
+
+# (size, density, seeds), every profile at hub budget 3: 244 groups of 3-5
+# coupled shares (157, 78 and 9), about 1.5 s of CPU.  The 2x3x2 shape
+# couples at most two shares, so it has none.
+GROUP_CASES = [
+    ((3, 2, 2), 0.6, range(1, 21)),
+    ((4, 2, 2), 0.6, range(1, 11)),
+    ((3, 3, 2), 0.6, range(1, 11)),
+]
+
+
+class TestGroupSolve:
+    def test_descent_and_polish_match_a_nested_enumeration(self, monkeypatch):
+        # Three or more coupled shares are solved by descent and pairwise
+        # polish, exact "in practice" only: no nested enumeration of the
+        # shares' candidates finds a cheaper component.
+        solve_group = exact_oracle._SplitProblem._solve_group
+        checked = []
+
+        def recorded(self, members):
+            fracs = solve_group(self, members)
+            cost = self.component_cost(members, fracs)
+            checked.append((members, cost, _nested_group_cost(self, members)))
+            return fracs
+
+        monkeypatch.setattr(exact_oracle._SplitProblem, "_solve_group", recorded)
+        for size, density, seeds in GROUP_CASES:
+            for seed in seeds:
+                for profile in PROFILES:
+                    enumerate_optimal(generate(seed, *size, density, profile), hub_budget=3)
+        assert {3, 4, 5} <= {len(members) for members, _, _ in checked}
+        assert [c for c in checked if c[2] < acceptance_limit(c[1])] == []
 
 
 # `evaluated` is 2e4 to 2.5e7 here, about 2 s of oracle CPU in all; the
