@@ -50,7 +50,7 @@ def _print_breakdown(b: CostBreakdown) -> None:
 
 def _load_valid_instance(path):
     """The instance in a file; one that fails validation is an error, since
-    solvers and the evaluator assume every invariant."""
+    the evaluator assumes every invariant (the solvers check their own)."""
     instance = load_instance(path)
     report = validate_instance(instance)
     if report:
@@ -95,7 +95,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = _load_valid_instance(args.instance)
+    instance = load_instance(args.instance)  # every solver validates it
     deadline = None if args.time_budget is None else time.monotonic() + args.time_budget
 
     extra = {}
@@ -304,10 +304,11 @@ def _solve_arguments(p) -> None:
                         "its port assignments times hub sets, or the configurations it "
                         "counts after its all-direct pass, exceed it; the no-hub solver "
                         "(--method no-hub, --start no-hub) when its port assignments do")
-    p.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
-                   help="starting point for local-search")
-    p.add_argument("--start-file", default=None,
-                   help="solution file to start local-search from")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--start", choices=("two-stage", "no-hub"), default="two-stage",
+                       help="starting point for local-search")
+    start.add_argument("--start-file", default=None,
+                       help="solution file to start local-search from")
     p.add_argument("instance")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")

@@ -41,13 +41,12 @@ knows, by two more rules:
 
 4. a cached price or routing is reused only for an identical state (same
    ports, routes, loads and tie scale), so it is the float, or the
-   routing, that computing it again would give.  The all-direct cost and
-   deltas, the trials and the clearly inert hubs are kept for one
-   hub-set sweep (step 1 at one port vector), and the deltas are read
-   only while the routes are all direct;
+   routing, that computing it again would give.  The all-direct cost, the
+   trials and the clearly inert hubs are kept for one hub-set sweep
+   (step 1 at one port vector);
 5. a hub-set trial is read off smaller trials of the same hub-set sweep
    when they decide it.  A single-hub trial ``{h}`` in which no route
-   changed marks h inert; if every delta of moving a branch from the
+   changed marks h inert; if the least delta of moving a branch from the
    all-direct routing onto h also exceeds ``CLEAR_MARGIN`` times the
    all-direct cost, h is clearly inert.  A set with a clearly inert
    member h routes as the set without h, provided branch h never moved
@@ -152,9 +151,8 @@ class SearchStats:
     to decide, settled by a full evaluation instead; ``accepted_moves``
     counts the moves that changed the incumbent.  Two-stage only:
     ``inert_hub_hits`` counts hub-set trials read off smaller trials
-    (rule 5), and ``direct_delta_hits`` routing deltas read from the
-    all-direct cache instead of priced; neither adds to the two counts of
-    evaluations, which count only work done.  Local search only:
+    (rule 5), without adding to the two counts of evaluations, which
+    count only work done.  Local search only:
     ``moves_tried`` and ``moves_accepted`` count candidate moves per move
     type, and ``bound_cuts`` the hub openings rejected by a lower bound
     (rule 6) without pricing the states they could reach; they count in
@@ -166,7 +164,6 @@ class SearchStats:
     near_tie_fallbacks: int = 0
     accepted_moves: int = 0
     inert_hub_hits: int = 0
-    direct_delta_hits: int = 0
     moves_tried: dict = field(default_factory=dict)  # move type -> count
     moves_accepted: dict = field(default_factory=dict)
     bound_cuts: int = 0
@@ -182,10 +179,8 @@ class _DestinationContext:
 
     Its caches follow exactness rules 4 and 5: ``hub_set_trials`` keeps,
     for the one sweep over hub sets at one port vector, the all-direct
-    cost, the delta of moving branch b onto hub h from the all-direct
-    routing (which ``route_shipments`` reads while its routes are still
-    all direct), the sweep's trials and the inert single hubs that rule 5
-    reads.
+    cost, the sweep's trials and the clearly inert single hubs that rule
+    5 reads.
     """
 
     def __init__(self, instance: Instance, t: str, stats: SearchStats):
@@ -302,24 +297,24 @@ class _DestinationContext:
             out[b] = best[1]
         return out
 
-    def route_shipments(
-        self, ports: dict, hub_set: tuple, direct_cost: float, direct: dict
-    ) -> tuple:
+    def route_shipments(self, ports: dict, hub_set: tuple, direct_cost: float) -> tuple:
         """Best-response routing sweeps: direct or one hub per shipment.
 
-        Returns ``(routes, movers)``, the branches whose route changed at
-        some point.  Branches inside the hub set always ship direct.  Ties
-        prefer direct, then the lexicographically first hub.  Options are
-        ranked by their deltas; deltas closer than TIE_RTOL times the cost
-        are settled by full costs, so the choice is the one full costs make.
-        ``direct_cost`` is the all-direct cost at ``ports``; ``direct`` maps
-        (b, h) to the delta of moving b onto h from the all-direct routing
-        at ``ports``, and is read and filled while the routes are all direct.
+        Returns ``(routes, movers, least)``: movers are the branches whose
+        route changed at some point, and least is the least delta of moving
+        a branch onto a hub, taken only while no branch has moved (so from
+        the all-direct routing; inf if none was priced).  Branches inside
+        the hub set always ship direct.  Ties prefer direct, then the
+        lexicographically first hub.  Options are ranked by their deltas;
+        deltas closer than TIE_RTOL times the cost are settled by full
+        costs, so the choice is the one full costs make.  ``direct_cost``
+        is the all-direct cost at ``ports``.
         """
         routes = dict.fromkeys(self.branches)
         movers: set = set()
+        least = math.inf
         if not hub_set:
-            return routes, movers
+            return routes, movers, least
         scale = direct_cost  # running estimate, never compared
         loads = self.loads(ports, routes)
         for _ in range(MAX_ROUTE_SWEEPS):
@@ -334,13 +329,9 @@ class _DestinationContext:
                 )
                 best_c = None  # full cost of best_h, once a near tie needed it
                 for h in hub_set:
-                    if direct is None:
-                        d = self.delta(ports, routes, loads, b, ports[b], h)
-                    elif (b, h) in direct:
-                        d = direct[(b, h)]
-                        self.stats.direct_delta_hits += 1
-                    else:
-                        d = direct[(b, h)] = self.delta(ports, routes, loads, b, ports[b], h)
+                    d = self.delta(ports, routes, loads, b, ports[b], h)
+                    if not movers:
+                        least = min(least, d)
                     tol = TIE_RTOL * max(1.0, abs(scale) + abs(best_d) + abs(d))
                     if d < best_d - tol:
                         best_h, best_d, best_c = h, d, None
@@ -355,25 +346,23 @@ class _DestinationContext:
                     scale += best_d
                     routes[b] = best_h
                     loads = self.loads(ports, routes)
-                    direct = None  # deltas from all direct no longer apply
                     movers.add(b)
                     changed = True
             if not changed:
                 break
-        return routes, movers
+        return routes, movers, least
 
     def hub_set_trials(self, ports: dict, hub_budget: int, deadline: float | None):
         """Yield ``(routes, cost)`` of ``route_shipments`` at ``ports`` for
         each hub set of ``hub_subsets(branches, hub_budget)``, in order.
 
-        The sweep keeps the all-direct cost and deltas, its trials so far
-        and its clearly inert hubs; a trial that smaller ones decide (rule
-        5) is read off them without routing, and one whose routes never
-        left all direct is costed at the all-direct cost.  ``deadline`` is
-        checked before every trial.
+        The sweep keeps the all-direct cost, its trials so far and its
+        clearly inert hubs; a trial that smaller ones decide (rule 5) is
+        read off them without routing, and one whose routes never left all
+        direct is costed at the all-direct cost.  ``deadline`` is checked
+        before every trial.
         """
         direct_cost = self.cost(ports, dict.fromkeys(self.branches))
-        direct: dict = {}  # (b, h) -> delta of moving b onto h from all direct
         trials: dict = {}  # hub set -> (routes, cost, movers)
         clearly_inert: set = set()  # single hubs that are clearly inert
         # Smallest sets first, so the trials rule 5 reads come before it.
@@ -390,16 +379,14 @@ class _DestinationContext:
             if trial is not None:
                 self.stats.inert_hub_hits += 1
             else:
-                routes, movers = self.route_shipments(ports, hub_set, direct_cost, direct)
+                routes, movers, least = self.route_shipments(ports, hub_set, direct_cost)
                 cost = self.cost(ports, routes) if movers else direct_cost
                 trial = (routes, cost, movers)
+                # A single hub that moved no branch is inert, and clearly
+                # so if its least all-direct delta exceeds the margin.
                 if len(hub_set) == 1 and not movers:
-                    # h is inert, and clearly so if all its all-direct
-                    # deltas, which this trial filled, exceed the margin.
-                    (h,) = hub_set
-                    margin = CLEAR_MARGIN * max(1.0, abs(direct_cost))
-                    if all(direct[(b, h)] > margin for b in self.branches if b != h):
-                        clearly_inert.add(h)
+                    if least > CLEAR_MARGIN * max(1.0, abs(direct_cost)):
+                        clearly_inert.add(hub_set[0])
             trials[hub_set] = trial
             yield trial[0], trial[1]
 
@@ -937,8 +924,12 @@ def local_search_improve(
     every candidate gives.
     ``deadline`` (a ``time.monotonic()`` value) is checked before every
     round and every candidate move.  ``stats``, when given, accumulates
-    the search counters.
+    the search counters.  An instance that fails validation raises
+    ``InvalidInstanceError`` first, since rule 6's bound relies on it.
     """
+    violations = validate_instance(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
     report = check_feasibility(instance, start)
     if report:
         raise InfeasibleSolutionError(report)

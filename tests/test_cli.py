@@ -22,7 +22,7 @@ from hublocate.cost_model import COST_RTOL
 from hublocate.gen import PROFILES
 from hublocate.milp import format_values_text
 from hublocate.network_model import save_instance
-from hublocate.solution import evaluate_cost, load_solution, save_solution
+from hublocate.solution import CostBreakdown, evaluate_cost, load_solution, save_solution
 
 from conftest import feeder_load_on_a_break, make_toy_instance
 
@@ -217,7 +217,7 @@ class TestSolve:
             assert set(counters) == {
                 "full_evaluations", "delta_evaluations",
                 "near_tie_fallbacks", "accepted_moves",
-                "inert_hub_hits", "direct_delta_hits",
+                "inert_hub_hits",
                 "moves_tried", "moves_accepted", "bound_cuts",
             }
             assert counters["full_evaluations"] > 0
@@ -396,20 +396,29 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "compare"])
-    def test_invalid_instance_is_refused_before_pricing(self, toy_file, tmp_path, capsys,
-                                                        command):
-        # Without a (B1, S1) distance the pricing used to end in a KeyError.
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "BAD", "SOL"],
+        ["compare", "BAD", "SOL", "SOL"],
+        *(["solve", "--method", *method, "BAD", "-o", "OUT"] for method in (
+            ["two-stage"], ["no-hub"], ["oracle"], ["local-search"],
+            ["local-search", "--start", "no-hub"], ["local-search", "--start-file", "SOL"],
+        )),
+    ], ids=lambda argv: " ".join(a for a in argv if a not in ("BAD", "SOL", "OUT", "-o")))
+    def test_invalid_instance_is_refused_before_pricing(self, toy_file, tmp_path, capsys, argv):
+        # Without a (B1, S1) distance the pricing used to end in a KeyError;
+        # evaluate and compare validate the instance, and so does every solver.
         doc = json.loads(toy_file.read_text())
         doc["distances"] = [d for d in doc["distances"] if (d["from"], d["to"]) != ("B1", "S1")]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         sol = tmp_path / "sol.json"
         save_solution(Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"}), sol)
-        argv = [command, str(bad), str(sol)] + ([str(sol)] if command == "compare" else [])
-        assert main(argv) == 1
+        out = tmp_path / "out.json"
+        files = {"BAD": str(bad), "SOL": str(sol), "OUT": str(out)}
+        assert main([files.get(a, a) for a in argv]) == 1
         err = capsys.readouterr().err
         assert "MISSING_DISTANCE" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["gen", "--branches", "0"],
@@ -424,6 +433,8 @@ class TestBadInput:
         ["solve", "--method", "two-stage", "--time-budget", "0"],
         ["solve", "--method", "two-stage", "--time-budget", "nan"],
         ["solve", "--method", "oracle", "--budget", "nan"],
+        ["solve", "--method", "local-search", "--start", "no-hub", "--start-file", "s.json"],
+        ["solve", "--method", "local-search", "--start-file", "s.json", "--start", "two-stage"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_flag_is_a_usage_error(self, toy_file, tmp_path, capsys, flags):
         # A repeated option keeps its last value, so the bad flag wins.
@@ -806,3 +817,26 @@ class TestEvaluateFormats:
         capsys.readouterr()
         assert main(["evaluate", str(toy_file), str(sol)]) == 0
         assert "sea" in capsys.readouterr().out
+
+    def test_compare_table_output(self, cons_file, tmp_path, capsys):
+        nohub, oracle = tmp_path / "nohub.json", tmp_path / "oracle.json"
+        main(["solve", "--method", "no-hub", str(cons_file), "-o", str(nohub)])
+        main(["solve", "--method", "oracle", str(cons_file), "-o", str(oracle)])
+        capsys.readouterr()
+        argv = ["compare", str(cons_file), str(nohub), str(oracle)]
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["term", "A", "B", "B", "-", "A"]
+        rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[1:-2]}
+        assert list(rows) == [*CostBreakdown.TERMS, "total"]
+        for k, (a, b, d) in rows.items():
+            assert a == pytest.approx(report["cost_a"][k], abs=1e-4)
+            assert b == pytest.approx(report["cost_b"][k], abs=1e-4)
+            assert d == pytest.approx(report["delta"][k], abs=1e-4)
+        assert lines[-2] == f"improvement of B over A: {report['improvement_percent']:.2f}%"
+        assert lines[-1] == (
+            f"hub volume share: A {report['hub_volume_share_a_percent']:.2f}%, "
+            f"B {report['hub_volume_share_b_percent']:.2f}%"
+        )

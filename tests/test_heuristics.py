@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 from types import SimpleNamespace
 from unittest import mock
@@ -159,7 +160,7 @@ def all_direct_cost(ctx, ports) -> float:
 def fresh_trial(inst, t, ports, hub_set) -> tuple:
     """(routes, cost) of one hub-set trial from a context that caches nothing yet."""
     ctx = _DestinationContext(inst, t, SearchStats())
-    routes, _ = ctx.route_shipments(ports, hub_set, all_direct_cost(ctx, ports), {})
+    routes, _, _ = ctx.route_shipments(ports, hub_set, all_direct_cost(ctx, ports))
     return routes, ctx.cost(ports, routes)
 
 
@@ -226,23 +227,26 @@ class TestRouteDeltas:
         generate(5, 8, 3, 2, 0.8, "nvocc_only_mix"),
     ], ids=["twin-hubs", "consolidation", "nvocc-mix"])
     def test_delta_routing_matches_full_costs(self, inst):
-        # Every hub set at one port vector shares one dict of all-direct
-        # deltas, as in a hub-set sweep, so cached deltas are read across
-        # hub sets; a second port vector starts a new dict.
-        stats = SearchStats()
+        # A trial in which no branch moved reports the least of its
+        # all-direct deltas, the figure rule 5 compares with the margin.
         for t in inst.nodes.destination_ports:
-            ctx = _DestinationContext(inst, t, stats)
+            ctx = _DestinationContext(inst, t, SearchStats())
             if not ctx.branches:
                 continue
             ports = ctx.initial_ports()
             b = ctx.branches[0]
             moved = {**ports, b: next(s for s in ctx.ports if s != ports[b])}
             for port_map in (ports, moved):
-                direct_cost, direct = all_direct_cost(ctx, port_map), {}
+                direct = dict.fromkeys(ctx.branches)
+                direct_cost, loads = ctx.cost(port_map, direct), ctx.loads(port_map, direct)
                 for hub_set in hub_subsets(inst.nodes.branches, 2):
-                    routes, _ = ctx.route_shipments(port_map, hub_set, direct_cost, direct)
+                    routes, movers, least = ctx.route_shipments(port_map, hub_set, direct_cost)
                     assert routes == full_cost_routes(ctx, port_map, hub_set)
-        assert stats.direct_delta_hits > 0
+                    if hub_set and not movers:
+                        assert least == min((
+                            ctx.delta(port_map, direct, loads, x, port_map[x], h)
+                            for x in ctx.branches if x not in hub_set for h in hub_set
+                        ), default=math.inf)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_hub_set_trials_match_fresh_routings(self, profile):
@@ -313,9 +317,25 @@ class TestRouteDeltas:
         stats = SearchStats()
         ctx = _DestinationContext(inst, "T1", stats)
         ports = {b: "S1" for b in ctx.branches}
-        routes, _ = ctx.route_shipments(ports, ("H1", "H2"), all_direct_cost(ctx, ports), {})
+        routes, _, _ = ctx.route_shipments(ports, ("H1", "H2"), all_direct_cost(ctx, ports))
         assert stats.near_tie_fallbacks > 0
         assert routes == {"B1": "H1", "B2": "H1", "H1": None, "H2": None}
+
+    def test_near_tie_goes_to_the_later_hub_when_its_full_cost_is_lower(self):
+        # H2's set-up is lowered by 1e-10 of the total: inside the tie band,
+        # so full costs decide, and they prefer H2 although H1 comes first.
+        base = twin_hub_instance()
+        ports = {b: "S1" for b in base.nodes.branches}
+        total = all_direct_cost(_DestinationContext(base, "T1", SearchStats()), ports)
+        inst = dataclasses.replace(
+            base, setup_cost={**base.setup_cost, "H2": base.setup_cost["H2"] - 1e-10 * total}
+        )
+        stats = SearchStats()
+        ctx = _DestinationContext(inst, "T1", stats)
+        routes, _, _ = ctx.route_shipments(ports, ("H1", "H2"), total)
+        assert stats.near_tie_fallbacks == 1
+        assert routes == {"B1": "H2", "B2": "H2", "H1": None, "H2": None}
+        assert routes == full_cost_routes(ctx, ports, ("H1", "H2"))
 
 
 class TestSingleDestination:
@@ -331,6 +351,21 @@ class TestSingleDestination:
         plan = solve_single_destination(inst, "T1", hub_budget=2)
         assert plan.hubs == ()
         assert plan.ports == {"B1": "S1"}
+
+    def test_port_step_settles_a_tie_between_identical_ports_in_full(self):
+        # B1 alone ships, and S2 is a copy of S1, so the port step's move of
+        # B1 to S2 prices at exactly 0: a near tie, costed in full and not
+        # taken, since it is no strict improvement.
+        base = consolidation_cluster_instance()
+        inst = dataclasses.replace(
+            base,
+            demand={("B1", "T1"): 4.0},
+            distance={**base.distance, **{(b, "S2"): 500.0 for b in base.nodes.branches}},
+        )
+        stats = SearchStats()
+        plan = solve_single_destination(inst, "T1", 2, stats)
+        assert (plan.ports, plan.routes, plan.iterations) == ({"B1": "S1"}, {"B1": None}, 1)
+        assert stats.near_tie_fallbacks == 1 and stats.accepted_moves == 0
 
     def test_cluster_instance_opens_the_central_hub(self):
         inst = consolidation_cluster_instance()

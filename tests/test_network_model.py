@@ -10,12 +10,17 @@ import pytest
 from hublocate import (
     Instance,
     NodeSets,
+    build_linearized_model,
+    enumerate_optimal,
     generate,
     load_instance,
+    local_search_improve,
     save_instance,
+    solve_no_hubs,
+    solve_two_stage,
     validate_instance,
 )
-from hublocate.errors import InstanceFormatError
+from hublocate.errors import InstanceFormatError, InvalidInstanceError
 from hublocate.network_model import instance_from_doc, instance_to_json
 
 
@@ -82,6 +87,34 @@ class TestValidate:
     def test_missing_setup_cost(self, toy_instance):
         bad = dataclasses.replace(toy_instance, setup_cost={"B1": 50.0})
         assert "MISSING_COST" in codes(validate_instance(bad))
+
+
+SOLVER_INSTANCE = generate(1, 4, 2, 2, 0.6, "uniform")
+SOLVER_START = solve_two_stage(SOLVER_INSTANCE).merged
+
+
+class TestSolversValidate:
+    """Every solver entry refuses an instance that fails validation before
+    it prices anything: without the (B01, S2) distance pricing would end in
+    a KeyError, and a negative set-up cost would break local search's bound."""
+
+    @pytest.mark.parametrize("solve", [
+        enumerate_optimal,
+        solve_no_hubs,
+        solve_two_stage,
+        build_linearized_model,
+        lambda inst: local_search_improve(inst, SOLVER_START),
+    ], ids=["oracle", "no-hub", "two-stage", "milp", "local-search"])
+    @pytest.mark.parametrize("edit,code", [
+        ({"distance": {k: v for k, v in SOLVER_INSTANCE.distance.items() if k != ("B01", "S2")}},
+         "MISSING_DISTANCE"),
+        ({"setup_cost": {**SOLVER_INSTANCE.setup_cost, "B01": -5.0}}, "NEGATIVE_COST"),
+    ], ids=["missing-distance", "negative-setup"])
+    def test_invalid_instance_is_refused(self, solve, edit, code):
+        bad = dataclasses.replace(SOLVER_INSTANCE, **edit)
+        with pytest.raises(InvalidInstanceError) as err:
+            solve(bad)
+        assert code in codes(err.value.violations)
 
 
 class TestRoundTrip:

@@ -66,6 +66,18 @@ class TestFeasibility:
         with pytest.raises(UnknownNodeError):
             check_feasibility(toy_instance, sol)
 
+    @pytest.mark.parametrize("edit,error", [
+        ({"direct_fraction": {("B9", "S1"): 0.5}}, UnknownNodeError),
+        ({"direct_fraction": {("B1", "S1"): 1.5}}, ValueError),
+        ({"direct_fraction": {("B1", "S1"): -0.5}}, ValueError),
+        ({"direct_fraction": {("B1", "S1"): 0.5}, "hub_choice": {("B1", "S1"): "B9"}},
+         UnknownNodeError),
+        ({"hubs": frozenset({"S1"})}, UnknownNodeError),
+    ], ids=["fraction-pair", "share-above-1", "share-below-0", "hub-choice", "hub-not-branch"])
+    def test_malformed_decision_is_structural(self, toy_instance, edit, error):
+        with pytest.raises(error):
+            check_feasibility(toy_instance, dataclasses.replace(ALL_DIRECT, **edit))
+
     def test_unrated_port_choice_is_c7(self, toy_instance):
         inst = dataclasses.replace(
             toy_instance,
@@ -77,6 +89,32 @@ class TestFeasibility:
         )
         sol = Solution(port_choice={("B1", "T1"): "S2", ("B2", "T1"): "S1"})
         assert [v.constraint for v in check_feasibility(inst, sol)] == ["C7"]
+
+
+VIA_B2 = dataclasses.replace(
+    ALL_DIRECT,
+    hubs=frozenset({"B2"}),
+    direct_fraction={("B1", "S1"): 0.25},
+    hub_choice={("B1", "S1"): "B2"},
+)
+
+
+class TestApproxEqual:
+    def test_fractions_within_1e_9_are_equal(self):
+        near = dataclasses.replace(VIA_B2, direct_fraction={("B1", "S1"): 0.25 + 5e-10})
+        assert VIA_B2.approx_equal(near) and near.approx_equal(VIA_B2)
+
+    @pytest.mark.parametrize("edit", [
+        {"port_choice": {("B1", "T1"): "S1"}},
+        {"hubs": frozenset({"B1", "B2"})},
+        {"hub_choice": {("B1", "S1"): "B1"}},
+        {"hub_choice": {("B1", "S1"): "B2", ("B2", "S1"): "B1"}},
+        {"direct_fraction": {("B1", "S1"): 0.25, ("B2", "S1"): 1.0}},
+        {"direct_fraction": {("B1", "S1"): 0.25 + 2e-9}},
+    ], ids=["port-choice", "hubs", "hub-value", "hub-keys", "fraction-keys", "fraction-value"])
+    def test_any_difference_is_unequal(self, edit):
+        other = dataclasses.replace(VIA_B2, **edit)
+        assert not VIA_B2.approx_equal(other) and not other.approx_equal(VIA_B2)
 
 
 class TestEvaluate:
