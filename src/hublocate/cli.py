@@ -100,12 +100,17 @@ def cmd_solve(args) -> int:
 
     extra = {}
     stats = {}
-    if args.method == "oracle":
+    # Local search improves the answer of its start method, or a saved one.
+    local = args.method == "local-search"
+    first = args.start if local else args.method
+    if local and args.start_file:
+        solution = load_solution(args.start_file)
+    elif first == "oracle":
         result = enumerate_optimal(instance, args.hub_budget, args.budget, deadline=deadline)
         solution = result.solution
         extra = {"evaluated_configurations": result.evaluated}
         stats["oracle"] = result.stats
-    elif args.method == "two-stage":
+    elif first == "two-stage":
         stats["two_stage"] = SearchStats()
         result = solve_two_stage(
             instance, hub_budget=args.hub_budget, deadline=deadline,
@@ -119,22 +124,13 @@ def cmd_solve(args) -> int:
             ],
             "iterations": result.iterations,
         }
-    elif args.method == "no-hub":
+    else:  # no-hub
         solution = solve_no_hubs(instance, args.budget, deadline=deadline)
-    else:  # local-search
-        if args.start_file:
-            start = load_solution(args.start_file)
-        elif args.start == "no-hub":
-            start = solve_no_hubs(instance, args.budget, deadline=deadline)
-        else:
-            stats["two_stage"] = SearchStats()
-            start = solve_two_stage(
-                instance, hub_budget=args.hub_budget, deadline=deadline,
-                stats=stats["two_stage"],
-            ).merged
+    if local:
+        extra = {}  # the start's merge report does not describe the answer
         stats["local_search"] = SearchStats()
         solution = local_search_improve(
-            instance, start, deadline=deadline, stats=stats["local_search"]
+            instance, solution, deadline=deadline, stats=stats["local_search"]
         )
     if stats:
         extra["stats"] = {name: asdict(counters) for name, counters in stats.items()}

@@ -7,16 +7,21 @@ matched against them):
                            created only for positive demand and rated
                            (s, t) relations
   x_<b>           binary   branch b is opened as hub
-  y_<b>_<s>_<h>   binary   hub h consolidates the (b, s) connection
+  y_<b>_<s>_<h>   binary   hub h consolidates the (b, s) connection, h != b
   vd_<b>_<s>      cont.    volume sent direct on (b, s)
-  vh_<b>_<s>_<h>  cont.    volume sent via hub h on (b, s)
-  nL_<b>_<r>      integer  full land containers on arc (b, r), r in B u S
+  vh_<b>_<s>_<h>  cont.    volume sent via hub h on (b, s), h != b
+  nL_<b>_<r>      integer  full land containers on arc (b, r),
+                           r in B u S, r != b
   uL<i>_<b>_<r>   step i of the approximated land curve on arc (b, r);
                            uL0 is the continuous head ramp in [0, 1],
                            uL1..uL<j-1> are binary
   nS_<s>_<t>      integer  full sea containers on relation (s, t)
   uS_<s>_<t>      cont.    NVOCC volume on (s, t), bounded by the relation
                            limit; omitted for FCL-only relations
+
+No branch routes via itself (C10, C11 forbid it), so the model states
+no such route: a branch's hubs are the other branches, and its land arcs
+lead to them and to the ports.
 
 Constraint families: port_ (one origin port per shipment), onehub_ (at
 most one hub per connection, none for a hub's own connections), act_
@@ -27,11 +32,11 @@ capacity per relation).
 
 Model size closed forms, with nB/nS branches/ports, P positive-demand
 pairs, A the total number of (pair, usable port) combinations, U rated
-relations, Un rated relations with an NVOCC rate, R = nB * (nB + nS)
+relations, Un rated relations with an NVOCC rate, R = nB * (nB - 1 + nS)
 land arcs, and j the land step count:
 
-  variables   A + nB + 2 * nB^2 * nS + nB * nS + R * (j + 1) + U + Un
-  constraints P + 2 * nB^2 * nS + 2 * nB * nS + 2 * R + U
+  variables   A + nB + 2 * nB * (nB - 1) * nS + nB * nS + R * (j + 1) + U + Un
+  constraints P + 2 * nB * (nB - 1) * nS + 2 * nB * nS + 2 * R + U
 
 Store and column layout.  ``MilpModel`` keeps its columns as parallel
 lists ``names``, ``kinds``, ``obj`` and ``upper`` (``None`` for the
@@ -117,10 +122,10 @@ class ModelMeta:
     step_count: int  # j
     z_cols: dict  # (b, t) -> {usable port s: column}
     x_cols: dict  # b -> column
-    y_cols: dict  # (b, s) -> {hub h: column}, h in branch order
+    y_cols: dict  # (b, s) -> {hub h: column}, every h != b, in branch order
     vd_cols: dict  # (b, s) -> column
-    vh_cols: dict  # (b, s) -> {hub h: column}, h in branch order
-    land_cols: dict  # land arc (b, r) -> (nL column, range of uL0..uL<j-1>)
+    vh_cols: dict  # (b, s) -> {hub h: column}, every h != b, in branch order
+    land_cols: dict  # arc (b, r), r != b -> (nL column, range of uL0..uL<j-1>)
     sea_cols: dict  # (s, t) -> (nS column, uS column or None)
 
 
@@ -194,7 +199,9 @@ def build_linearized_model(instance: Instance) -> MilpModel:
 
     B = list(instance.nodes.branches)
     S = list(instance.nodes.origin_ports)
-    arcs = [(b, r) for b in B for r in B + S]
+    # No branch routes via itself (C10, C11): b's hubs are the other branches.
+    others = {b: [h for h in B if h != b] for b in B}
+    arcs = [(b, r) for b in B for r in others[b] + S]
     pairs = instance.positive_pairs()
     usable = {t: instance.usable_ports(t) for t in instance.nodes.destination_ports}
     relations = sorted(instance.sea_rates)
@@ -203,7 +210,7 @@ def build_linearized_model(instance: Instance) -> MilpModel:
     # The breakpoint volumes are shared by all distance bands; the cost
     # values differ per band.
     curve = price_table(instance).curve
-    first_curve = curve(B[0], B[0])
+    first_curve = curve(B[0], S[0])
     v_pts = first_curve.breakpoints
     j = first_curve.step_count
 
@@ -231,21 +238,29 @@ def build_linearized_model(instance: Instance) -> MilpModel:
             [f"z_{b}_{t}_{s}" for s in ports], BINARY,
             [instance.port_consol_cost[s] * v for s in ports],
         )))
-    x_block = columns([f"x_{b}" for b in B], BINARY, [instance.setup_cost[b] for b in B])
-    x_cols = dict(zip(B, x_block))
+    x_cols = dict(zip(B, columns(
+        [f"x_{b}" for b in B], BINARY, [instance.setup_cost[b] for b in B]
+    )))
+    # One y and one vh column per connection (b, s) and hub h != b.
     n_bs = len(connections)
+    n_h = len(B) - 1
+    hub_links = [(b, s, h) for (b, s) in connections for h in others[b]]
     y_block = columns(
-        [f"y_{b}_{s}_{h}" for (b, s) in connections for h in B], BINARY, [0.0] * (n_bs * len(B))
+        [f"y_{b}_{s}_{h}" for (b, s, h) in hub_links], BINARY, [0.0] * len(hub_links)
     )
-    y_cols = {bs: dict(zip(B, y_block[k * len(B):])) for k, bs in enumerate(connections)}
+    y_cols = {
+        (b, s): dict(zip(others[b], y_block[k * n_h:])) for k, (b, s) in enumerate(connections)
+    }
     vd_cols = dict(zip(connections, columns(
         [f"vd_{b}_{s}" for (b, s) in connections], CONTINUOUS, [0.0] * n_bs
     )))
     vh_block = columns(
-        [f"vh_{b}_{s}_{h}" for (b, s) in connections for h in B], CONTINUOUS,
-        [instance.hub_consol_cost[h] for _ in connections for h in B],
+        [f"vh_{b}_{s}_{h}" for (b, s, h) in hub_links], CONTINUOUS,
+        [instance.hub_consol_cost[h] for (_, _, h) in hub_links],
     )
-    vh_cols = {bs: dict(zip(B, vh_block[k * len(B):])) for k, bs in enumerate(connections)}
+    vh_cols = {
+        (b, s): dict(zip(others[b], vh_block[k * n_h:])) for k, (b, s) in enumerate(connections)
+    }
 
     # Per arc, in arcs order: nL and the steps uL0..uL<j-1>, the largest
     # family, whose kinds and bounds repeat from arc to arc.
@@ -308,19 +323,19 @@ def build_linearized_model(instance: Instance) -> MilpModel:
         zs = z_cols[(b, t)]
         row(f"port_{b}_{t}", EQ, 1.0, zs.values(), [1.0] * len(zs))
     # At most one hub per connection, and none if b is itself a hub.
-    ones = [1.0] * (len(B) + 1)
+    ones = [1.0] * len(B)
     for (b, s), ys in y_cols.items():
         row(f"onehub_{b}_{s}", LE, 1.0, [*ys.values(), x_cols[b]], ones)
-    # y_block runs over (b, s) and then h: act_ pairs y[b, s, h] with x[h].
+    # y_block runs over hub_links: act_ pairs y[b, s, h] with x[h].
     pair_rows(
-        [f"act_{b}_{s}_{h}" for (b, s) in connections for h in B], LE, 0.0,
-        y_block, [*x_block] * n_bs, (1.0, -1.0),
+        [f"act_{b}_{s}_{h}" for (b, s, h) in hub_links], LE, 0.0,
+        y_block, [x_cols[h] for (_, _, h) in hub_links], (1.0, -1.0),
     )
 
     by_branch = {}
     for (b, t) in pairs:
         by_branch.setdefault(b, []).append(t)
-    minus_ones = [-1.0] * (1 + len(B))
+    minus_ones = [-1.0] * len(B)
     for b in B:
         m_b = sum(instance.demand[(b, t)] for t in by_branch.get(b, []))
         for s in S:
@@ -334,7 +349,7 @@ def build_linearized_model(instance: Instance) -> MilpModel:
                     coefs.append(instance.demand[(b, t)])
             row(f"split_{b}_{s}", EQ, 0.0, cols, coefs)
             ys = y_cols[(b, s)].values()
-            pair_rows([f"bigm_{b}_{s}_{h}" for h in B], LE, 0.0, vhs, ys, (1.0, -m_b))
+            pair_rows([f"bigm_{b}_{s}_{h}" for h in others[b]], LE, 0.0, vhs, ys, (1.0, -m_b))
 
     minus_v = [-v for v in v_pts]
     land_coefs = [minus_v[j], *minus_v[:j]]
@@ -342,7 +357,7 @@ def build_linearized_model(instance: Instance) -> MilpModel:
     for (b, r), (nl, steps) in land_cols.items():
         if r in instance.nodes.origin_ports:
             # Arc into a port: direct volume of b plus everything hubbed via b.
-            cols = [vd_cols[(b, r)], *[vh_cols[(c, r)][b] for c in B]]
+            cols = [vd_cols[(b, r)], *[vh_cols[(c, r)][b] for c in others[b]]]
         else:
             # Arc into hub r: the feeder flow from b over every port.
             cols = [vh_cols[(b, s)][r] for s in S]

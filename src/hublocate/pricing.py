@@ -263,15 +263,15 @@ def cost_terms(instance, flows: Flows, hubs, mode: str) -> tuple:
     land, branch-to-hub land and sea."""
     table = price_table(instance)
     land = table.land(mode)
-    setup = sum(instance.setup_cost[h] for h in sorted(hubs))
+    setup = sum((instance.setup_cost[h] for h in sorted(hubs)), 0.0)
     hub_consol = 0.0
     for h in sorted(flows.hub_inflow):
         hub_consol += instance.hub_consol_cost[h] * flows.hub_inflow[h]
     port_consol = 0.0
     for s in sorted(flows.port_totals):
         port_consol += instance.port_consol_cost[s] * flows.port_totals[s]
-    land_port = sum(land(a, s, v) for (a, s), v in sorted(flows.port_arc.items()))
-    land_hub = sum(land(b, h, v) for (b, h), v in sorted(flows.hub_arc.items()))
+    land_port = sum((land(a, s, v) for (a, s), v in sorted(flows.port_arc.items())), 0.0)
+    land_hub = sum((land(b, h, v) for (b, h), v in sorted(flows.hub_arc.items())), 0.0)
     sea = 0.0
     for (s, t), w in sorted(flows.sea_vol.items()):
         sea += table.sea(s, t, w)

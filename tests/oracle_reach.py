@@ -7,7 +7,7 @@ prints per instance whether it was solved, refused (with the refusal) or
 timed out, its ``evaluated`` count, the port vectors and hub sets it cut
 whole (``vector_cuts``, ``hub_set_cuts``), its approximated total and the
 CPU seconds it took.  A solved or refused line whose CPU time is at least
-``NEAR_DEADLINE`` (85%) of the deadline ends in "near deadline": that
+``NEAR_DEADLINE`` (80%) of the deadline ends in "near deadline": that
 outcome depends on machine speed, so a slower run may time out there and
 a faster one may finish where this one timed out.  Run from the repo root
 with
@@ -34,7 +34,7 @@ SHAPES = (
     (6, 3, 2), (8, 2, 2), (5, 4, 3), (7, 3, 3), (8, 3, 4),
 )
 SEED, DENSITY, HUB_BUDGET = 1, 0.6, 2
-NEAR_DEADLINE = 0.85  # share of the deadline from which an outcome is marked
+NEAR_DEADLINE = 0.80  # share of the deadline from which an outcome is marked
 
 
 def reach(shape, profile, deadline_s: float) -> str:

@@ -608,6 +608,26 @@ class TestMilpRoundTrip:
         assert rc == 0
         assert load_solution(out) == sol
 
+    @pytest.mark.parametrize("no_hubs", [False, True])
+    @pytest.mark.parametrize("suffix", [".lp", ".mps"])
+    def test_one_branch_model_round_trip(self, tmp_path, capsys, suffix, no_hubs):
+        # A lone branch has no hub to route via: its model has no y or vh column.
+        instance = generate(1, 1, 2, 2, 1.0, "uniform")
+        inst = tmp_path / "inst.json"
+        save_instance(instance, inst)
+        model_path = tmp_path / f"m{suffix}"
+        flags = ["--no-hubs"] if no_hubs else []
+        assert main(["build-milp", *flags, str(inst), "-o", str(model_path)]) == 0
+        direct = solve_no_hubs(instance)
+        values_path = tmp_path / "values.txt"
+        values_path.write_text(
+            format_values_text(encode_solution(build_linearized_model(instance), direct))
+        )
+        out = tmp_path / "decoded.json"
+        argv = ["decode", str(inst), str(model_path), str(values_path), "-o", str(out)]
+        assert main(argv) == 0
+        assert load_solution(out).approx_equal(direct)
+
     @pytest.mark.parametrize("suffix", [".lp", ".mps"])
     def test_decode_reads_a_no_hub_model(self, tmp_path, capsys, suffix):
         instance = generate(3, 3, 2, 2, 0.9, "uniform")
@@ -810,6 +830,8 @@ class TestEvaluateFormats:
         out = capsys.readouterr().out
         assert out.startswith("term,value")
         assert "total," in out
+        # A no-hub answer pays no set-up: a float zero, as every other term.
+        assert "\nsetup,0.0\n" in out
 
     def test_table_output(self, toy_file, tmp_path, capsys):
         sol = tmp_path / "sol.json"

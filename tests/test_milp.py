@@ -100,9 +100,9 @@ def expected_counts(instance: Instance, j: int) -> tuple[int, int]:
     a = sum(len(instance.usable_ports(t)) for (_, t) in pairs)
     u = len(instance.sea_rates)
     u_nv = sum(1 for r in instance.sea_rates.values() if r.nvocc_per_m3 is not None)
-    r = n_b * (n_b + n_s)
-    n_vars = a + n_b + 2 * n_b * n_b * n_s + n_b * n_s + r * (j + 1) + u + u_nv
-    n_rows = p + 2 * n_b * n_b * n_s + 2 * n_b * n_s + 2 * r + u
+    r = n_b * (n_b - 1 + n_s)
+    n_vars = a + n_b + 2 * n_b * (n_b - 1) * n_s + n_b * n_s + r * (j + 1) + u + u_nv
+    n_rows = p + 2 * n_b * (n_b - 1) * n_s + 2 * n_b * n_s + 2 * r + u
     return n_vars, n_rows
 
 
@@ -110,13 +110,13 @@ def expected_row_families(instance: Instance) -> dict:
     """Closed-form row count of each constraint family."""
     n_b = len(instance.nodes.branches)
     n_s = len(instance.nodes.origin_ports)
-    r = n_b * (n_b + n_s)
+    r = n_b * (n_b - 1 + n_s)
     return {
         "port": len(instance.positive_pairs()),
         "onehub": n_b * n_s,
-        "act": n_b * n_b * n_s,
+        "act": n_b * (n_b - 1) * n_s,
         "split": n_b * n_s,
-        "bigm": n_b * n_b * n_s,
+        "bigm": n_b * (n_b - 1) * n_s,
         "cap": r,
         "step": r,
         "sea": len(instance.sea_rates),
@@ -129,9 +129,9 @@ class TestModelSize:
         counts = variable_counts(model)
         assert counts["z"] == 12
         assert counts["x"] == 3
-        assert counts["y"] == 18
-        assert counts["vd"] + counts["vh"] == 24
-        assert counts["nL"] == 15 and counts["uL0"] == 15 and counts["uLi"] == 30
+        assert counts["y"] == 12
+        assert counts["vd"] + counts["vh"] == 18
+        assert counts["nL"] == 12 and counts["uL0"] == 12 and counts["uLi"] == 24
         assert counts["nS"] == 4 and counts["uS"] == 4
 
     @pytest.mark.parametrize("dims", [(2, 1, 1), (3, 2, 2), (4, 2, 3)])
@@ -155,14 +155,15 @@ class TestModelSize:
     def test_linearization_count_independent_of_destinations(self):
         base = variable_counts(build_linearized_model(full_demand_instance(3, 2, 2)))
         doubled = variable_counts(build_linearized_model(full_demand_instance(3, 2, 4)))
-        assert base["vh"] == doubled["vh"] == 3 * 3 * 2
+        assert base["vh"] == doubled["vh"] == 3 * 2 * 2
         assert base["y"] == doubled["y"]
         assert doubled["z"] == 2 * base["z"]
 
     def test_quadratic_growth_in_branches(self):
+        # vh grows as nB (nB - 1): 6 * 5 / (3 * 2) = 5.
         c3 = variable_counts(build_linearized_model(full_demand_instance(3, 2, 2)))
         c6 = variable_counts(build_linearized_model(full_demand_instance(6, 2, 2)))
-        assert c6["vh"] == 4 * c3["vh"]
+        assert c6["vh"] == 5 * c3["vh"]
 
 
 class TestColumnLayout:
@@ -213,6 +214,41 @@ class TestColumnLayout:
         changed = {j for j, (a, b) in enumerate(zip(before, model.upper)) if a != b}
         assert changed == (hub_cols if fix_no_hubs else set())
         assert all(model.upper[j] == 0.0 for j in changed)
+
+    @pytest.mark.parametrize("seed,n_b,n_s,n_t", [(0, 8, 3, 4), (4, 16, 3, 6)])
+    def test_no_branch_routes_via_itself(self, seed, n_b, n_s, n_t):
+        # C10 and C11 forbid a route via the branch itself, so the model
+        # states none: no self hub, no self arc, and no column or row named
+        # after one.
+        instance = generate(seed, n_b, n_s, n_t, 0.6, PROFILES[seed % 3])
+        model = build_linearized_model(instance)
+        meta = model.meta
+        for (b, _), ys in meta.y_cols.items():
+            assert b not in ys
+        for (b, _), vhs in meta.vh_cols.items():
+            assert b not in vhs
+        assert all(b != r for (b, r) in meta.land_cols)
+        B, S = instance.nodes.branches, instance.nodes.origin_ports
+        self_routes = {f"{family}_{b}_{s}_{b}" for b in B for s in S
+                       for family in ("y", "vh", "act", "bigm")}
+        self_routes |= {f"{family}_{b}_{b}" for b in B
+                        for family in ("nL", "uL0", "uL1", "cap", "step")}
+        assert self_routes.isdisjoint(model.names)
+        assert self_routes.isdisjoint(model.row_names)
+
+    def test_one_branch_has_no_hub_columns(self):
+        # A lone branch has no other branch to route via.
+        instance = generate(1, 1, 2, 2, 1.0, "uniform")
+        model = build_linearized_model(instance)
+        counts = variable_counts(model)
+        assert "y" not in counts and "vh" not in counts
+        assert all(ys == {} for ys in model.meta.y_cols.values())
+        sol = solve_no_hubs(instance)
+        values = encode_solution(model, sol)
+        assert max_residual(model, values) <= 1e-9
+        decoded, breakdown = decode_solution(model, values)
+        assert decoded.approx_equal(sol)
+        assert breakdown.total == pytest.approx(model.objective_value(values), rel=1e-12)
 
 
 class TestCoefficients:
@@ -427,7 +463,7 @@ class TestEncodeDecode:
         values = encode_solution(
             model, Solution(port_choice={("B1", "T1"): "S1", ("B2", "T1"): "S1"})
         )
-        for name in ("nS_S1_T1", "x_B1", "y_B1_S1_B1"):
+        for name in ("nS_S1_T1", "x_B1", "y_B1_S1_B2"):
             del values[name]
         with pytest.raises(ModelDecodeError) as err:
             decode_solution(model, values)

@@ -123,6 +123,18 @@ class TestEvaluate:
         breakdown = evaluate_cost(inst, Solution(port_choice={}), "exact")
         assert breakdown.total == 0.0
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("case", ["no-hub", "zero-demand"])
+    def test_every_term_is_a_float(self, toy_instance, mode, case):
+        # An empty sum of prices is 0.0, not the int 0 (printed as "0").
+        if case == "no-hub":
+            inst, sol = toy_instance, ALL_DIRECT
+        else:
+            inst, sol = dataclasses.replace(toy_instance, demand={}), Solution(port_choice={})
+        breakdown = evaluate_cost(inst, sol, mode)
+        for field in dataclasses.fields(breakdown):
+            assert type(getattr(breakdown, field.name)) is float, field.name
+
     def test_single_direct_shipment_hand_total(self, toy_instance):
         inst = single_shipment(toy_instance)
         sol = Solution(port_choice={("B1", "T1"): "S1"})
